@@ -161,12 +161,12 @@ def cmd_solve(args) -> int:
     rows = []
     failed = False
     for path in args.instances:
-        inst = load_instance(path)
-        if not inst.name:
-            inst.name = Path(path).stem
-        inst.name = inst.name.replace(os.sep, "_")
-        started = time.perf_counter()
+        name, size = Path(path).stem, ""
         try:
+            inst = load_instance(path)
+            inst.name = (inst.name or name).replace(os.sep, "_")
+            name, size = inst.name, inst.size
+            started = time.perf_counter()
             seed_count = args.seeds if args.seeds is not None else default_seed_count(inst.kind)
             report = solve(
                 inst,
@@ -178,12 +178,12 @@ def cmd_solve(args) -> int:
                 sampler_budget=args.sampler_budget,
                 walk_len_range=tuple(args.walk_len) if args.walk_len else None,
             )
-        except (InfeasibleError, ValueError) as exc:
+        except (InfeasibleError, ValueError, OSError) as exc:
             failed = True
-            print(f"{inst.name}: {exc}", file=sys.stderr)
-            with open(out_dir / f"{inst.name}.result.json", "w", encoding="utf-8") as fh:
-                json.dump({"name": inst.name, "error": str(exc)}, fh, indent=1)
-            rows.append([inst.name, inst.size, "", 0, "", 0])
+            print(f"{name}: {exc}", file=sys.stderr)
+            with open(out_dir / f"{name}.result.json", "w", encoding="utf-8") as fh:
+                json.dump({"name": name, "error": str(exc)}, fh, indent=1)
+            rows.append([name, size, "", 0, "", 0])
             continue
         wall_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
         doc = _report_document(report, args.dump_seeds, wall_ms)

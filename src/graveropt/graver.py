@@ -22,7 +22,7 @@ and a streaming sampler covers the rest on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence, Union
 
@@ -357,21 +357,12 @@ class GraverBasis:
     elements: tuple[SparseIntVector, ...]
     kind: Optional[ConstraintKind] = None
     sampler: Optional[LiftingSampler] = None
-    _supports: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self) -> Iterator[SparseIntVector]:
         return iter(self.elements)
-
-    def support_lists(self) -> list[tuple[list[int], list[int]]]:
-        """Per element, (indices, values) as plain lists for hot loops."""
-        if self._supports is None:
-            self._supports = [
-                ([i for i, _ in g.entries], [v for _, v in g.entries]) for g in self.elements
-            ]
-        return self._supports
 
     def canonical_set(self) -> frozenset:
         """Hashable view for set comparison across construction routes."""

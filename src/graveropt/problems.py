@@ -11,6 +11,7 @@ tolerance in either mode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -84,6 +85,9 @@ class QuadraticInstance:
             raise ValueError(f"c must have shape ({size},), got {self.c.shape}")
         if self.Q.shape != (size, size):
             raise ValueError(f"Q must have shape ({size}, {size}), got {self.Q.shape}")
+        for label, data in (("c", self.c), ("Q", self.Q)):
+            if not _all_finite(data):
+                raise ValueError(f"{label} has a non-finite entry (inf or NaN)")
         if self.lower.shape != (size,) or self.upper.shape != (size,):
             raise ValueError("bounds must match the instance size")
         if np.any(self.lower > self.upper):
@@ -101,6 +105,12 @@ class QuadraticInstance:
         if self._A is None:
             self._A = realize_matrix(self.kind)
         return self._A
+
+
+def _all_finite(data: np.ndarray) -> bool:
+    if data.dtype == object:  # ints and Fractions are always finite
+        return all(math.isfinite(v) for v in data.flat if isinstance(v, float))
+    return bool(np.isfinite(data).all())
 
 
 def _objective_scalar(inst: QuadraticInstance, x: np.ndarray):
@@ -333,21 +343,27 @@ def serialize_instance(inst: QuadraticInstance) -> str:
 
 
 def parse_instance(text: str) -> QuadraticInstance:
+    """Instance from its JSON text; malformed text raises ValueError."""
     doc = json.loads(text)
-    klass = doc["class"]
-    if klass == "explicit":
-        kind: ConstraintKind = Explicit.from_matrix(doc["A"])
-    else:
-        kind = kind_for_class(klass, int(doc["n"]), doc.get("k") and int(doc["k"]))
-    return QuadraticInstance(
-        c=_decode_array(doc["c"], 1),
-        Q=_decode_array(doc["Q"], 2),
-        kind=kind,
-        b=np.array(doc["b"], dtype=np.int64),
-        lower=np.array(doc["l"], dtype=np.int64),
-        upper=np.array(doc["u"], dtype=np.int64),
-        name=doc.get("name", ""),
-    )
+    try:
+        klass = doc["class"]
+        if klass == "explicit":
+            kind: ConstraintKind = Explicit.from_matrix(doc["A"])
+        else:
+            kind = kind_for_class(klass, int(doc["n"]), doc.get("k") and int(doc["k"]))
+        return QuadraticInstance(
+            c=_decode_array(doc["c"], 1),
+            Q=_decode_array(doc["Q"], 2),
+            kind=kind,
+            b=np.array(doc["b"], dtype=np.int64),
+            lower=np.array(doc["l"], dtype=np.int64),
+            upper=np.array(doc["u"], dtype=np.int64),
+            name=doc.get("name", ""),
+        )
+    except KeyError as exc:
+        raise ValueError(f"instance file lacks the field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed instance file: {exc}") from None
 
 
 def save_instance(inst: QuadraticInstance, path) -> None:

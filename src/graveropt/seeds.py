@@ -110,7 +110,6 @@ def seeds_qap(
     count: int,
     basis: GraverBasis,
     walk_len_range: Optional[tuple[int, int]] = None,
-    dedupe: bool = False,
 ) -> list[np.ndarray]:
     """Feasible assignment vectors generated by a Graver random walk.
 
@@ -132,11 +131,7 @@ def seeds_qap(
         raise ValueError(f"bad walk-length range [{lo}, {hi}]")
 
     out: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    walks = 0
-    max_walks = max(count, 1) * 200  # dedupe gives up gracefully on tiny feasible sets
-    while len(out) < count:
-        walks += 1
+    for _ in range(count):
         attempts = int(rng.integers(lo, hi + 1))
         for _ in range(attempts):
             g = basis.draw(rng)
@@ -149,10 +144,5 @@ def seeds_qap(
             if ok:
                 for i, v in g.entries:
                     x[i] += v
-        if dedupe and walks < max_walks:
-            key = x.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
         out.append(x.copy())
     return out

@@ -8,6 +8,13 @@ past the last accepted move; best-improvement rescans the whole basis per
 step.  Terminal points from all seeds are collected, the best kept, and
 the spread of terminal values classifies how rugged the landscape is.
 
+One engine evaluates moves for every kind of data, in blocks of signed
+moves over padded numpy arrays.  Only its arithmetic varies, chosen once
+per run: rational data (ints and Fractions) is scaled to integers, which
+keeps the sign of every move delta, and computed in int64 when every
+intermediate provably fits, else in exact Python ints on object arrays;
+float data is computed in double precision.
+
 Seeds are augmented independently: workers share the immutable basis and
 instance, own their scratch state and random source, and results are merged
 by seed index, so reports are identical at any parallelism degree.
@@ -15,6 +22,8 @@ by seed index, so reports are identical at any parallelism degree.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -80,217 +89,125 @@ class SolveReport:
 class MovePrep:
     """State-independent per-element data shared by every seed of a run.
 
-    ``pairs`` holds (c.g, g'Qg) per canonical element; both are reused
+    ``idxm``/``valm`` hold each canonical element's support as one padded
+    row (padding has index 0 and value 0).  ``c`` and ``Q`` are the data
+    moves are evaluated with (see :func:`_scan_data`), and ``cg``/``qgg``
+    hold c.g and g'Qg per element in that arithmetic; both are reused
     across signs ((-g)'Q(-g) = g'Qg, and c.(-g) just flips in the delta
-    formula).  For numeric instances the padded (index, value) matrices and
-    array views used by the vectorized scanner are carried along too.
+    formula).
     """
 
-    pairs: list
-    idxm: Optional[np.ndarray] = None
-    valm: Optional[np.ndarray] = None
-    cg_arr: Optional[np.ndarray] = None
-    qgg_arr: Optional[np.ndarray] = None
-    max_weight: int = 1
-
-    @property
-    def dense(self) -> bool:
-        return self.idxm is not None
+    idxm: np.ndarray
+    valm: np.ndarray
+    c: np.ndarray
+    Q: np.ndarray
+    cg: np.ndarray
+    qgg: np.ndarray
 
 
 def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
-    """One pass over the basis serving a whole multi-seed run.
-
-    Numeric dtypes are batched through numpy (provided every int64
-    intermediate provably fits); Fraction data and oversized integers fall
-    back to exact scalar loops and never get the vectorized arrays.
-    """
-    supports = basis.support_lists()
-    if not supports:
-        return MovePrep(pairs=[])
-    numeric = inst.Q.dtype != object and inst.c.dtype != object
-    max_weight = 1
-    if numeric:
-        max_weight = max(sum(abs(v) for v in val) for _, val in supports)
-        numeric = _int64_headroom_ok(inst, max_weight)
-    if not numeric:
-        c = inst.c.tolist()
-        out = []
-        for idx, val in supports:
-            cg = sum(c[i] * v for i, v in zip(idx, val))
-            qgg = 0
-            for i, vi in zip(idx, val):
-                row = inst.Q[i, :].tolist()
-                qgg += vi * sum(row[j] * vj for j, vj in zip(idx, val))
-            out.append((cg, qgg))
-        return MovePrep(pairs=out)
-    width = max(len(idx) for idx, _ in supports)
-    count = len(supports)
+    """One pass over the basis serving a whole multi-seed run."""
+    count = len(basis.elements)
+    width = max((len(g.entries) for g in basis.elements), default=1)
     idxm = np.zeros((count, width), dtype=np.int64)
     valm = np.zeros((count, width), dtype=np.int64)
-    for e, (idx, val) in enumerate(supports):
+    for e, g in enumerate(basis.elements):
+        idx, val = zip(*g.entries)
         idxm[e, : len(idx)] = idx
         valm[e, : len(val)] = val  # padded zeros contribute nothing
-    cg = (inst.c[idxm] * valm).sum(axis=1)
-    qgg = np.empty(count, dtype=np.result_type(inst.Q.dtype, np.int64))
+    max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
+    if basis.sampler is not None:  # a lifting of a t-cycle has 2t entries of +-1
+        max_weight = max(max_weight, 2 * basis.sampler.t_max)
+    c, Q = _scan_data(inst, max_weight)
+    cg = (c[idxm] * valm).sum(axis=1)
+    qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
     block = max(1, 4_000_000 // (width * width))
     for start in range(0, count, block):
         stop = min(count, start + block)
-        gathered = inst.Q[idxm[start:stop, :, None], idxm[start:stop, None, :]]
+        gathered = Q[idxm[start:stop, :, None], idxm[start:stop, None, :]]
         qgg[start:stop] = np.einsum(
             "ea,eab,eb->e", valm[start:stop], gathered, valm[start:stop]
         )
-    return MovePrep(
-        pairs=list(zip(cg.tolist(), qgg.tolist())),
-        idxm=idxm,
-        valm=valm,
-        cg_arr=cg,
-        qgg_arr=qgg,
-        max_weight=max_weight,
-    )
+    return MovePrep(idxm=idxm, valm=valm, c=c, Q=Q, cg=cg, qgg=qgg)
 
 
-class _ScalarScanner:
-    """Move evaluation in plain Python scalars: exact for int and Fraction
-    data, and the only backend usable with object-dtype instances.
+def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c and Q that moves are evaluated with.
 
-    Signed move j covers basis element j // 2, with +g on even j and -g on
-    odd j.  x and w = (Q+Q')x are kept as lists; deltas read only a move's
-    support, and w is updated sparsely on accepted moves.
+    Rational data (every entry an int or a Fraction) is multiplied by the
+    LCM of its denominators.  A positive factor scales every move delta
+    alike, so the sign of each delta and the order between any two are
+    kept, and both policies and the sampler accept the same moves.  The
+    integers are then kept in int64 when every intermediate provably fits,
+    else as exact Python ints on object arrays.  Floats stay in double
+    precision; object data with floats mixed in stays object.
     """
+    c, Q = inst.c, inst.Q
+    if c.dtype == object or Q.dtype == object:
+        flat = c.tolist() + Q.ravel().tolist()
+        if not all(isinstance(v, numbers.Rational) for v in flat):
+            return c.astype(object), Q.astype(object)
+        scale = math.lcm(*{int(v.denominator) for v in flat})
+        c, Q = (
+            np.array(
+                [int(v.numerator) * (scale // int(v.denominator)) for v in a.ravel().tolist()],
+                dtype=object,
+            ).reshape(a.shape)
+            for a in (c, Q)
+        )
+    elif c.dtype.kind == "f" or Q.dtype.kind == "f":
+        return c, Q
+    if _int64_headroom_ok(inst, c, Q, max_weight):
+        return c.astype(np.int64), Q.astype(np.int64)
+    return c.astype(object), Q.astype(object)
 
-    def __init__(self, inst: QuadraticInstance, x: np.ndarray, supports, prepared):
-        self.n = inst.size
-        self.supports = supports
-        self.prepared = prepared
-        self.n_moves = 2 * len(supports)
-        self.c = inst.c.tolist()
-        self.qrows = [inst.Q[i, :].tolist() for i in range(self.n)]
-        self.qcols = [inst.Q[:, i].tolist() for i in range(self.n)]
-        self.lower = inst.lower.tolist()
-        self.upper = inst.upper.tolist()
-        self.x = [int(v) for v in x.tolist()]
-        if inst.Q.dtype == object or np.issubdtype(inst.Q.dtype, np.integer):
-            # python ints cannot overflow; this backend is the exact one
-            self.w = [
-                sum(
-                    self.qrows[j][i] * xi + self.qcols[j][i] * xi
-                    for i, xi in enumerate(self.x)
-                    if xi
-                )
-                for j in range(self.n)
-            ]
-        else:
-            self.w = ((inst.Q + inst.Q.T) @ np.asarray(x, dtype=inst.Q.dtype)).tolist()
 
-    def prepare_support(self, idx, val):
-        """(c.g, g'Qg) for one support, e.g. a fresh sampler draw."""
-        cg = sum(self.c[i] * v for i, v in zip(idx, val))
-        qgg = 0
-        for i, vi in zip(idx, val):
-            row = self.qrows[i]
-            qgg += vi * sum(row[j] * vj for j, vj in zip(idx, val))
-        return cg, qgg
-
-    def delta_support(self, idx, val, sign, cg, qgg):
-        x, lower, upper = self.x, self.lower, self.upper
-        for i, v in zip(idx, val):  # bounds first: cheaper than the dot product
-            nv = x[i] + sign * v
-            if nv < lower[i] or nv > upper[i]:
-                return None
-        wg = sum(self.w[i] * v for i, v in zip(idx, val))
-        return sign * (cg + wg) + qgg
-
-    def apply_support(self, idx, val, sign):
-        for i, v in zip(idx, val):
-            self.x[i] += sign * v
-        for i, v in zip(idx, val):
-            sv = sign * v
-            row = self.qrows[i]
-            col = self.qcols[i]
-            w = self.w
-            for j in range(self.n):
-                inc = row[j] + col[j]
-                if inc:
-                    w[j] += sv * inc
-
-    def _move(self, j):
-        e, odd = divmod(j, 2)
-        idx, val = self.supports[e]
-        return idx, val, 1 - 2 * odd, self.prepared[e]
-
-    def try_from(self, pointer):
-        """First feasible strictly improving move in one cyclic pass from
-        ``pointer``: (signed index, moves examined), or (-1, n_moves)."""
-        for off in range(self.n_moves):
-            j = (pointer + off) % self.n_moves
-            idx, val, sign, (cg, qgg) = self._move(j)
-            d = self.delta_support(idx, val, sign, cg, qgg)
-            if d is not None and d < 0:
-                return j, off + 1
-        return -1, self.n_moves
-
-    def scan_best(self):
-        """Most improving feasible move over all of them (first wins ties)."""
-        best_d = None
-        best_j = -1
-        for j in range(self.n_moves):
-            idx, val, sign, (cg, qgg) = self._move(j)
-            d = self.delta_support(idx, val, sign, cg, qgg)
-            if d is not None and d < 0 and (best_d is None or d < best_d):
-                best_d = d
-                best_j = j
-        return best_j, self.n_moves
-
-    def apply_move(self, j):
-        idx, val, sign, _ = self._move(j)
-        self.apply_support(idx, val, sign)
-
-    def terminal(self):
-        return np.array(self.x, dtype=np.int64)
+def _int64_headroom_ok(inst: QuadraticInstance, c, Q, max_weight: int) -> bool:
+    """Conservative bound that every int64 intermediate of a move with at
+    most ``max_weight`` total |entry| stays far from overflow."""
+    maxq = int(np.abs(Q).max(initial=0))
+    maxc = int(np.abs(c).max(initial=0))
+    maxb = int(max(np.abs(inst.lower).max(initial=0), np.abs(inst.upper).max(initial=0), 1))
+    bound = max_weight * (maxc + 2 * maxq * inst.size * maxb) + max_weight**2 * maxq
+    return bound < 2**62
 
 
 class _BlockScanner:
-    """Vectorized twin of :class:`_ScalarScanner` for numeric instances.
+    """The descent engine: move evaluation in blocks of signed moves.
 
-    Moves are evaluated in blocks of a few thousand through padded
-    (index, value) matrices; on integer data the arithmetic is identical to
-    the scalar backend (int64 everywhere, headroom checked by the caller),
-    so both backends produce the same move sequence.
+    Signed move j covers basis element j // 2, with +g on even j and -g on
+    odd j.  x and w = (Q+Q')x are kept as arrays in the arithmetic chosen
+    by :func:`_scan_data`; moves are evaluated a few thousand at a time
+    through the padded (index, value) matrices of a :class:`MovePrep`, and
+    w is updated from the moved coordinates' rows and columns of Q.
     """
 
     BLOCK = 4096
 
-    def __init__(self, inst: QuadraticInstance, x: np.ndarray, supports, prep: MovePrep):
-        self.n = inst.size
-        self.supports = supports
-        self.n_moves = 2 * len(supports)
-        self.c = inst.c
-        self.Q = inst.Q
+    def __init__(self, inst: QuadraticInstance, x: np.ndarray, prep: MovePrep):
+        self.n_moves = 2 * len(prep.idxm)
+        self.c = prep.c
+        self.Q = prep.Q
         self.lower = inst.lower
         self.upper = inst.upper
         self.x = np.asarray(x, dtype=np.int64).copy()
-        dtype = np.result_type(inst.Q.dtype, np.int64)
-        self.w = ((inst.Q + inst.Q.T) @ self.x).astype(dtype)
+        self.w = (self.Q + self.Q.T) @ self.x
         self.idxm = prep.idxm
         self.valm = prep.valm
-        self.cg = prep.cg_arr
-        self.qgg = prep.qgg_arr
+        self.cg = prep.cg
+        self.qgg = prep.qgg
 
-    def prepare_support(self, idx, val):
+    def delta_support(self, idx, val):
+        """f(x+g) - f(x) for one support, e.g. a fresh sampler draw, or
+        None when x+g leaves the box."""
         idx = np.asarray(idx, dtype=np.int64)
         val = np.asarray(val, dtype=np.int64)
-        cg = self.c[idx] @ val
-        qgg = val @ self.Q[np.ix_(idx, idx)] @ val
-        return cg, qgg
-
-    def delta_support(self, idx, val, sign, cg, qgg):
-        idx = np.asarray(idx, dtype=np.int64)
-        val = np.asarray(val, dtype=np.int64)
-        moved = self.x[idx] + sign * val
+        moved = self.x[idx] + val
         if np.any(moved < self.lower[idx]) or np.any(moved > self.upper[idx]):
             return None
-        return sign * (cg + self.w[idx] @ val) + qgg
+        cg = self.c[idx] @ val
+        qgg = val @ self.Q[np.ix_(idx, idx)] @ val
+        return cg + self.w[idx] @ val + qgg
 
     def apply_support(self, idx, val, sign):
         idx = np.asarray(idx, dtype=np.int64)
@@ -314,6 +231,8 @@ class _BlockScanner:
         return seq[improving], delta[improving]
 
     def try_from(self, pointer):
+        """First feasible strictly improving move in one cyclic pass from
+        ``pointer``: (signed index, moves examined), or (-1, n_moves)."""
         remaining = self.n_moves
         examined = 0
         at = pointer
@@ -329,6 +248,7 @@ class _BlockScanner:
         return -1, examined
 
     def scan_best(self):
+        """Most improving feasible move over all of them (first wins ties)."""
         best_d = None
         best_j = -1
         for at in range(0, self.n_moves, self.BLOCK):
@@ -342,27 +262,11 @@ class _BlockScanner:
 
     def apply_move(self, j):
         e, odd = divmod(j, 2)
-        idx, val = self.supports[e]
-        self.apply_support(idx, val, 1 - 2 * odd)
-
-    def terminal(self):
-        return self.x.copy()
-
-
-def _int64_headroom_ok(inst: QuadraticInstance, max_weight: int) -> bool:
-    """Conservative bound that every int64 intermediate in the block scanner
-    stays far from overflow; anything larger falls back to exact scalars."""
-    maxq = int(np.abs(inst.Q).max(initial=0))
-    maxc = int(np.abs(inst.c).max(initial=0))
-    maxb = int(max(np.abs(inst.lower).max(initial=0), np.abs(inst.upper).max(initial=0), 1))
-    bound = max_weight * (maxc + 2 * maxq * inst.size * maxb) + max_weight**2 * maxq
-    return bound < 2**62
-
-
-def _pick_scanner(inst, x0, supports, prep: MovePrep):
-    if prep.dense and len(supports) >= 256:
-        return _BlockScanner(inst, x0, supports, prep)
-    return _ScalarScanner(inst, x0, supports, prep.pairs)
+        val = self.valm[e]
+        # padding repeats index 0, and a buffered x[idx] += ... would let a
+        # padded 0 overwrite the real update of x[0]
+        real = val != 0
+        self.apply_support(self.idxm[e][real], val[real], 1 - 2 * odd)
 
 
 def augment(
@@ -393,10 +297,9 @@ def augment(
     if not check_feasible(inst, x0):
         raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
 
-    supports = basis.support_lists()
     if prep is None:
         prep = prepare_moves(inst, basis)
-    scanner = _pick_scanner(inst, x0, supports, prep)
+    scanner = _BlockScanner(inst, x0, prep)
     if basis.sampler is not None and sampler_budget is None:
         sampler_budget = 10 * inst.size
     if basis.sampler is not None and rng is None:
@@ -428,11 +331,9 @@ def augment(
         accepted = False
         for _ in range(sampler_budget):
             g = basis.sampler.draw(rng)
-            idx = [i for i, _ in g.entries]
-            val = [v for _, v in g.entries]
-            cg, qgg = scanner.prepare_support(idx, val)
+            idx, val = zip(*g.entries)
             scanned += 1
-            d = scanner.delta_support(idx, val, 1, cg, qgg)
+            d = scanner.delta_support(idx, val)
             if d is not None and d < 0:
                 scanner.apply_support(idx, val, 1)
                 steps += 1
@@ -441,11 +342,10 @@ def augment(
         if not accepted:
             break
 
-    terminal = scanner.terminal()
     return AugmentationResult(
         seed_index=seed_index,
-        terminal_x=terminal,
-        terminal_f=objective(inst, terminal),
+        terminal_x=scanner.x,
+        terminal_f=objective(inst, scanner.x),
         steps=steps,
         moves_scanned=scanned,
         sampler_assisted=sampler_assisted,

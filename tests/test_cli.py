@@ -180,6 +180,26 @@ class TestSolve:
         doc = json.loads((out / "bad.result.json").read_text())
         assert "error" in doc
 
+    def test_bad_files_do_not_stop_the_batch(self, tmp_path):
+        good = tmp_path / "in"
+        run(["generate", "--class", "CBQP", "--n", "6", "--rng-seed", "2", "--out-dir", str(good)])
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"name": "broken", "class": ')
+        lacking = tmp_path / "lacking.json"
+        lacking.write_text(json.dumps({"name": "lacking", "class": "CBQP", "n": 3}))
+        missing = tmp_path / "missing.json"
+        paths = [broken, lacking, missing, next(good.glob("*.json"))]
+        out = tmp_path / "run"
+        assert run(["solve", *map(str, paths), "--seeds", "3", "--out", str(out)]) == 1
+        for name in ("broken", "lacking", "missing"):
+            doc = json.loads((out / f"{name}.result.json").read_text())
+            assert doc["name"] == name and doc["error"]
+        assert "field 'c'" in json.loads((out / "lacking.result.json").read_text())["error"]
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["instance"] for r in rows] == ["broken", "lacking", "missing", "CBQP_6_000"]
+        assert [r["best_f"] == "" for r in rows] == [True, True, True, False]
+
     def test_rational_instance_result_serializes(self, tmp_path):
         doc = {
             "name": "frac", "class": "CBQP", "n": 3, "k": None,

@@ -142,6 +142,19 @@ class TestInstanceModel:
                 upper=[1, 1],
             )
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["c", "Q"])
+    def test_non_finite_data_rejected(self, field, value):
+        data = {"c": np.zeros(2), "Q": np.zeros((2, 2))}
+        data[field][-1] = value
+        with pytest.raises(ValueError, match=f"^{field} has a non-finite"):
+            binary_instance(Cardinality(2), [1], c=data["c"], Q=data["Q"])
+
+    def test_non_finite_float_among_fractions_rejected(self):
+        Q = np.array([[Fraction(1, 2), 0.0], [float("nan"), 1]], dtype=object)
+        with pytest.raises(ValueError, match="^Q has a non-finite"):
+            binary_instance(Cardinality(2), [1], Q=Q)
+
 
 class TestAssignment2D:
     def test_vec_round_trip(self):

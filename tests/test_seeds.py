@@ -192,13 +192,6 @@ class TestSeedsQap:
         with pytest.raises(InfeasibleError):
             seeds_qap(rng, 2, 2, np.array([2, 1, 1, 1]), 5, basis)
 
-    def test_dedupe_flag(self):
-        rng = np.random.default_rng(3)
-        basis = graver_assignment(2, 2)
-        out = seeds_qap(rng, 2, 2, np.ones(4, dtype=np.int64), 2, basis, dedupe=True)
-        assert len(out) == 2
-        assert tuple(out[0]) != tuple(out[1])
-
     def test_sampler_backed_walk(self):
         rng = np.random.default_rng(4)
         basis = graver_assignment(4, 4, max_cycle_len=2)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt import (
     Cardinality,
@@ -207,36 +211,53 @@ class TestSolve:
 
 
 class TestScannerEquivalence:
-    """The vectorized and exact-scalar backends must take identical moves."""
+    """Every arithmetic route through the descent engine takes identical moves."""
 
-    def test_int_instances_agree_exactly(self):
-        rng = np.random.default_rng(5)
-        inst = generate_instance(rng, "CBQP", 25)  # 300 elements: vectorized path
-        exact = QuadraticInstance(
-            c=inst.c.astype(object),
-            Q=inst.Q.astype(object),
-            kind=inst.kind,
-            b=inst.b,
-            lower=inst.lower,
-            upper=inst.upper,
-            name="exact",
-        )
-        basis = build_basis(inst.kind)
-        from graveropt.seeds import seeds_cbqp
+    @pytest.mark.parametrize("policy", ["first", "best"])
+    @pytest.mark.parametrize("klass", ["CBQP", "QSAP1", "QSAP2", "QAP"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        divisor=st.integers(2, 60),
+        n=st.integers(2, 3),
+        k=st.integers(2, 3),
+    )
+    def test_arithmetic_routes_agree(self, policy, klass, draw, divisor, n, k):
+        # int64 data, the same data over a divisor as Fractions (scaled back
+        # to integers), and the data times 2**56 (exact Python ints)
+        if klass == "CBQP":
+            n, k = 2 * n + 1, None
+        inst = generate_instance(np.random.default_rng(draw), klass, n, k)
 
-        seeds = seeds_cbqp(np.random.default_rng(0), 25, int(inst.b[0]), 8)
-        for policy in ("first", "best"):
-            for i, s in enumerate(seeds):
-                fast = augment(inst, basis, s, seed_index=i, policy=policy)
-                slow = augment(exact, basis, s, seed_index=i, policy=policy)
-                assert fast.terminal_f == slow.terminal_f
-                assert fast.steps == slow.steps
-                assert fast.moves_scanned == slow.moves_scanned
-                assert np.array_equal(fast.terminal_x, slow.terminal_x)
+        def variant(c, Q, name):
+            return QuadraticInstance(
+                c=c, Q=Q, kind=inst.kind, b=inst.b, lower=inst.lower, upper=inst.upper, name=name
+            )
+
+        def over(a):
+            return np.array([Fraction(int(v), divisor) for v in a.flat], dtype=object).reshape(
+                a.shape
+            )
+
+        big = 2**56
+        routes = [
+            inst,
+            variant(over(inst.c), over(inst.Q), "fraction"),
+            variant(inst.c.astype(object) * big, inst.Q.astype(object) * big, "huge"),
+        ]
+        runs = [solve(r, seed_count=6, rng_seed=draw % 97, policy=policy) for r in routes]
+        base = runs[0].results
+        for run, scale in zip(runs[1:], (Fraction(1, divisor), big)):
+            assert len(run.results) == len(base)
+            for a, b in zip(base, run.results):
+                assert (a.steps, a.moves_scanned) == (b.steps, b.moves_scanned)
+                assert np.array_equal(a.terminal_x, b.terminal_x)
+                assert b.terminal_f == a.terminal_f * scale
 
     def test_huge_values_fall_back_to_exact(self):
-        # at 2**56 the conservative int64 bound trips and prep stays scalar
-        from graveropt.solver import _pick_scanner, _ScalarScanner, prepare_moves
+        # at 2**56 the conservative int64 bound trips and moves are evaluated
+        # in exact Python ints on object arrays
+        from graveropt.solver import prepare_moves
 
         big = 2**56
         inst = QuadraticInstance(
@@ -249,12 +270,9 @@ class TestScannerEquivalence:
         )
         basis = build_basis(inst.kind)
         prep = prepare_moves(inst, basis)
-        assert not prep.dense
+        assert prep.cg.dtype == object and prep.qgg.dtype == object
         x0 = np.zeros(25, dtype=np.int64)
         x0[:2] = 1
-        scanner = _pick_scanner(inst, x0, basis.support_lists(), prep)
-        assert isinstance(scanner, _ScalarScanner)
-        # the scalar path still augments such an instance correctly
         res = augment(inst, basis, x0, prep=prep)
         assert res.terminal_f == objective(inst, res.terminal_x)
 
