@@ -25,7 +25,6 @@ from .graver import (
     load_basis,
     predicted_cardinality,
     realize_matrix,
-    sample_lifting,
     save_basis,
 )
 from .oracle import (

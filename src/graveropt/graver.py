@@ -17,13 +17,19 @@ so brick sums and slot sums both cancel.  Enumerating every cycle together
 with every injective brick placement produces the complete basis; when that
 enumeration is too large, a bounded prefix (small cycle lengths) is stored
 and a streaming sampler covers the rest on demand.
+
+A basis is stored as padded int64 (index, value) arrays, one row per
+element, built in numpy from index grids (``combinations`` for the swaps,
+cycles times brick permutations for the liftings); the descent engine scans
+them as they are.  :class:`SparseIntVector` is a per-element view of a row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations, groupby, permutations
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -105,45 +111,31 @@ class Cardinality:
 
 
 @dataclass(frozen=True)
-class BrickCardinality:
+class _Bricks:
+    """n bricks of width k; the three brick families differ only in A."""
+
     n: int
     k: int
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
-            raise DimensionError("BrickCardinality needs n >= 1 and k >= 1")
+            raise DimensionError(f"{type(self).__name__} needs n >= 1 and k >= 1")
 
     @property
     def dim(self) -> int:
         return self.n * self.k
 
 
-@dataclass(frozen=True)
-class CoordinateCardinality:
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 1:
-            raise DimensionError("CoordinateCardinality needs n >= 1 and k >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.k
+class BrickCardinality(_Bricks):
+    """A = I_n (x) 1_k^T."""
 
 
-@dataclass(frozen=True)
-class Assignment:
-    n: int
-    k: int
+class CoordinateCardinality(_Bricks):
+    """A = 1_n^T (x) I_k."""
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 1:
-            raise DimensionError("Assignment needs n >= 1 and k >= 1")
 
-    @property
-    def dim(self) -> int:
-        return self.n * self.k
+class Assignment(_Bricks):
+    """Both stacks: slot rows first, brick rows below."""
 
 
 @dataclass(frozen=True)
@@ -235,18 +227,10 @@ def hilbert_cycle_count(k: int) -> int:
     return sum(math.factorial(t - 1) * math.comb(k, t) for t in range(2, k + 1))
 
 
-def _iter_cycles(k: int, top: int) -> Iterator[DirectedCycle]:
-    """Directed cycles of length 2..top in the canonical deterministic order:
-    length ascending, node subsets lexicographic, permutations lexicographic."""
-    for t in range(2, top + 1):
-        for subset in combinations(range(k), t):
-            head = subset[0]
-            for rest in permutations(subset[1:]):
-                yield DirectedCycle((head,) + rest)
-
-
 def hilbert_basis_cycles(k: int, max_len: Optional[int] = None) -> list[DirectedCycle]:
-    """Enumerate all directed cycles of length 2..min(max_len, k) on [0, k).
+    """All directed cycles of length 2..min(max_len, k) on [0, k), in the
+    canonical order: length ascending, node subsets lexicographic, then
+    permutations lexicographic.
 
     For each node subset the (t-1)! cycles are produced by fixing the
     smallest node first and permuting the rest, which is already the
@@ -255,7 +239,27 @@ def hilbert_basis_cycles(k: int, max_len: Optional[int] = None) -> list[Directed
     if k < 2:
         raise DimensionError("need k >= 2")
     top = k if max_len is None else min(max_len, k)
-    return list(_iter_cycles(k, top))
+    return [
+        DirectedCycle((subset[0],) + rest)
+        for t in range(2, top + 1)
+        for subset in combinations(range(k), t)
+        for rest in permutations(subset[1:])
+    ]
+
+
+def _lift(cycles: np.ndarray, bricks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle liftings as (index, value) arrays sorted along the last axis.
+
+    Brick bricks[..., s] carries e_{j_s} - e_{j_{s+1 mod t}} for the cycle
+    nodes j = cycles[..., :], as in :func:`lift_cycle`; the 2t indices of
+    one lifting are distinct, so nothing cancels.  Leading axes broadcast.
+    """
+    base = bricks * k
+    nxt = np.concatenate([cycles[..., 1:], cycles[..., :1]], axis=-1)  # a cheaper np.roll
+    idx = np.concatenate([base + cycles, base + nxt], axis=-1)
+    order = np.argsort(idx, axis=-1)
+    t = cycles.shape[-1]
+    return np.take_along_axis(idx, order, axis=-1), np.where(order < t, 1, -1)
 
 
 def lift_cycle(cycle: DirectedCycle, bricks: Sequence[int], n: int, k: int) -> SparseIntVector:
@@ -277,13 +281,9 @@ def lift_cycle(cycle: DirectedCycle, bricks: Sequence[int], n: int, k: int) -> S
         raise ValueError(f"brick indices must lie in [0, {n})")
     if any(j < 0 or j >= k for j in nodes):
         raise ValueError(f"cycle nodes must lie in [0, {k})")
-    coeffs: dict[int, int] = {}
-    for s in range(t):
-        base = bricks[s] * k
-        coeffs[base + nodes[s]] = coeffs.get(base + nodes[s], 0) + 1
-        coeffs[base + nodes[(s + 1) % t]] = coeffs.get(base + nodes[(s + 1) % t], 0) - 1
-    entries = tuple((i, v) for i, v in sorted(coeffs.items()) if v != 0)
-    return SparseIntVector(n * k, entries)
+    entries = [(b * k + nodes[s], 1) for s, b in enumerate(bricks)]
+    entries += [(b * k + nodes[(s + 1) % t], -1) for s, b in enumerate(bricks)]
+    return SparseIntVector(n * k, tuple(sorted(entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,57 +309,66 @@ class LiftingSampler:
                 f"cycle-length range [{self.t_min}, {self.t_max}] invalid for n={self.n}, k={self.k}"
             )
 
-    def draw(self, rng: np.random.Generator) -> SparseIntVector:
-        return sample_lifting(rng, self.n, self.k, (self.t_min, self.t_max))
-
-
-def sample_lifting(
-    rng: np.random.Generator, n: int, k: int, t_range: tuple[int, int]
-) -> SparseIntVector:
-    """Draw one uniform random cycle lifting for the Assignment(n, k) family.
-
-    The cycle length t is uniform on the closed interval t_range, the node
-    subset, cycle orientation and injective brick list are uniform given t.
-    Every draw is a kernel element by construction.
-    """
-    lo, hi = int(t_range[0]), int(t_range[1])
-    if lo > hi:
-        raise ValueError(f"empty cycle-length range [{lo}, {hi}]")
-    if lo < 2 or hi > min(n, k):
-        raise DimensionError(
-            f"cycle-length range [{lo}, {hi}] outside [2, {min(n, k)}] for n={n}, k={k}"
-        )
-    t = int(rng.integers(lo, hi + 1))
-    nodes = sorted(int(v) for v in rng.choice(k, size=t, replace=False))
-    rest = list(nodes[1:])
-    rng.shuffle(rest)
-    cycle = DirectedCycle((nodes[0],) + tuple(rest))
-    bricks = [int(v) for v in rng.choice(n, size=t, replace=False)]
-    return lift_cycle(cycle, bricks, n, k)
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One random lifting as (indices, values) sorted by index: t uniform
+        on [t_min, t_max], then node subset, orientation and injective brick
+        list uniform given t.  Every draw is a kernel element.
+        """
+        t = int(rng.integers(self.t_min, self.t_max + 1))
+        nodes = np.sort(rng.choice(self.k, size=t, replace=False))
+        rest = nodes[1:].tolist()
+        rng.shuffle(rest)
+        cycle = np.array([nodes[0], *rest], dtype=np.int64)
+        return _lift(cycle, rng.choice(self.n, size=t, replace=False), self.k)
 
 
 # ---------------------------------------------------------------------------
 # Graver bases
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class GraverBasis:
     """A sign-canonical set of kernel elements, optionally sampler-backed.
 
-    ``elements`` stores one representative per {g, -g} pair (first nonzero
-    positive) in a deterministic enumeration order.  ``sampler`` is present
-    only when the assignment-family enumeration was truncated; it yields the
-    omitted cycle lengths on demand.  Instances are immutable after
-    construction and safe for concurrent reads.
+    The basis is the read-only int64 arrays ``idx`` (support indices,
+    increasing) and ``val`` (nonzero values), one row per {g, -g} pair with
+    its first nonzero positive, in a deterministic order; short rows are
+    padded with index 0 and value 0.  ``elements`` is a derived
+    :class:`SparseIntVector` view that the solve path never builds.
+    ``sampler``, present only for a truncated assignment enumeration,
+    yields the omitted cycle lengths on demand.
     """
 
     dim: int
-    elements: tuple[SparseIntVector, ...]
+    idx: np.ndarray
+    val: np.ndarray
     kind: Optional[ConstraintKind] = None
     sampler: Optional[LiftingSampler] = None
 
+    def __post_init__(self) -> None:
+        self.idx.flags.writeable = self.val.flags.writeable = False
+
+    @classmethod
+    def from_elements(cls, dim, elements: Sequence[SparseIntVector], kind=None) -> "GraverBasis":
+        """Pack elements into the padded arrays, in order."""
+        width = max((len(g) for g in elements), default=1)
+        idx = np.zeros((len(elements), width), dtype=np.int64)
+        val = np.zeros((len(elements), width), dtype=np.int64)
+        for e, g in enumerate(elements):
+            for s, (i, v) in enumerate(g.entries):
+                idx[e, s], val[e, s] = i, v
+        return cls(dim, idx, val, kind)
+
+    @cached_property
+    def elements(self) -> tuple[SparseIntVector, ...]:
+        """One :class:`SparseIntVector` per row, for text I/O, oracles and tests."""
+        return tuple(
+            SparseIntVector(self.dim, tuple((i, v) for i, v in zip(row_i, row_v) if v))
+            for row_i, row_v in zip(self.idx.tolist(), self.val.tolist())
+        )
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.idx)
 
     def __iter__(self) -> Iterator[SparseIntVector]:
         return iter(self.elements)
@@ -368,49 +377,52 @@ class GraverBasis:
         """Hashable view for set comparison across construction routes."""
         return frozenset(g.canonical().entries for g in self.elements)
 
-    def draw(self, rng: np.random.Generator) -> SparseIntVector:
-        """Random signed element; mixes sampler draws in when truncated."""
-        use_sampler = self.sampler is not None and (not self.elements or rng.random() < 0.5)
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Random signed element as unpadded (indices, values), mixing in sampler draws."""
+        use_sampler = self.sampler is not None and (not len(self) or rng.random() < 0.5)
         if use_sampler:
-            g = self.sampler.draw(rng)
-        elif self.elements:
-            g = self.elements[int(rng.integers(len(self.elements)))]
+            idx, val = self.sampler.draw(rng)
+        elif len(self):
+            e = int(rng.integers(len(self)))
+            width = np.count_nonzero(self.val[e])  # the padding sits at the end of a row
+            idx, val = self.idx[e, :width], self.val[e, :width]
         else:
             raise ValueError("cannot draw from an empty basis without a sampler")
-        return g if rng.integers(2) == 0 else -g
+        return (idx, val) if rng.integers(2) == 0 else (idx, -val)
+
+
+def _swap_basis(pairs: np.ndarray, dim: int, kind: ConstraintKind) -> GraverBasis:
+    """Basis of swaps e_i - e_j from an array of (i, j) rows with i < j."""
+    pairs = pairs.reshape(-1, 2)
+    signs = np.tile(np.array([1, -1], dtype=np.int64), (len(pairs), 1))
+    return GraverBasis(dim, pairs, signs, kind)
+
+
+def _pairs(m: int) -> np.ndarray:
+    return np.array(list(combinations(range(m), 2)), dtype=np.int64).reshape(-1, 2)
 
 
 def graver_ones(k: int) -> GraverBasis:
     """Graver basis of the all-ones row 1_k^T: the k(k-1)/2 swaps e_i - e_j, i < j."""
     if k < 2:
         raise DimensionError(f"need k >= 2, got {k}")
-    elements = tuple(
-        SparseIntVector(k, ((i, 1), (j, -1))) for i, j in combinations(range(k), 2)
-    )
-    return GraverBasis(dim=k, elements=elements, kind=Cardinality(k))
+    return _swap_basis(_pairs(k), k, Cardinality(k))
 
 
 def graver_brick_cardinality(n: int, k: int) -> GraverBasis:
     """Graver basis of I_n (x) 1_k^T: each swap placed in each brick."""
     if n < 1 or k < 2:
         raise DimensionError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
-    elements = []
-    for brick in range(n):
-        base = brick * k
-        for i, j in combinations(range(k), 2):
-            elements.append(SparseIntVector(n * k, ((base + i, 1), (base + j, -1))))
-    return GraverBasis(dim=n * k, elements=tuple(elements), kind=BrickCardinality(n, k))
+    pairs = np.arange(n, dtype=np.int64)[:, None, None] * k + _pairs(k)
+    return _swap_basis(pairs, n * k, BrickCardinality(n, k))
 
 
 def graver_coordinate_cardinality(n: int, k: int) -> GraverBasis:
     """Graver basis of 1_n^T (x) I_k: brick swaps spread k apart, one per slot."""
     if n < 2 or k < 1:
         raise DimensionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
-    elements = []
-    for i, j in combinations(range(n), 2):
-        for slot in range(k):
-            elements.append(SparseIntVector(n * k, ((i * k + slot, 1), (j * k + slot, -1))))
-    return GraverBasis(dim=n * k, elements=tuple(elements), kind=CoordinateCardinality(n, k))
+    pairs = _pairs(n)[:, None, :] * k + np.arange(k, dtype=np.int64)[None, :, None]
+    return _swap_basis(pairs, n * k, CoordinateCardinality(n, k))
 
 
 def assignment_basis_count(n: int, k: int, max_cycle_len: Optional[int] = None) -> int:
@@ -447,7 +459,10 @@ def graver_assignment(
     When the predicted full cardinality exceeds ``enumeration_cap`` and no
     explicit ``max_cycle_len`` was given, enumeration stops at the largest
     length <= 4 that fits the cap (low-length liftings do most augmentation
-    work in practice) and a sampler covers the omitted lengths.
+    work in practice) and a sampler covers the omitted lengths.  When even
+    the length-2 liftings exceed the cap, DimensionError is raised.  The
+    liftings of one length are built at once, cycle-major over the brick
+    permutations.
     """
     if n < 2 or k < 2:
         raise DimensionError(f"need n >= 2 and k >= 2, got n={n}, k={k}")
@@ -460,20 +475,26 @@ def graver_assignment(
         t_top = t_full
     else:
         t_top = min(4, t_full)
-        while t_top > 2 and assignment_basis_count(n, k, t_top) > enumeration_cap:
+        while assignment_basis_count(n, k, t_top) > enumeration_cap:
+            if t_top == 2:
+                raise DimensionError(
+                    f"the {assignment_basis_count(n, k, 2)} length-2 liftings exceed "
+                    f"enumeration_cap={enumeration_cap}"
+                )
             t_top -= 1
 
-    elements = []
-    for cycle in _iter_cycles(k, t_top):
-        for bricks in permutations(range(n), len(cycle)):
-            g = lift_cycle(cycle, bricks, n, k)
-            if g.entries[0][1] > 0:
-                elements.append(g)
+    blocks = []
+    for t, group in groupby(hilbert_basis_cycles(k, t_top), len):
+        cycles = np.array([c.nodes for c in group], dtype=np.int64)
+        bricks = np.array(list(permutations(range(n), t)), dtype=np.int64)
+        idx, val = _lift(cycles[:, None, :], bricks[None, :, :], k)
+        keep = val[..., 0] > 0
+        pad = ((0, 0), (0, 2 * (t_top - t)))
+        blocks.append((np.pad(idx[keep], pad), np.pad(val[keep], pad)))
+    idx, val = (np.concatenate(parts) for parts in zip(*blocks))
 
-    sampler = None
-    if t_top < t_full:
-        sampler = LiftingSampler(n=n, k=k, t_min=t_top + 1, t_max=t_full)
-    return GraverBasis(dim=n * k, elements=tuple(elements), kind=Assignment(n, k), sampler=sampler)
+    sampler = LiftingSampler(n, k, t_top + 1, t_full) if t_top < t_full else None
+    return GraverBasis(n * k, idx, val, Assignment(n, k), sampler)
 
 
 def build_basis(
@@ -535,4 +556,4 @@ def load_basis(path) -> GraverBasis:
                 idx, val = token.split(":")
                 entries.append((int(idx), int(val)))
             elements.append(SparseIntVector(dim, tuple(entries)))
-    return GraverBasis(dim=dim, elements=tuple(elements))
+    return GraverBasis.from_elements(dim, elements)

@@ -123,7 +123,7 @@ def pottier_graver(
 
     lattice = integer_kernel_basis(A)
     if not lattice:
-        return GraverBasis(dim=ncols, elements=(), kind=kind)
+        return GraverBasis.from_elements(ncols, (), kind)
 
     # members of G, stored twice: python-visible rows of `gm` (grow-only)
     gm = np.zeros((64, ncols), dtype=np.int64)
@@ -190,8 +190,7 @@ def pottier_graver(
     canonical = sorted(
         {SparseIntVector.from_dense(v).canonical().entries for v in survivors}
     )
-    elements = tuple(SparseIntVector(ncols, e) for e in canonical)
-    return GraverBasis(dim=ncols, elements=elements, kind=kind)
+    return GraverBasis.from_elements(ncols, [SparseIntVector(ncols, e) for e in canonical], kind)
 
 
 def is_graver_minimal(g, A, max_ball: int = 10**7) -> bool:

@@ -134,15 +134,9 @@ def seeds_qap(
     for _ in range(count):
         attempts = int(rng.integers(lo, hi + 1))
         for _ in range(attempts):
-            g = basis.draw(rng)
-            ok = True
-            for i, v in g.entries:
-                nv = x[i] + v
-                if nv < 0 or nv > 1:
-                    ok = False
-                    break
-            if ok:
-                for i, v in g.entries:
-                    x[i] += v
+            idx, val = basis.draw(rng)
+            moved = (x[idx] + val).tolist()  # a short list beats numpy reductions here
+            if min(moved) >= 0 and max(moved) <= 1:
+                x[idx] = moved
         out.append(x.copy())
     return out

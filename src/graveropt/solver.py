@@ -89,8 +89,8 @@ class SolveReport:
 class MovePrep:
     """State-independent per-element data shared by every seed of a run.
 
-    ``idxm``/``valm`` hold each canonical element's support as one padded
-    row (padding has index 0 and value 0).  ``c`` and ``Q`` are the data
+    ``idxm``/``valm`` are the basis's own padded (index, value) arrays
+    (padding has index 0 and value 0).  ``c`` and ``Q`` are the data
     moves are evaluated with (see :func:`_scan_data`), and ``cg``/``qgg``
     hold c.g and g'Qg per element in that arithmetic; both are reused
     across signs ((-g)'Q(-g) = g'Qg, and c.(-g) just flips in the delta
@@ -106,20 +106,14 @@ class MovePrep:
 
 
 def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
-    """One pass over the basis serving a whole multi-seed run."""
-    count = len(basis.elements)
-    width = max((len(g.entries) for g in basis.elements), default=1)
-    idxm = np.zeros((count, width), dtype=np.int64)
-    valm = np.zeros((count, width), dtype=np.int64)
-    for e, g in enumerate(basis.elements):
-        idx, val = zip(*g.entries)
-        idxm[e, : len(idx)] = idx
-        valm[e, : len(val)] = val  # padded zeros contribute nothing
+    """One pass over the basis arrays serving a whole multi-seed run."""
+    idxm, valm = basis.idx, basis.val
+    count, width = idxm.shape
     max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
     if basis.sampler is not None:  # a lifting of a t-cycle has 2t entries of +-1
         max_weight = max(max_weight, 2 * basis.sampler.t_max)
     c, Q = _scan_data(inst, max_weight)
-    cg = (c[idxm] * valm).sum(axis=1)
+    cg = (c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
     qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
     block = max(1, 4_000_000 // (width * width))
     for start in range(0, count, block):
@@ -200,8 +194,6 @@ class _BlockScanner:
     def delta_support(self, idx, val):
         """f(x+g) - f(x) for one support, e.g. a fresh sampler draw, or
         None when x+g leaves the box."""
-        idx = np.asarray(idx, dtype=np.int64)
-        val = np.asarray(val, dtype=np.int64)
         moved = self.x[idx] + val
         if np.any(moved < self.lower[idx]) or np.any(moved > self.upper[idx]):
             return None
@@ -210,8 +202,6 @@ class _BlockScanner:
         return cg + self.w[idx] @ val + qgg
 
     def apply_support(self, idx, val, sign):
-        idx = np.asarray(idx, dtype=np.int64)
-        val = np.asarray(val, dtype=np.int64)
         self.x[idx] += sign * val
         self.w += sign * (self.Q[:, idx] @ val + val @ self.Q[idx, :])
 
@@ -330,8 +320,7 @@ def augment(
             break
         accepted = False
         for _ in range(sampler_budget):
-            g = basis.sampler.draw(rng)
-            idx, val = zip(*g.entries)
+            idx, val = basis.sampler.draw(rng)
             scanned += 1
             d = scanner.delta_support(idx, val)
             if d is not None and d < 0:
@@ -363,14 +352,11 @@ def verify_local_optimality(
     x = np.asarray(x, dtype=np.int64)
     fx = objective(inst, x)
     violations = []
-    for e, g in enumerate(basis.elements):
+    for e, (idx, val) in enumerate(zip(basis.idx, basis.val)):
         for sign in (1, -1):
             y = x.copy()
-            for i, v in g.entries:
-                y[i] += sign * v
-            if np.any(y < inst.lower) or np.any(y > inst.upper):
-                continue
-            if objective(inst, y) < fx:
+            np.add.at(y, idx, sign * val)  # unbuffered, so padding adds 0 to y[0]
+            if np.all((y >= inst.lower) & (y <= inst.upper)) and objective(inst, y) < fx:
                 violations.append((e, sign))
     return violations
 

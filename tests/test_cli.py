@@ -1,9 +1,12 @@
 import csv
+import functools
 import json
 
+import numpy as np
 import pytest
 
-from graveropt import graver_assignment, load_basis, load_instance
+import graveropt.cli
+from graveropt import Assignment, build_basis, graver_assignment, load_basis, load_instance
 from graveropt.cli import _bases_match, main
 
 
@@ -59,6 +62,17 @@ class TestGraver:
         basis = load_basis(path)
         assert len(basis) == 6
         assert basis.dim == 6
+
+    def test_assignment_file_loads_to_built_arrays(self, tmp_path):
+        path = tmp_path / "a.txt"
+        assert run([
+            "graver", "--kind", "assignment", "--n", "5", "--k", "4",
+            "--max-cycle-len", "3", "--out", str(path),
+        ]) == 0
+        loaded = load_basis(path)
+        built = build_basis(Assignment(5, 4), max_cycle_len=3)
+        assert np.array_equal(loaded.idx, built.idx)
+        assert np.array_equal(loaded.val, built.val)
 
     def test_cap_exceeded_advises_truncation(self, capsys):
         code = run(["graver", "--kind", "assignment", "--n", "8", "--k", "8", "--cap", "1000"])
@@ -200,6 +214,28 @@ class TestSolve:
         assert [r["instance"] for r in rows] == ["broken", "lacking", "missing", "CBQP_6_000"]
         assert [r["best_f"] == "" for r in rows] == [True, True, True, False]
 
+    def test_cap_below_length_two_does_not_stop_the_batch(self, tmp_path, monkeypatch):
+        # with a cap under the 225 length-2 liftings of a 6x6 QAP, that file
+        # fails with the count and the cap named, and the batch goes on
+        monkeypatch.setattr(
+            graveropt.cli, "solve", functools.partial(graveropt.cli.solve, enumeration_cap=100)
+        )
+        inputs = tmp_path / "in"
+        for klass, n, k in (("QAP", 6, 6), ("CBQP", 6, None)):
+            argv = ["generate", "--class", klass, "--n", str(n), "--out-dir", str(inputs)]
+            assert run(argv + (["--k", str(k)] if k else [])) == 0
+        paths = sorted(map(str, inputs.glob("*.json")), reverse=True)  # the QAP file first
+        out = tmp_path / "run"
+        assert run(["solve", *paths, "--seeds", "3", "--out", str(out)]) == 1
+        error = json.loads((out / "QAP_6x6_000.result.json").read_text())["error"]
+        assert "225" in error and "100" in error
+        assert "best_objective" in json.loads((out / "CBQP_6_000.result.json").read_text())
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance"], r["best_f"] != "") for r in rows] == [
+            ("QAP_6x6_000", False), ("CBQP_6_000", True),
+        ]
+
     def test_rational_instance_result_serializes(self, tmp_path):
         doc = {
             "name": "frac", "class": "CBQP", "n": 3, "k": None,
@@ -244,10 +280,6 @@ class TestVerify:
         from graveropt import GraverBasis, SparseIntVector
 
         good = graver_assignment(2, 2)
-        mutated = GraverBasis(
-            dim=4,
-            elements=(SparseIntVector(4, ((0, 1), (1, -1))),),
-            kind=good.kind,
-        )
+        mutated = GraverBasis.from_elements(4, (SparseIntVector(4, ((0, 1), (1, -1))),), good.kind)
         assert _bases_match(good, good)
         assert not _bases_match(good, mutated)

@@ -1,5 +1,9 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt import (
     Assignment,
@@ -10,6 +14,7 @@ from graveropt import (
     DirectedCycle,
     Explicit,
     GraverBasis,
+    LiftingSampler,
     SparseIntVector,
     assignment_basis_count,
     build_basis,
@@ -21,15 +26,20 @@ from graveropt import (
     hilbert_cycle_count,
     lift_cycle,
     load_basis,
+    pottier_graver,
     predicted_cardinality,
     realize_matrix,
-    sample_lifting,
     save_basis,
 )
 
 
 def dense_set(basis):
     return {tuple(g.to_dense()) for g in basis}
+
+
+def as_vector(dim, drawn):
+    idx, val = drawn
+    return SparseIntVector(dim, tuple(zip(idx.tolist(), val.tolist())))
 
 
 def dominates(h, g):
@@ -195,8 +205,9 @@ class TestLiftCycle:
     def test_kernel_membership_random(self):
         rng = np.random.default_rng(1)
         A = realize_matrix(Assignment(4, 4))
+        sampler = LiftingSampler(4, 4, 2, 4)
         for _ in range(50):
-            g = sample_lifting(rng, 4, 4, (2, 4))
+            g = as_vector(16, sampler.draw(rng))
             assert not np.any(A @ g.to_dense())
 
     def test_errors(self):
@@ -250,6 +261,13 @@ class TestGraverAssignment:
         assert basis.sampler is not None
         assert len(basis) <= 10_000
 
+    def test_cap_below_length_two_raises(self):
+        # the 225 length-2 liftings of 6x6 do not fit a cap of 100
+        with pytest.raises(DimensionError, match=r"\b225\b.*\b100\b"):
+            graver_assignment(6, 6, enumeration_cap=100)
+        # an explicit max_cycle_len is honoured whatever the cap
+        assert len(graver_assignment(6, 6, max_cycle_len=2, enumeration_cap=100)) == 225
+
     def test_deterministic_enumeration(self):
         a = graver_assignment(4, 3)
         b = graver_assignment(4, 3)
@@ -265,8 +283,9 @@ class TestGraverAssignment:
 class TestSampleLifting:
     def test_t2_structure(self):
         rng = np.random.default_rng(0)
+        sampler = LiftingSampler(4, 4, 2, 2)
         for _ in range(20):
-            g = sample_lifting(rng, 4, 4, (2, 2))
+            g = as_vector(16, sampler.draw(rng))
             assert len(g.entries) == 4
             bricks = {i // 4 for i, _ in g.entries}
             assert len(bricks) == 2
@@ -274,15 +293,84 @@ class TestSampleLifting:
     def test_coverage_3x3(self):
         rng = np.random.default_rng(2)
         want = graver_assignment(3, 3).canonical_set()
+        sampler = LiftingSampler(3, 3, 2, 3)
         seen = set()
         for _ in range(10_000):
-            seen.add(sample_lifting(rng, 3, 3, (2, 3)).canonical().entries)
+            seen.add(as_vector(9, sampler.draw(rng)).canonical().entries)
         assert seen == want
 
     def test_empty_range_error(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_lifting(rng, 3, 3, (3, 2))
+            LiftingSampler(3, 3, 3, 2)
+
+
+def padded(entries_list, width):
+    """Reference rows packed the way a basis stores them: padding (0, 0) on the right."""
+    idx = np.zeros((len(entries_list), width), dtype=np.int64)
+    val = np.zeros((len(entries_list), width), dtype=np.int64)
+    for e, entries in enumerate(entries_list):
+        for s, (i, v) in enumerate(entries):
+            idx[e, s], val[e, s] = i, v
+    return idx, val
+
+
+def reference_assignment(n, k, top):
+    """Closed form one element at a time: every cycle in every brick list,
+    keeping the lifting whose first entry is +1."""
+    rows = []
+    for cycle in hilbert_basis_cycles(k, top):
+        for bricks in permutations(range(n), len(cycle)):
+            g = lift_cycle(cycle, bricks, n, k)
+            if g.entries[0][1] > 0:
+                rows.append(g.entries)
+    return padded(rows, 2 * top)
+
+
+def reference_swaps(kind):
+    if isinstance(kind, Cardinality):
+        pairs = list(combinations(range(kind.n), 2))
+    elif isinstance(kind, BrickCardinality):
+        pairs = [(b * kind.k + i, b * kind.k + j)
+                 for b in range(kind.n) for i, j in combinations(range(kind.k), 2)]
+    else:
+        pairs = [(i * kind.k + s, j * kind.k + s)
+                 for i, j in combinations(range(kind.n), 2) for s in range(kind.k)]
+    return padded([((i, 1), (j, -1)) for i, j in pairs], 2)
+
+
+class TestArrayConstruction:
+    """A basis's padded arrays equal the closed form enumerated one element
+    at a time, row for row and in order."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 6), st.data())
+    def test_assignment_matches_reference(self, n, k, data):
+        top = min(n, k)
+        max_len = data.draw(st.one_of(st.none(), st.integers(2, top)))
+        basis = build_basis(Assignment(n, k), max_cycle_len=max_len)
+        want_idx, want_val = reference_assignment(n, k, max_len or top)
+        assert np.array_equal(basis.idx, want_idx)
+        assert np.array_equal(basis.val, want_val)
+        assert len(basis) == predicted_cardinality(Assignment(n, k), max_len)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["ones", "brick", "coordinate"]), st.integers(2, 7), st.integers(1, 7))
+    def test_swaps_match_reference(self, family, a, b):
+        kind = {
+            "ones": Cardinality(a),
+            "brick": BrickCardinality(b, a),
+            "coordinate": CoordinateCardinality(a, b),
+        }[family]
+        basis = build_basis(kind)
+        want_idx, want_val = reference_swaps(kind)
+        assert np.array_equal(basis.idx, want_idx)
+        assert np.array_equal(basis.val, want_val)
+        assert len(basis) == predicted_cardinality(kind)
+
+    def test_arrays_are_read_only(self):
+        basis = graver_ones(4)
+        with pytest.raises(ValueError):
+            basis.idx[0, 0] = 3
 
 
 class TestBuildBasis:
@@ -322,6 +410,28 @@ class TestBasisFile:
         with pytest.raises(ValueError):
             load_basis(path)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: graver_ones(5),
+            lambda: graver_brick_cardinality(3, 4),
+            lambda: graver_coordinate_cardinality(4, 3),
+            lambda: graver_assignment(4, 4),
+            lambda: graver_assignment(5, 4, max_cycle_len=3),
+            lambda: pottier_graver(np.array([[1, 2, 1], [0, 1, 3]])),
+        ],
+        ids=["ones", "brick", "coordinate", "assignment", "assignment-truncated", "pottier"],
+    )
+    def test_round_trip_arrays(self, tmp_path, make):
+        basis = make()
+        path = tmp_path / "basis.txt"
+        save_basis(basis, path)
+        back = load_basis(path)
+        assert back.dim == basis.dim
+        assert np.array_equal(back.idx, basis.idx)
+        assert np.array_equal(back.val, basis.val)
+        assert back.canonical_set() == basis.canonical_set()
+
     def test_loaded_basis_matches_oracle(self, tmp_path):
         # the text format is the exchange surface for oracle comparisons
         from graveropt import pottier_graver
@@ -351,13 +461,13 @@ class TestBasisDraw:
         basis = graver_ones(4)
         seen_negative = False
         for _ in range(50):
-            g = basis.draw(rng)
+            g = as_vector(4, basis.draw(rng))
             assert abs(g.entries[0][1]) == 1
             seen_negative |= g.entries[0][1] < 0
         assert seen_negative
 
     def test_empty_without_sampler(self):
         rng = np.random.default_rng(0)
-        empty = GraverBasis(dim=2, elements=())
+        empty = GraverBasis.from_elements(2, ())
         with pytest.raises(ValueError):
             empty.draw(rng)

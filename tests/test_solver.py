@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +67,7 @@ class TestAugment:
             lower=[0, 0],
             upper=[1, 1],
         )
-        empty = GraverBasis(dim=2, elements=(), kind=kind)
+        empty = GraverBasis.from_elements(2, (), kind)
         res = augment(inst, empty, [1, 0])
         assert res.steps == 0
         assert list(res.terminal_x) == [1, 0]
@@ -297,3 +298,36 @@ class TestClassifier:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             classify_landscape({})
+
+
+def _per_seed_digest(report):
+    h = hashlib.sha256()
+    for r in report.results:
+        h.update(repr((r.seed_index, str(r.terminal_f), r.steps, r.moves_scanned,
+                       r.sampler_assisted, r.terminal_x.tolist())).encode())
+    return h.hexdigest()
+
+
+class TestGoldenOutputs:
+    """Pinned per-seed outputs of ``solve``.  A change to how the basis is
+    stored or scanned must keep the move order and the random stream, so
+    these digests only move when the descent itself is meant to change."""
+
+    CASES = {
+        "qap_4x3_full": ("QAP", 4, 3, 39, {},
+                            "06b316f9a36fd6041a3ba708849dbb17c2cf8de78aa194e8826bac5842257ffe"),
+        "qap_5x5_sampler": ("QAP", 5, 5, 32, {"enumeration_cap": 200},
+                            "09f575323daede2dd6e237bbaebea4fa6f901aad7cf8fc671ce0f74341dfe904"),
+        "qsap1_5x3": ("QSAP1", 5, 3, 32, {},
+                            "4b75db176f9b59617017b7ead060f68e9b63579d97f8d0e053e90d0f0c8ddb02"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_seed_digest(self, case):
+        klass, n, k, instance_seed, kw, want = self.CASES[case]
+        inst = generate_instance(np.random.default_rng(instance_seed), klass, n, k)
+        if kw:  # the capped QAP basis is truncated and sampler-backed
+            assert build_basis(inst.kind, **kw).sampler is not None
+        report = solve(inst, rng_seed=13, **kw)
+        assert report.sampler_assisted == bool(kw)
+        assert _per_seed_digest(report) == want
