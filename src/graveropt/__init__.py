@@ -44,7 +44,6 @@ from .problems import (
     generate_instance,
     load_instance,
     objective,
-    objective_delta,
     parse_instance,
     save_instance,
     serialize_instance,

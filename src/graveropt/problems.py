@@ -25,7 +25,6 @@ from .graver import (
     ConstraintKind,
     CoordinateCardinality,
     Explicit,
-    SparseIntVector,
     realize_matrix,
 )
 
@@ -157,26 +156,6 @@ def batch_objective(inst: QuadraticInstance, points: np.ndarray) -> list:
         return [_objective_scalar(inst, row) for row in points]
     values = points @ inst.c + np.einsum("ij,jk,ik->i", points, inst.Q, points)
     return [v.item() for v in values]
-
-
-def objective_delta(inst: QuadraticInstance, x, g: SparseIntVector) -> object:
-    """f(x+g) - f(x) touching only g's support rows/columns of Q.
-
-    Expands to c.g + x'(Q+Q')g + g'Qg, exact whenever the data are exact;
-    no symmetry of Q is assumed.
-    """
-    x = np.asarray(x)
-    if x.shape != (inst.size,) or g.dim != inst.size:
-        raise ValueError("dimension mismatch between instance, x and g")
-    xs = x.tolist()
-    cl = inst.c.tolist()
-    delta = sum(cl[i] * v for i, v in g.entries)
-    for i, v in g.entries:
-        row = inst.Q[i, :].tolist()
-        col = inst.Q[:, i].tolist()
-        delta += v * sum(xj * (row[j] + col[j]) for j, xj in enumerate(xs) if xj)
-        delta += v * sum(vj * row[j] for j, vj in g.entries)
-    return delta
 
 
 def check_feasible(inst: QuadraticInstance, x) -> bool:

@@ -15,6 +15,15 @@ keeps the sign of every move delta, and computed in int64 when every
 intermediate provably fits, else in exact Python ints on object arrays;
 float data is computed in double precision.
 
+Bounds are tested first, with word operations on bitsets.  Each seed keeps
+two room bitsets, ``up`` (x_i < u_i) and ``down`` (x_i > l_i), and every
+basis element carries, per 64-bit word, the coordinates where it goes up
+and where it goes down.  +g passes when its up bits lie in ``up`` and its
+down bits in ``down``; for -g the two swap roles.  Only moves that pass
+are evaluated.  For elements whose entries are all +-1 the test is exact
+on any box; larger entries still get the full bounds check, on the moves
+that pass.
+
 Seeds are augmented independently: workers share the immutable basis and
 instance, own their scratch state and random source, and results are merged
 by seed index, so reports are identical at any parallelism degree.
@@ -95,6 +104,15 @@ class MovePrep:
     hold c.g and g'Qg per element in that arithmetic; both are reused
     across signs ((-g)'Q(-g) = g'Qg, and c.(-g) just flips in the delta
     formula).
+
+    ``word``/``mask`` hold each element's room requirement for +g, stored
+    like the basis: a padded row per element of the room words its support
+    touches (padding has mask 0).  Room words are numbered as laid out by
+    :class:`_BlockScanner`: the ``up`` words first, then the ``down`` words,
+    so one id and one mask cover either side.  A row has at most as many
+    words as the support has entries, and a word costs 12 bytes against 16
+    per entry, so the masks stay smaller than ``idxm`` + ``valm``.
+    ``unit`` says every entry is +-1, which makes the room test exact.
     """
 
     idxm: np.ndarray
@@ -103,6 +121,9 @@ class MovePrep:
     Q: np.ndarray
     cg: np.ndarray
     qgg: np.ndarray
+    word: np.ndarray
+    mask: np.ndarray
+    unit: bool
 
 
 def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
@@ -115,14 +136,48 @@ def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
     c, Q = _scan_data(inst, max_weight)
     cg = (c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
     qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
-    block = max(1, 4_000_000 // (width * width))
+    block = max(1, 250_000 // max(1, width * width))
     for start in range(0, count, block):
-        stop = min(count, start + block)
-        gathered = Q[idxm[start:stop, :, None], idxm[start:stop, None, :]]
-        qgg[start:stop] = np.einsum(
-            "ea,eab,eb->e", valm[start:stop], gathered, valm[start:stop]
-        )
-    return MovePrep(idxm=idxm, valm=valm, c=c, Q=Q, cg=cg, qgg=qgg)
+        rows = slice(start, min(count, start + block))
+        gathered = Q[idxm[rows, :, None], idxm[rows, None, :]]
+        qgg[rows] = np.einsum("ea,eab,eb->e", valm[rows], gathered, valm[rows])
+    word, mask = _room_masks(idxm, valm, _room_span(inst.size))
+    return MovePrep(
+        idxm=idxm, valm=valm, c=c, Q=Q, cg=cg, qgg=qgg, word=word, mask=mask,
+        unit=bool(np.abs(valm).max(initial=0) <= 1),
+    )
+
+
+def _room_span(size: int) -> int:
+    """Bits per room bitset: the coordinates rounded up to whole words."""
+    return 64 * -(-size // 64)
+
+
+def _room_masks(idxm, valm, span) -> tuple[np.ndarray, np.ndarray]:
+    """Per element, the room words its support touches and the bits it
+    needs in them for +g: up bits at i, down bits at ``span`` + i.  Rows
+    list their words in increasing order; padding has mask 0."""
+    count, width = idxm.shape
+    word = np.zeros((count, min(width, 2 * span // 64)), dtype=np.int32)
+    mask = np.zeros(word.shape, dtype="<u8")
+    used = 0
+    block = max(1, 4096 // max(1, width))  # keeps the transients small
+    for start in range(0, count, block):
+        idx, val = idxm[start : start + block], valm[start : start + block]
+        key = np.sort(np.where(val != 0, idx + span * (val < 0), 2 * span), axis=1)
+        cell = key >> 6
+        real = key < 2 * span  # padding sorts last and opens no word
+        new = real.copy()
+        new[:, 1:] &= cell[:, 1:] != cell[:, :-1]
+        slot = np.cumsum(new, axis=1) - 1
+        bits = real.astype(np.uint64) << (key & 63).astype(np.uint64)
+        # a word's entries follow its first one, in the row-major ravel too
+        firsts = np.flatnonzero(new)
+        at = (start + firsts // width, slot.ravel()[firsts])
+        word[at] = cell.ravel()[firsts]
+        mask[at] = np.bitwise_or.reduceat(bits.ravel(), firsts) if len(firsts) else 0
+        used = max(used, int(slot.max(initial=-1)) + 1)
+    return np.ascontiguousarray(word[:, :used]), np.ascontiguousarray(mask[:, :used])
 
 
 def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,6 +229,15 @@ class _BlockScanner:
     by :func:`_scan_data`; moves are evaluated a few thousand at a time
     through the padded (index, value) matrices of a :class:`MovePrep`, and
     w is updated from the moved coordinates' rows and columns of Q.
+
+    The room bitsets are kept complemented, as ``full`` (bit set where
+    x_i sits at that bound), so a move passes when its mask meets no set
+    bit.  Row 0 of ``full`` is the words of not-``up`` then not-``down``,
+    which +g reads at its mask's word ids; row 1 has the two halves
+    swapped, so -g reading the same ids meets the other bitset.  A block
+    keeps the moves that pass, then computes deltas for those alone.
+    ``bits`` holds the four halves unpacked; a move rewrites them at the
+    coordinates it moved.
     """
 
     BLOCK = 4096
@@ -190,6 +254,18 @@ class _BlockScanner:
         self.valm = prep.valm
         self.cg = prep.cg
         self.qgg = prep.qgg
+        self.word = prep.word
+        self.mask = prep.mask
+        self.unit = prep.unit
+        self.bits = np.zeros((4, _room_span(len(self.x))), dtype=bool)
+        self._mark_room(np.arange(len(self.x)))
+
+    def _mark_room(self, idx):
+        """Rewrite the room bits of coordinates ``idx`` from x."""
+        x = self.x[idx]
+        self.bits[::3, idx] = x >= self.upper[idx]  # rows 0 and 3: not up
+        self.bits[1:3, idx] = x <= self.lower[idx]  # rows 1 and 2: not down
+        self.full = np.packbits(self.bits, bitorder="little").view("<u8").reshape(2, -1)
 
     def delta_support(self, idx, val):
         """f(x+g) - f(x) for one support, e.g. a fresh sampler draw, or
@@ -204,20 +280,33 @@ class _BlockScanner:
     def apply_support(self, idx, val, sign):
         self.x[idx] += sign * val
         self.w += sign * (self.Q[:, idx] @ val + val @ self.Q[idx, :])
+        self._mark_room(idx)
 
     def _scan_block(self, start, count):
         """Improving signed moves among the ``count`` moves from ``start``
         (cyclic): (absolute indices in scan order, their deltas)."""
-        seq = (start + np.arange(count, dtype=np.int64)) % self.n_moves
+        end = start + count
+        rows = slice(start >> 1, (end + 1) >> 1)
+        word, mask = self.word[rows], self.mask[rows]
+        if end > self.n_moves:  # the block wraps on to the first elements
+            more = slice(0, rows.stop - len(self.word))
+            word = np.concatenate((word, self.word[more]))
+            mask = np.concatenate((mask, self.mask[more]))
+        hit = np.zeros((2, len(word)), dtype="<u8")  # rows +g, -g
+        for k in range(word.shape[1]):  # a column at a time keeps the loops long
+            hit |= self.full[:, word[:, k]] & mask[:, k]
+        fits = hit.T.ravel()[start & 1 : (start & 1) + count] == 0
+        seq = (start + np.flatnonzero(fits)) % self.n_moves
         e = seq >> 1
         sign = 1 - 2 * (seq & 1)
         idx = self.idxm[e]
         val = self.valm[e]
-        moved = self.x[idx] + sign[:, None] * val
-        feasible = np.all((moved >= self.lower[idx]) & (moved <= self.upper[idx]), axis=1)
         wg = (self.w[idx] * val).sum(axis=1)
         delta = sign * (self.cg[e] + wg) + self.qgg[e]
-        improving = feasible & (delta < 0)
+        improving = delta < 0
+        if not self.unit:  # a room bit promises room for one unit step only
+            moved = self.x[idx] + sign[:, None] * val
+            improving &= np.all((moved >= self.lower[idx]) & (moved <= self.upper[idx]), axis=1)
         return seq[improving], delta[improving]
 
     def try_from(self, pointer):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,16 +8,17 @@ from graveropt import (
     Assignment,
     Assignment2D,
     Cardinality,
+    GraverBasis,
     QuadraticInstance,
     SparseIntVector,
     check_feasible,
     enumerate_feasible,
     generate_instance,
     objective,
-    objective_delta,
     parse_instance,
     serialize_instance,
 )
+from graveropt.solver import _BlockScanner, prepare_moves
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -68,24 +70,54 @@ class TestObjective:
 
 
 class TestObjectiveDelta:
+    """The descent engine's move deltas are f(x+g) - f(x), computed on the
+    data times the LCM of its denominators (1 for integer data)."""
+
+    @staticmethod
+    def engine_deltas(inst, x, g):
+        """``delta_support`` of +g, and the deltas one block scan over the
+        basis {g} reports, keyed by the sign of the move."""
+        basis = GraverBasis.from_elements(inst.size, [g])
+        scanner = _BlockScanner(inst, np.asarray(x), prepare_moves(inst, basis))
+        real = basis.val[0] != 0
+        plus = scanner.delta_support(basis.idx[0][real], basis.val[0][real])
+        hits, deltas = scanner._scan_block(0, 2)
+        return plus, {1 - 2 * j: d for j, d in zip(hits.tolist(), deltas.tolist())}
+
+    def assert_engine_matches(self, inst, x, g, scale=1):
+        plus, scanned = self.engine_deltas(inst, x, g)
+        for sign in (1, -1):
+            y = np.asarray(x) + sign * g.to_dense()
+            feasible = bool(np.all((y >= inst.lower) & (y <= inst.upper)))
+            direct = (objective(inst, y) - objective(inst, x)) * scale if feasible else None
+            if sign == 1:
+                assert plus == direct
+            assert scanned.get(sign) == (direct if feasible and direct < 0 else None)
+
     def test_null_move(self):
         inst = binary_instance(Cardinality(3), [1], Q=np.eye(3, dtype=np.int64))
         zero = SparseIntVector(3, ())
-        assert objective_delta(inst, [1, 0, 0], zero) == 0
+        assert self.engine_deltas(inst, [1, 0, 0], zero) == (0, {})
+        self.assert_engine_matches(inst, [1, 0, 0], zero)
 
     def test_symmetric_swap(self):
         inst = binary_instance(Cardinality(2), [1], Q=np.eye(2, dtype=np.int64))
         g = SparseIntVector.from_dense([-1, 1])
-        assert objective_delta(inst, [1, 0], g) == 0
+        assert self.engine_deltas(inst, [1, 0], g) == (0, {})  # -g leaves the box
 
     def test_matches_direct_difference_int(self):
+        # entries up to 2 on a 0..2 box: some moves leave it, and the room
+        # bits alone do not decide which
         rng = np.random.default_rng(0)
         for _ in range(100):
-            inst = generate_instance(rng, "CBQP", 6)
+            base = generate_instance(rng, "CBQP", 6)
+            inst = QuadraticInstance(
+                c=base.c, Q=base.Q, kind=base.kind, b=base.b,
+                lower=np.zeros(6, dtype=np.int64), upper=np.full(6, 2, dtype=np.int64),
+            )
             x = rng.integers(0, 2, size=6)
             g = SparseIntVector.from_dense(rng.integers(-2, 3, size=6))
-            direct = objective(inst, x + g.to_dense()) - objective(inst, x)
-            assert objective_delta(inst, x, g) == direct
+            self.assert_engine_matches(inst, x, g)
 
     def test_matches_direct_difference_rational(self):
         rng = np.random.default_rng(1)
@@ -96,11 +128,11 @@ class TestObjectiveDelta:
             dtype=object,
         )
         inst = binary_instance(Cardinality(n), [2], c=c, Q=Q)
+        scale = math.lcm(*(v.denominator for v in [*c, *Q.ravel()]))
         for _ in range(100):
             x = rng.integers(0, 2, size=n)
             g = SparseIntVector.from_dense(rng.integers(-1, 2, size=n))
-            direct = objective(inst, x + g.to_dense()) - objective(inst, x)
-            assert objective_delta(inst, x, g) == direct
+            self.assert_engine_matches(inst, x, g, scale)
 
 
 class TestFeasibility:

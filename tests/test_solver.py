@@ -12,6 +12,7 @@ from graveropt import (
     GraverBasis,
     InfeasibleError,
     QuadraticInstance,
+    SparseIntVector,
     augment,
     brute_force_solve,
     build_basis,
@@ -278,6 +279,83 @@ class TestScannerEquivalence:
         assert res.terminal_f == objective(inst, res.terminal_x)
 
 
+class TestRoomPrefilter:
+    """The bitset room test lets a block scan evaluate only the moves that
+    stay in the box; it must report exactly what a full bounds check does."""
+
+    @staticmethod
+    def reference_scan(scanner, prep, start, count):
+        """Every move of the block gathered and checked against the box."""
+        seq = (start + np.arange(count, dtype=np.int64)) % scanner.n_moves
+        e, sign = seq >> 1, 1 - 2 * (seq & 1)
+        idx, val = prep.idxm[e], prep.valm[e]
+        moved = scanner.x[idx] + sign[:, None] * val
+        feasible = np.all((moved >= scanner.lower[idx]) & (moved <= scanner.upper[idx]), axis=1)
+        delta = sign * (prep.cg[e] + (scanner.w[idx] * val).sum(axis=1)) + prep.qgg[e]
+        keep = feasible & (delta < 0)
+        return seq[keep], delta[keep]
+
+    @staticmethod
+    def random_elements(rng, n, basis):
+        if basis == "pottier":  # entries up to 3, placed across word boundaries
+            from graveropt import pottier_graver
+
+            elements = pottier_graver([[1, 2, 3]]).elements
+            offsets = rng.choice(n - 2, size=min(n - 2, 4), replace=False)
+            return [
+                SparseIntVector(n, tuple((int(i + o), v) for i, v in g.entries))
+                for o in offsets
+                for g in elements
+            ]
+        top = 1 if basis == "unit" else 3
+        elements = []
+        for _ in range(int(rng.integers(1, 60))):
+            idx = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False))
+            val = rng.integers(1, top + 1, size=len(idx)) * rng.choice([-1, 1], size=len(idx))
+            elements.append(SparseIntVector(n, tuple(zip(idx.tolist(), val.tolist()))))
+        return elements
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([5, 63, 64, 65, 129]),
+        basis=st.sampled_from(["unit", "wide", "pottier"]),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_bounds_check(self, n, basis, draw):
+        from graveropt.solver import _BlockScanner, prepare_moves
+
+        rng = np.random.default_rng(draw)
+        lower = rng.integers(-2, 2, size=n)
+        upper = lower + rng.integers(0, 4, size=n)  # widths 0..3
+        x = rng.integers(lower, upper + 1)
+        inst = QuadraticInstance(
+            c=rng.integers(-9, 10, size=n), Q=rng.integers(-9, 10, size=(n, n)),
+            kind=Cardinality(n), b=[int(x.sum())], lower=lower, upper=upper,
+        )
+        prep = prepare_moves(inst, GraverBasis.from_elements(n, self.random_elements(rng, n, basis)))
+        assert prep.unit == (basis == "unit")
+        scanner = _BlockScanner(inst, x, prep)
+        n_moves = scanner.n_moves
+        for _ in range(4):  # scan, then take a move, so the room bits change
+            start = int(rng.integers(n_moves))
+            for count in (int(rng.integers(1, n_moves + 1)), n_moves):  # n_moves wraps
+                got = scanner._scan_block(start, count)
+                want = self.reference_scan(scanner, prep, start, count)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            if not len(want[0]):
+                break
+            scanner.apply_move(int(want[0][0]))
+
+    def test_masks_fit_in_the_basis_memory(self):
+        from graveropt.solver import prepare_moves
+
+        inst = binary_instance(Cardinality(200), [100])  # four words per bitset
+        basis = build_basis(inst.kind)
+        prep = prepare_moves(inst, basis)
+        assert prep.word.shape == (len(basis), 2)
+        assert prep.word.nbytes + prep.mask.nbytes <= basis.idx.nbytes + basis.val.nbytes
+
+
 class TestClassifier:
     def test_single_value_is_convex_like(self):
         assert classify_landscape({5: 60}) == "convex-like"
@@ -314,18 +392,29 @@ class TestGoldenOutputs:
     these digests only move when the descent itself is meant to change."""
 
     CASES = {
-        "qap_4x3_full": ("QAP", 4, 3, 39, {},
+        "qap_4x3_full": ("QAP", 4, 3, 39, {}, None,
                             "06b316f9a36fd6041a3ba708849dbb17c2cf8de78aa194e8826bac5842257ffe"),
-        "qap_5x5_sampler": ("QAP", 5, 5, 32, {"enumeration_cap": 200},
+        "qap_5x5_sampler": ("QAP", 5, 5, 32, {"enumeration_cap": 200}, None,
                             "09f575323daede2dd6e237bbaebea4fa6f901aad7cf8fc671ce0f74341dfe904"),
-        "qsap1_5x3": ("QSAP1", 5, 3, 32, {},
+        "qsap1_5x3": ("QSAP1", 5, 3, 32, {}, None,
                             "4b75db176f9b59617017b7ead060f68e9b63579d97f8d0e053e90d0f0c8ddb02"),
+        # n = 70 spans two 64-bit words of the room bitsets
+        "cbqp_70": ("CBQP", 70, None, 41, {}, None,
+                            "1a3d3d104349d7b897c6c2fff294b8f7ac980ccb1739cd18ae865a1a98b66c04"),
+        # a -1..2 box: seeds are binary, descent moves to both ends
+        "cbqp_12_box": ("CBQP", 12, None, 43, {}, (-1, 2),
+                            "1a06b72d62c5c71805db0d4a0579a532a2ac1881f0f27693451edde2898e46a1"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_per_seed_digest(self, case):
-        klass, n, k, instance_seed, kw, want = self.CASES[case]
+        klass, n, k, instance_seed, kw, box, want = self.CASES[case]
         inst = generate_instance(np.random.default_rng(instance_seed), klass, n, k)
+        if box:
+            inst = QuadraticInstance(
+                c=inst.c, Q=inst.Q, kind=inst.kind, b=inst.b, name=inst.name,
+                lower=np.full(inst.size, box[0]), upper=np.full(inst.size, box[1]),
+            )
         if kw:  # the capped QAP basis is truncated and sampler-backed
             assert build_basis(inst.kind, **kw).sampler is not None
         report = solve(inst, rng_seed=13, **kw)
