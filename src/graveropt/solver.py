@@ -24,9 +24,12 @@ are evaluated.  For elements whose entries are all +-1 the test is exact
 on any box; larger entries still get the full bounds check, on the moves
 that pass.
 
-Seeds are augmented independently: workers share the immutable basis and
-instance, own their scratch state and random source, and results are merged
-by seed index, so reports are identical at any parallelism degree.
+All seeds of a run descend in lockstep: their points are rows of one
+array, and each round evaluates every active seed's next window of moves
+in one pass, so the per-call overhead of numpy is shared by the seeds.
+Each seed still takes exactly the moves, and draws exactly the random
+numbers, of a descent run on its own, so reports do not depend on which
+seeds share a round.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -108,7 +110,7 @@ class MovePrep:
     ``word``/``mask`` hold each element's room requirement for +g, stored
     like the basis: a padded row per element of the room words its support
     touches (padding has mask 0).  Room words are numbered as laid out by
-    :class:`_BlockScanner`: the ``up`` words first, then the ``down`` words,
+    :class:`_Lockstep`: the ``up`` words first, then the ``down`` words,
     so one id and one mask cover either side.  A row has at most as many
     words as the support has entries, and a word costs 12 bytes against 16
     per entry, so the masks stay smaller than ``idxm`` + ``valm``.
@@ -221,35 +223,43 @@ def _int64_headroom_ok(inst: QuadraticInstance, c, Q, max_weight: int) -> bool:
     return bound < 2**62
 
 
-class _BlockScanner:
-    """The descent engine: move evaluation in blocks of signed moves.
+class _Lockstep:
+    """The descent engine: every seed of a run advanced in lockstep rounds.
 
     Signed move j covers basis element j // 2, with +g on even j and -g on
-    odd j.  x and w = (Q+Q')x are kept as arrays in the arithmetic chosen
-    by :func:`_scan_data`; moves are evaluated a few thousand at a time
-    through the padded (index, value) matrices of a :class:`MovePrep`, and
-    w is updated from the moved coordinates' rows and columns of Q.
+    odd j.  The seeds' points ``x`` and ``w`` = (Q+Q')x are [seeds, n]
+    arrays, ``w`` in the arithmetic chosen by :func:`_scan_data`.  A round
+    lays each active seed's window of signed moves (cyclic, from that
+    seed's own pointer) end to end and evaluates them all in one pass: one
+    room test, then deltas for the moves that pass.  Then every seed with a
+    hit takes its move at once.  Each seed's moves, examined counts and
+    random draws are those of a descent run on its own.
+
+    Under ``"first"`` a window is ``WINDOW`` moves after an accept and
+    doubles on each miss, up to ``BLOCK``: a seed near its last accept
+    usually finds the next within a few hundred moves, and a seed that
+    certifies its terminal point scans in large blocks.  Under ``"best"``
+    a seed's window is the rest of its pass over all moves.  A round takes
+    the active seeds in index order until it holds ``ROUND`` moves, which
+    may split the last seed's window over two rounds.
 
     The room bitsets are kept complemented, as ``full`` (bit set where
     x_i sits at that bound), so a move passes when its mask meets no set
-    bit.  Row 0 of ``full`` is the words of not-``up`` then not-``down``,
-    which +g reads at its mask's word ids; row 1 has the two halves
-    swapped, so -g reading the same ids meets the other bitset.  A block
-    keeps the moves that pass, then computes deltas for those alone.
-    ``bits`` holds the four halves unpacked; a move rewrites them at the
-    coordinates it moved.
+    bit.  Row 0 of a seed's ``full`` is the words of not-``up`` then
+    not-``down``, which +g reads at its mask's word ids; row 1 has the two
+    halves swapped, so -g reading the same ids meets the other bitset.
     """
 
     BLOCK = 4096
+    WINDOW = 256
+    ROUND = 4 * BLOCK
 
-    def __init__(self, inst: QuadraticInstance, x: np.ndarray, prep: MovePrep):
+    def __init__(self, inst: QuadraticInstance, prep: MovePrep, seeds: Sequence[np.ndarray]):
         self.n_moves = 2 * len(prep.idxm)
         self.c = prep.c
         self.Q = prep.Q
         self.lower = inst.lower
         self.upper = inst.upper
-        self.x = np.asarray(x, dtype=np.int64).copy()
-        self.w = (self.Q + self.Q.T) @ self.x
         self.idxm = prep.idxm
         self.valm = prep.valm
         self.cg = prep.cg
@@ -257,95 +267,206 @@ class _BlockScanner:
         self.word = prep.word
         self.mask = prep.mask
         self.unit = prep.unit
-        self.bits = np.zeros((4, _room_span(len(self.x))), dtype=bool)
+        self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), inst.size)
+        qsym = self.Q + self.Q.T
+        self.w = np.stack([qsym @ x for x in self.x])
+        # int64 rows of w are updated for all movers at once, which is
+        # exact; float and object rows one at a time, as a lone seed's are
+        self.qsym = qsym if self.w.dtype == np.int64 else None
+        self.full = np.zeros((len(self.x), 2, _room_span(inst.size) // 32), dtype="<u8")
         self._mark_room(np.arange(len(self.x)))
 
-    def _mark_room(self, idx):
-        """Rewrite the room bits of coordinates ``idx`` from x."""
-        x = self.x[idx]
-        self.bits[::3, idx] = x >= self.upper[idx]  # rows 0 and 3: not up
-        self.bits[1:3, idx] = x <= self.lower[idx]  # rows 1 and 2: not down
-        self.full = np.packbits(self.bits, bitorder="little").view("<u8").reshape(2, -1)
+    def _mark_room(self, seeds):
+        """Rewrite the room words of ``seeds`` from their x."""
+        x = self.x[seeds]
+        bits = np.zeros((len(seeds), 4, 32 * self.full.shape[2]), dtype=bool)
+        bits[:, ::3, : x.shape[1]] = (x >= self.upper)[:, None]  # rows 0 and 3: not up
+        bits[:, 1:3, : x.shape[1]] = (x <= self.lower)[:, None]  # rows 1 and 2: not down
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+        self.full[seeds] = packed.view("<u8").reshape(len(seeds), 2, -1)
 
-    def delta_support(self, idx, val):
-        """f(x+g) - f(x) for one support, e.g. a fresh sampler draw, or
-        None when x+g leaves the box."""
-        moved = self.x[idx] + val
+    def delta_support(self, s, idx, val):
+        """f(x+g) - f(x) at seed ``s`` for one support, e.g. a fresh
+        sampler draw, or None when x+g leaves the box."""
+        moved = self.x[s, idx] + val
         if np.any(moved < self.lower[idx]) or np.any(moved > self.upper[idx]):
             return None
         cg = self.c[idx] @ val
         qgg = val @ self.Q[np.ix_(idx, idx)] @ val
-        return cg + self.w[idx] @ val + qgg
+        return cg + self.w[s, idx] @ val + qgg
 
-    def apply_support(self, idx, val, sign):
-        self.x[idx] += sign * val
-        self.w += sign * (self.Q[:, idx] @ val + val @ self.Q[idx, :])
-        self._mark_room(idx)
+    def apply_support(self, s, idx, val, sign):
+        self.x[s, idx] += sign * val
+        self.w[s] += sign * (self.Q[:, idx] @ val + val @ self.Q[idx, :])
+        self._mark_room(np.array([s]))
 
-    def _scan_block(self, start, count):
-        """Improving signed moves among the ``count`` moves from ``start``
-        (cyclic): (absolute indices in scan order, their deltas)."""
-        end = start + count
-        rows = slice(start >> 1, (end + 1) >> 1)
-        word, mask = self.word[rows], self.mask[rows]
-        if end > self.n_moves:  # the block wraps on to the first elements
-            more = slice(0, rows.stop - len(self.word))
-            word = np.concatenate((word, self.word[more]))
-            mask = np.concatenate((mask, self.mask[more]))
-        hit = np.zeros((2, len(word)), dtype="<u8")  # rows +g, -g
-        for k in range(word.shape[1]):  # a column at a time keeps the loops long
-            hit |= self.full[:, word[:, k]] & mask[:, k]
-        fits = hit.T.ravel()[start & 1 : (start & 1) + count] == 0
-        seq = (start + np.flatnonzero(fits)) % self.n_moves
-        e = seq >> 1
-        sign = 1 - 2 * (seq & 1)
+    def apply_moves(self, seeds, moves):
+        """Seed ``seeds[i]`` takes signed move ``moves[i]``; seeds are distinct."""
+        e = moves >> 1
+        sign = 1 - 2 * (moves & 1)
+        if self.qsym is None:
+            for s, g, sg in zip(seeds.tolist(), e.tolist(), sign.tolist()):
+                val = self.valm[g]
+                # padding repeats index 0, and a buffered x[idx] += ... would
+                # let a padded 0 overwrite the real update of x[0]
+                real = val != 0
+                self.apply_support(s, self.idxm[g][real], val[real], sg)
+            return
         idx = self.idxm[e]
-        val = self.valm[e]
-        wg = (self.w[idx] * val).sum(axis=1)
+        val = self.valm[e] * sign[:, None]
+        np.add.at(self.x, (seeds[:, None], idx), val)  # unbuffered, so padding adds 0
+        self.w[seeds] += np.einsum("hk,hkn->hn", val, self.qsym[idx])
+        self._mark_room(seeds)
+
+    def _scan(self, seeds, start, count):
+        """Improving signed moves of one round, in which seed ``seeds[i]``
+        scans ``count[i]`` moves from ``start[i]`` (cyclic): per improving
+        move in scan order, (i, its offset in seed i's window, its signed
+        index, its delta).
+
+        The room test runs on whole elements, +g and -g side by side, so
+        one gather of an element's masks serves both signs; a window that
+        starts or ends halfway through an element drops the other move."""
+        n_elements = self.n_moves >> 1
+        lo = start >> 1
+        span = ((start + count + 1) >> 1) - lo  # elements the window touches
+        first = np.cumsum(span) - span
+        e = np.arange(int(first[-1] + span[-1])) + np.repeat(lo - first, span)
+        np.subtract(e, n_elements, out=e, where=e >= n_elements)
+        words = self.full.shape[2]
+        plus = np.repeat(2 * words * seeds, span)  # the seed's +g row; its -g row follows
+        full = self.full.reshape(-1)
+        hit = np.zeros((2, len(e)), dtype="<u8")
+        for k in range(self.word.shape[1]):  # a column at a time keeps the loops long
+            at, mask = plus + self.word[:, k][e], self.mask[:, k][e]
+            hit[0] |= full[at] & mask
+            hit[1] |= full[at + words] & mask
+        hit = hit.T.ravel()
+        hit[2 * first[start & 1 == 1]] = 1  # +g lies before the window
+        hit[2 * (first + span)[(start + count) & 1 == 1] - 1] = 1  # -g lies after it
+        at = np.flatnonzero(hit == 0)
+        slot = np.searchsorted(first, at >> 1, side="right") - 1
+        e, odd = e[at >> 1], at & 1
+        sign = 1 - 2 * odd
+        at_x = (seeds[slot] * self.x.shape[1])[:, None] + np.take(self.idxm, e, axis=0)
+        val = np.take(self.valm, e, axis=0)
+        wg = (self.w.reshape(-1)[at_x] * val).sum(axis=1)
         delta = sign * (self.cg[e] + wg) + self.qgg[e]
         improving = delta < 0
         if not self.unit:  # a room bit promises room for one unit step only
-            moved = self.x[idx] + sign[:, None] * val
+            idx = np.take(self.idxm, e, axis=0)
+            moved = self.x.reshape(-1)[at_x] + sign[:, None] * val
             improving &= np.all((moved >= self.lower[idx]) & (moved <= self.upper[idx]), axis=1)
-        return seq[improving], delta[improving]
+        at, slot = at[improving], slot[improving]
+        offset = at - 2 * first[slot] - (start[slot] & 1)
+        return slot, offset, 2 * e[improving] + odd[improving], delta[improving]
 
-    def try_from(self, pointer):
-        """First feasible strictly improving move in one cyclic pass from
-        ``pointer``: (signed index, moves examined), or (-1, n_moves)."""
-        remaining = self.n_moves
-        examined = 0
-        at = pointer
-        while remaining > 0:
-            count = min(self.BLOCK, remaining)
-            hits, _ = self._scan_block(at, count)
-            if hits.size:
-                j = int(hits[0])
-                return j, examined + int((j - at) % self.n_moves) + 1
-            examined += count
-            at = (at + count) % self.n_moves
-            remaining -= count
-        return -1, examined
+    def descend(self, policy, sampler, budget, rngs):
+        """Run every seed to its terminal point: per seed (steps, moves
+        examined, sampler-assisted)."""
+        count = len(self.x)
+        steps = np.zeros(count, dtype=np.int64)
+        scanned = np.zeros(count, dtype=np.int64)
+        assisted = [False] * count
+        pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
+        left = np.full(count, self.n_moves, dtype=np.int64)  # moves left in its pass
+        window = np.full(count, self.WINDOW, dtype=np.int64)
+        best_d = [None] * count  # under "best": the pass's best move so far
+        best_j = np.full(count, -1, dtype=np.int64)
+        live = np.ones(count, dtype=bool)
 
-    def scan_best(self):
-        """Most improving feasible move over all of them (first wins ties)."""
-        best_d = None
-        best_j = -1
-        for at in range(0, self.n_moves, self.BLOCK):
-            count = min(self.BLOCK, self.n_moves - at)
-            hits, deltas = self._scan_block(at, count)
-            for j, d in zip(hits.tolist(), deltas.tolist()):
-                if best_d is None or d < best_d:
-                    best_d = d
-                    best_j = j
-        return best_j, self.n_moves
+        def stalled(s):
+            """A pass of seed ``s`` found no improving move: its sampler
+            phase.  True when it accepted a draw and rejoins the scan."""
+            while sampler is not None and budget:
+                accepted = False
+                for _ in range(budget):
+                    idx, val = sampler.draw(rngs[s])
+                    scanned[s] += 1
+                    d = self.delta_support(s, idx, val)
+                    if d is not None and d < 0:
+                        self.apply_support(s, idx, val, 1)
+                        steps[s] += 1
+                        accepted = assisted[s] = True
+                if not accepted:
+                    return False
+                if self.n_moves:
+                    pointer[s], left[s], window[s] = 0, self.n_moves, self.WINDOW
+                    return True
+            return False
 
-    def apply_move(self, j):
-        e, odd = divmod(j, 2)
-        val = self.valm[e]
-        # padding repeats index 0, and a buffered x[idx] += ... would let a
-        # padded 0 overwrite the real update of x[0]
-        real = val != 0
-        self.apply_support(self.idxm[e][real], val[real], 1 - 2 * odd)
+        if not self.n_moves:
+            live[:] = [stalled(s) for s in range(count)]
+        while live.any():
+            seeds = np.flatnonzero(live)
+            want = left[seeds] if policy == "best" else np.minimum(window[seeds], left[seeds])
+            ends = np.cumsum(want)
+            m = min(len(seeds), int(np.searchsorted(ends, self.ROUND)) + 1)
+            seeds, want = seeds[:m], want[:m]
+            want[-1] -= max(0, int(ends[m - 1]) - self.ROUND)
+            slot, offset, moves, delta = self._scan(seeds, pointer[seeds], want)
+            group = np.flatnonzero(np.diff(slot, prepend=-1))  # each seed's first hit
+            if policy == "first":
+                want[slot[group]] = offset[group] + 1  # a hit ends the pass
+                movers, moves = seeds[slot[group]], moves[group]
+            else:
+                for lo, hi in zip(group.tolist(), [*group[1:].tolist(), len(slot)]):
+                    s = seeds[slot[lo]]
+                    k = lo + int(np.argmin(delta[lo:hi]))  # first wins ties
+                    if best_d[s] is None or delta[k] < best_d[s]:
+                        best_d[s], best_j[s] = delta[k], moves[k]
+            scanned[seeds] += want
+            pointer[seeds] = (pointer[seeds] + want) % self.n_moves
+            left[seeds] -= want
+            window[seeds] = np.minimum(2 * window[seeds], self.BLOCK)
+            if policy == "best":  # a pass that ends takes its best move
+                ended = seeds[left[seeds] == 0]
+                movers = ended[best_j[ended] >= 0]
+                moves = best_j[movers]
+                best_j[movers] = -1
+                for s in movers.tolist():
+                    best_d[s] = None
+            if len(movers):
+                self.apply_moves(movers, moves)
+                steps[movers] += 1
+                left[movers] = self.n_moves
+                window[movers] = self.WINDOW
+            for s in seeds[left[seeds] == 0].tolist():
+                live[s] = stalled(s)
+        return [(int(steps[s]), int(scanned[s]), assisted[s]) for s in range(count)]
+
+
+def _descend(
+    inst: QuadraticInstance,
+    basis: GraverBasis,
+    prep: MovePrep,
+    seeds: Sequence[np.ndarray],
+    policy: str,
+    sampler_budget: Optional[int],
+    rngs: Sequence[Optional[np.random.Generator]],
+) -> list[AugmentationResult]:
+    """Descend every seed in one lockstep engine; results in seed order."""
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}")
+    for x in seeds:
+        if not check_feasible(inst, x):
+            raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
+    if basis.sampler is not None:
+        sampler_budget = 10 * inst.size if sampler_budget is None else sampler_budget
+        rngs = [np.random.default_rng(0) if rng is None else rng for rng in rngs]
+    engine = _Lockstep(inst, prep, seeds)
+    runs = engine.descend(policy, basis.sampler, sampler_budget, rngs)
+    return [
+        AugmentationResult(
+            seed_index=i,
+            terminal_x=engine.x[i].copy(),
+            terminal_f=objective(inst, engine.x[i]),
+            steps=steps,
+            moves_scanned=scanned,
+            sampler_assisted=assisted,
+        )
+        for i, (steps, scanned, assisted) in enumerate(runs)
+    ]
 
 
 def augment(
@@ -368,66 +489,15 @@ def augment(
     restrict the certificate to the enumerated part.
 
     ``prep`` is the output of :func:`prepare_moves` for this (instance,
-    basis) pair; multi-seed callers pass it in so it is computed once.
+    basis) pair, computed here when not given.  This is a one-seed run of
+    the engine :func:`solve` runs all seeds in.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}")
-    x0 = np.asarray(x0, dtype=np.int64)
-    if not check_feasible(inst, x0):
-        raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
-
     if prep is None:
         prep = prepare_moves(inst, basis)
-    scanner = _BlockScanner(inst, x0, prep)
-    if basis.sampler is not None and sampler_budget is None:
-        sampler_budget = 10 * inst.size
-    if basis.sampler is not None and rng is None:
-        rng = np.random.default_rng(0)
-
-    steps = 0
-    scanned = 0
-    sampler_assisted = False
-
-    def descend():
-        nonlocal steps, scanned
-        pointer = 0
-        while scanner.n_moves:
-            if policy == "first":
-                j, examined = scanner.try_from(pointer)
-            else:
-                j, examined = scanner.scan_best()
-            scanned += examined
-            if j < 0:
-                return
-            scanner.apply_move(j)
-            steps += 1
-            pointer = (j + 1) % scanner.n_moves
-
-    while True:
-        descend()
-        if basis.sampler is None or not sampler_budget:
-            break
-        accepted = False
-        for _ in range(sampler_budget):
-            idx, val = basis.sampler.draw(rng)
-            scanned += 1
-            d = scanner.delta_support(idx, val)
-            if d is not None and d < 0:
-                scanner.apply_support(idx, val, 1)
-                steps += 1
-                accepted = True
-                sampler_assisted = True
-        if not accepted:
-            break
-
-    return AugmentationResult(
-        seed_index=seed_index,
-        terminal_x=scanner.x,
-        terminal_f=objective(inst, scanner.x),
-        steps=steps,
-        moves_scanned=scanned,
-        sampler_assisted=sampler_assisted,
-    )
+    x0 = np.asarray(x0, dtype=np.int64)
+    (result,) = _descend(inst, basis, prep, [x0], policy, sampler_budget, [rng])
+    result.seed_index = seed_index
+    return result
 
 
 def verify_local_optimality(
@@ -523,10 +593,16 @@ def solve(
 ) -> SolveReport:
     """Build the basis, seed, augment every seed, and report.
 
-    Deterministic for a fixed ``rng_seed`` and policy regardless of the
-    parallelism degree: worker random streams are spawned per seed index
-    and results are merged by index, never by completion order.
+    Deterministic for a fixed ``rng_seed`` and policy: each seed's random
+    stream is spawned by its index.  All seeds run in one lockstep engine
+    in this process, so ``parallelism`` must be 1; to use more processors,
+    solve instance files in parallel with ``graveropt solve --threads N``.
     """
+    if parallelism != 1:
+        raise ValueError(
+            f"parallelism={parallelism}: solve runs every seed in one lockstep engine; "
+            "use `graveropt solve --threads N` to solve instance files in parallel"
+        )
     if basis is None:
         if isinstance(inst.kind, Explicit):
             from .oracle import pottier_graver
@@ -544,27 +620,10 @@ def solve(
     seeds = [np.asarray(s, dtype=np.int64) for s in seeds]
     if not seeds:
         raise InfeasibleError("no seeds to augment")
-    worker_streams = master.spawn(len(seeds) + 1)[1:]
+    streams = master.spawn(len(seeds) + 1)[1:]
+    rngs = [np.random.default_rng(stream) for stream in streams]
     prep = prepare_moves(inst, basis)
-
-    def run(i: int) -> AugmentationResult:
-        rng = np.random.default_rng(worker_streams[i])
-        return augment(
-            inst,
-            basis,
-            seeds[i],
-            policy=policy,
-            sampler_budget=sampler_budget,
-            rng=rng,
-            seed_index=i,
-            prep=prep,
-        )
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run, range(len(seeds))))
-    else:
-        results = [run(i) for i in range(len(seeds))]
+    results = _descend(inst, basis, prep, seeds, policy, sampler_budget, rngs)
 
     best = min(results, key=lambda r: (r.terminal_f, r.seed_index))
     counts = dict(Counter(r.terminal_f for r in results))

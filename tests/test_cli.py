@@ -214,6 +214,45 @@ class TestSolve:
         assert [r["instance"] for r in rows] == ["broken", "lacking", "missing", "CBQP_6_000"]
         assert [r["best_f"] == "" for r in rows] == [True, True, True, False]
 
+    def test_bad_file_under_worker_processes(self, tmp_path):
+        # a malformed and a missing file between good ones: the same
+        # bytes, rows and exit code in one process and in two
+        good = tmp_path / "in"
+        run(["generate", "--class", "QSAP1", "--n", "4", "--k", "3", "--count", "2",
+             "--rng-seed", "3", "--out-dir", str(good)])
+        first, last = sorted(good.glob("*.json"))
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"name": "broken", "class": ')
+        paths = [first, broken, tmp_path / "missing.json", last]
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert run(["solve", *map(str, paths), "--seeds", "5", "--no-timing", "--dump-seeds",
+                        "--per-seed-csv", "--threads", threads, "--out", str(out)]) == 1
+            for name in ("broken", "missing"):
+                assert json.loads((out / f"{name}.result.json").read_text())["error"]
+            with open(out / "summary.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["instance"], r["best_f"] != "") for r in rows] == [
+                (first.stem, True), ("broken", False), ("missing", False), (last.stem, True),
+            ]
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "x"])
+    def test_threads_below_one_rejected(self, tmp_path, threads, capsys, monkeypatch):
+        path = str(tmp_path / "never-read.json")
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", path, "--threads", threads, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        monkeypatch.setenv("GRAVEROPT_THREADS", threads)
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", path, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "GRAVEROPT_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_cap_below_length_two_does_not_stop_the_batch(self, tmp_path, monkeypatch):
         # with a cap under the 225 length-2 liftings of a 6x6 QAP, that file
         # fails with the count and the cap named, and the batch goes on

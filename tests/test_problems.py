@@ -18,7 +18,7 @@ from graveropt import (
     parse_instance,
     serialize_instance,
 )
-from graveropt.solver import _BlockScanner, prepare_moves
+from graveropt.solver import _Lockstep, prepare_moves
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -75,14 +75,14 @@ class TestObjectiveDelta:
 
     @staticmethod
     def engine_deltas(inst, x, g):
-        """``delta_support`` of +g, and the deltas one block scan over the
+        """``delta_support`` of +g, and the deltas one round over the
         basis {g} reports, keyed by the sign of the move."""
         basis = GraverBasis.from_elements(inst.size, [g])
-        scanner = _BlockScanner(inst, np.asarray(x), prepare_moves(inst, basis))
+        engine = _Lockstep(inst, prepare_moves(inst, basis), [np.asarray(x)])
         real = basis.val[0] != 0
-        plus = scanner.delta_support(basis.idx[0][real], basis.val[0][real])
-        hits, deltas = scanner._scan_block(0, 2)
-        return plus, {1 - 2 * j: d for j, d in zip(hits.tolist(), deltas.tolist())}
+        plus = engine.delta_support(0, basis.idx[0][real], basis.val[0][real])
+        _, _, moves, deltas = engine._scan(np.array([0]), np.array([0]), np.array([2]))
+        return plus, {1 - 2 * j: d for j, d in zip(moves.tolist(), deltas.tolist())}
 
     def assert_engine_matches(self, inst, x, g, scale=1):
         plus, scanned = self.engine_deltas(inst, x, g)

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from graveropt import (
     enumerate_feasible,
     generate_instance,
     graver_ones,
+    load_instance,
     objective,
     solve,
     verify_local_optimality,
@@ -145,20 +148,46 @@ class TestSolve:
         assert report.distinct_terminal_values >= 2
         assert report.landscape != "convex-like"
 
-    def test_determinism_across_parallelism(self):
+    def test_determinism_across_parallelism(self, tmp_path):
+        # the library runs every seed in one process; parallelism is across
+        # instance files, through the CLI's worker processes
+        from graveropt import save_instance
+        from graveropt.cli import main
+
         rng = np.random.default_rng(7)
-        inst = generate_instance(rng, "QSAP1", 6, 4)
-        r1 = solve(inst, seed_count=24, rng_seed=5, parallelism=1)
-        r8 = solve(inst, seed_count=24, rng_seed=5, parallelism=8)
-        r1b = solve(inst, seed_count=24, rng_seed=5, parallelism=1)
-        assert report_signature(r1) == report_signature(r8) == report_signature(r1b)
+        paths = []
+        for i in range(3):
+            inst = generate_instance(rng, "QSAP1", 6, 4, name=f"q{i}")
+            paths.append(str(tmp_path / f"q{i}.json"))
+            save_instance(inst, paths[-1])
+        r1 = solve(load_instance(paths[0]), seed_count=24, rng_seed=5)
+        r1b = solve(load_instance(paths[0]), seed_count=24, rng_seed=5)
+        assert report_signature(r1) == report_signature(r1b)
+        with pytest.raises(ValueError, match="--threads"):
+            solve(load_instance(paths[0]), seed_count=24, rng_seed=5, parallelism=8)
+        outputs = []
+        for threads in ("1", "8"):
+            out = tmp_path / f"t{threads}"
+            assert main(["solve", *paths, "--seeds", "24", "--rng-seed", "5", "--threads", threads,
+                         "--no-timing", "--per-seed-csv", "--out", str(out)]) == 0
+            outputs.append([p.read_bytes() for p in sorted(out.iterdir())])
+        assert outputs[0] == outputs[1]
+        rows = (tmp_path / "t1" / "q0.seeds.csv").read_text().splitlines()[1:]
+        assert rows == [f"{r.seed_index},{r.terminal_f!r},{r.steps}" for r in r1.results]
 
     def test_determinism_best_policy(self):
+        # lockstep seeds take the moves of lone-seed descents
         rng = np.random.default_rng(7)
         inst = generate_instance(rng, "QSAP2", 4, 3)
         a = solve(inst, seed_count=12, rng_seed=2, policy="best")
-        b = solve(inst, seed_count=12, rng_seed=2, policy="best", parallelism=4)
+        b = solve(inst, seed_count=12, rng_seed=2, policy="best")
         assert report_signature(a) == report_signature(b)
+        basis = build_basis(inst.kind)
+        for r, seed in zip(a.results, a.seeds):
+            lone = augment(inst, basis, seed, policy="best", seed_index=r.seed_index)
+            assert (lone.terminal_f, lone.steps, lone.moves_scanned) == (
+                r.terminal_f, r.steps, r.moves_scanned)
+            assert np.array_equal(lone.terminal_x, r.terminal_x)
 
     def test_best_is_minimum_of_terminals(self):
         rng = np.random.default_rng(15)
@@ -168,15 +197,23 @@ class TestSolve:
         assert sum(report.terminal_value_counts.values()) == report.seed_count
 
     def test_sampler_backed_basis(self):
-        rng = np.random.default_rng(16)
-        inst = generate_instance(rng, "QAP", 5, 5)
-        basis = build_basis(inst.kind, max_cycle_len=2)
-        assert basis.sampler is not None
-        report = solve(inst, seed_count=10, rng_seed=3, basis=basis)
-        r2 = solve(inst, seed_count=10, rng_seed=3, basis=basis, parallelism=4)
-        assert report_signature(report) == report_signature(r2)
-        for r in report.results:
-            assert verify_local_optimality(inst, basis, r.terminal_x) == []
+        # each seed draws from its own stream, spawned by seed index after
+        # the stream of the seed generator; on the 4x4 case a pass after an
+        # accepted draw finds a move, so where it starts shows
+        for instance_seed, n, seed_count, rng_seed in ((16, 5, 10, 3), (3, 4, 6, 3)):
+            inst = generate_instance(np.random.default_rng(instance_seed), "QAP", n, n)
+            basis = build_basis(inst.kind, max_cycle_len=2)
+            assert basis.sampler is not None
+            report = solve(inst, seed_count=seed_count, rng_seed=rng_seed, basis=basis)
+            master = np.random.SeedSequence(rng_seed)
+            master.spawn(1)
+            streams = master.spawn(len(report.seeds) + 1)[1:]
+            for r, seed, stream in zip(report.results, report.seeds, streams):
+                x, fx, steps, examined = reference_descent(
+                    inst, basis, seed, "first", np.random.default_rng(stream), 10 * inst.size)
+                assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined)
+                assert np.array_equal(r.terminal_x, x)
+                assert verify_local_optimality(inst, basis, r.terminal_x) == []
 
     def test_float_instance_runs_in_double(self):
         rng = np.random.default_rng(17)
@@ -191,7 +228,7 @@ class TestSolve:
             name="float",
         )
         a = solve(inst, seed_count=10, rng_seed=1)
-        b = solve(inst, seed_count=10, rng_seed=1, parallelism=4)
+        b = solve(inst, seed_count=10, rng_seed=1)
         assert isinstance(a.best.terminal_f, float)
         assert report_signature(a) == report_signature(b)
         basis = build_basis(inst.kind)
@@ -280,20 +317,20 @@ class TestScannerEquivalence:
 
 
 class TestRoomPrefilter:
-    """The bitset room test lets a block scan evaluate only the moves that
-    stay in the box; it must report exactly what a full bounds check does."""
+    """The bitset room test lets a round evaluate only the moves that stay
+    in the box; it must report exactly what a full bounds check does."""
 
     @staticmethod
-    def reference_scan(scanner, prep, start, count):
-        """Every move of the block gathered and checked against the box."""
-        seq = (start + np.arange(count, dtype=np.int64)) % scanner.n_moves
+    def reference_scan(engine, prep, s, start, count):
+        """Every move of seed ``s``'s window gathered and checked against the box."""
+        seq = (start + np.arange(count, dtype=np.int64)) % engine.n_moves
         e, sign = seq >> 1, 1 - 2 * (seq & 1)
         idx, val = prep.idxm[e], prep.valm[e]
-        moved = scanner.x[idx] + sign[:, None] * val
-        feasible = np.all((moved >= scanner.lower[idx]) & (moved <= scanner.upper[idx]), axis=1)
-        delta = sign * (prep.cg[e] + (scanner.w[idx] * val).sum(axis=1)) + prep.qgg[e]
+        moved = engine.x[s][idx] + sign[:, None] * val
+        feasible = np.all((moved >= engine.lower[idx]) & (moved <= engine.upper[idx]), axis=1)
+        delta = sign * (prep.cg[e] + (engine.w[s][idx] * val).sum(axis=1)) + prep.qgg[e]
         keep = feasible & (delta < 0)
-        return seq[keep], delta[keep]
+        return np.flatnonzero(keep), seq[keep], delta[keep]
 
     @staticmethod
     def random_elements(rng, n, basis):
@@ -322,29 +359,42 @@ class TestRoomPrefilter:
         draw=st.integers(0, 2**32 - 1),
     )
     def test_matches_full_bounds_check(self, n, basis, draw):
-        from graveropt.solver import _BlockScanner, prepare_moves
+        from graveropt.solver import _Lockstep, prepare_moves
 
         rng = np.random.default_rng(draw)
         lower = rng.integers(-2, 2, size=n)
         upper = lower + rng.integers(0, 4, size=n)  # widths 0..3
-        x = rng.integers(lower, upper + 1)
+        seeds = [rng.integers(lower, upper + 1) for _ in range(int(rng.integers(1, 5)))]
         inst = QuadraticInstance(
             c=rng.integers(-9, 10, size=n), Q=rng.integers(-9, 10, size=(n, n)),
-            kind=Cardinality(n), b=[int(x.sum())], lower=lower, upper=upper,
+            kind=Cardinality(n), b=[int(seeds[0].sum())], lower=lower, upper=upper,
         )
         prep = prepare_moves(inst, GraverBasis.from_elements(n, self.random_elements(rng, n, basis)))
         assert prep.unit == (basis == "unit")
-        scanner = _BlockScanner(inst, x, prep)
-        n_moves = scanner.n_moves
-        for _ in range(4):  # scan, then take a move, so the room bits change
-            start = int(rng.integers(n_moves))
-            for count in (int(rng.integers(1, n_moves + 1)), n_moves):  # n_moves wraps
-                got = scanner._scan_block(start, count)
-                want = self.reference_scan(scanner, prep, start, count)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            if not len(want[0]):
+        engine = _Lockstep(inst, prep, seeds)
+        n_moves = engine.n_moves
+        every = np.arange(len(seeds))
+        for _ in range(4):  # scan, then take a move per seed, so the room bits change
+            # one round: seeds in random order, random windows, some of a full
+            # pass (which wraps), each from a random start
+            order = rng.permutation(every)
+            start = rng.integers(n_moves, size=len(seeds))
+            count = np.where(rng.random(len(seeds)) < 0.3, n_moves,
+                             rng.integers(1, n_moves + 1, size=len(seeds)))
+            slot, offset, moves, delta = engine._scan(order, start, count)
+            movers, taken = [], []
+            for i, s in enumerate(order):
+                offs, seq, want = self.reference_scan(engine, prep, s, start[i], count[i])
+                mine = slot == i
+                assert np.array_equal(offset[mine], offs)
+                assert np.array_equal(moves[mine], seq)
+                assert np.array_equal(delta[mine], want)
+                if len(seq):
+                    movers.append(s)
+                    taken.append(seq[0])
+            if not movers:
                 break
-            scanner.apply_move(int(want[0][0]))
+            engine.apply_moves(np.array(movers), np.array(taken))
 
     def test_masks_fit_in_the_basis_memory(self):
         from graveropt.solver import prepare_moves
@@ -354,6 +404,117 @@ class TestRoomPrefilter:
         prep = prepare_moves(inst, basis)
         assert prep.word.shape == (len(basis), 2)
         assert prep.word.nbytes + prep.mask.nbytes <= basis.idx.nbytes + basis.val.nbytes
+
+
+def reference_descent(inst, basis, x, policy, rng=None, budget=0):
+    """One seed's descent, move by move, on direct objective values:
+    (terminal x, terminal f, steps, moves examined).  Under "first" the
+    cyclic scan resumes just past the last accepted move; under "best"
+    every pass scans all moves from the first and the first best wins.
+    A sampler-backed basis gets ``budget`` draws from ``rng`` whenever a
+    pass finds nothing, and the scan starts over from the first move when
+    one of them was accepted."""
+    moves = [sign * g.to_dense() for g in basis.elements for sign in (1, -1)]
+    x = np.asarray(x, dtype=np.int64)
+    fx = objective(inst, x)
+    steps = examined = pointer = 0
+
+    def fits(y):
+        return np.all((y >= inst.lower) & (y <= inst.upper))
+
+    while True:
+        found = None
+        for t in range(len(moves)):
+            j = t if policy == "best" else (pointer + t) % len(moves)
+            y = x + moves[j]
+            if fits(y):
+                fy = objective(inst, y)
+                if fy < (fx if found is None else found[1]):
+                    found = (y, fy, j)
+                    if policy == "first":
+                        break
+        if moves:
+            examined += t + 1
+        if found is not None:
+            x, fx, j = found
+            steps += 1
+            pointer = (j + 1) % len(moves)
+            continue
+        accepted = False
+        for _ in range(budget if basis.sampler is not None else 0):
+            idx, val = basis.sampler.draw(rng)
+            examined += 1
+            y = x.copy()
+            y[idx] += val
+            if fits(y) and objective(inst, y) < fx:
+                x, fx = y, objective(inst, y)
+                steps += 1
+                accepted = True
+        if not accepted:
+            return x, fx, steps, examined
+        pointer = 0
+
+
+class TestLockstep:
+    """Every seed of a lockstep run takes the moves of its own descent,
+    whatever seeds share its rounds and however windows are cut."""
+
+    @pytest.mark.parametrize("policy", ["first", "best"])
+    @pytest.mark.parametrize("klass", ["CBQP", "QSAP1", "QSAP2", "QAP"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3),
+        k=st.integers(2, 3),
+        data=st.sampled_from(["int", "fraction", "object"]),
+        tiny=st.booleans(),
+    )
+    def test_seeds_match_reference_descent(self, policy, klass, draw, n, k, data, tiny):
+        from graveropt.solver import _Lockstep
+
+        rng = np.random.default_rng(draw)
+        if klass == "CBQP":
+            n, k = 2 * n + 2, None
+        base = generate_instance(rng, klass, n, k)
+        c, Q = base.c, base.Q
+        if data != "int":  # small denominators scale into int64, large primes do not
+            dens = (1, 2, 3, 4, 5, 6, 7) if data == "fraction" else PRIMES
+            c, Q = (
+                np.array([Fraction(int(v), int(d)) for v, d in zip(a.flat, rng.choice(dens, a.size))],
+                         dtype=object).reshape(a.shape)
+                for a in (c, Q)
+            )
+        # a random box around the binary seeds
+        lower = -rng.integers(0, 2, size=base.size)
+        upper = rng.integers(1, 4, size=base.size)
+        inst = QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=lower, upper=upper)
+        basis = build_basis(inst.kind)
+        # tiny rounds split seeds and windows at odd offsets
+        cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
+        with cut if tiny else contextlib.nullcontext():
+            report = solve(inst, seed_count=int(rng.integers(1, 7)), rng_seed=draw % 89,
+                           policy=policy, basis=basis)
+        for r, seed in zip(report.results, report.seeds):
+            x, fx, steps, examined = reference_descent(inst, basis, seed, policy)
+            assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined)
+            assert np.array_equal(r.terminal_x, x)
+
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_best_ties_go_to_the_first_move(self, tiny):
+        # from e_0 the seven swaps to e_1..e_7 all improve by 8; tiny rounds
+        # put the tied moves in different rounds
+        from graveropt.solver import _Lockstep
+
+        inst = binary_instance(Cardinality(8), [1], c=[9, 1, 1, 1, 1, 1, 1, 1])
+        basis = build_basis(inst.kind)
+        seed = np.eye(8, dtype=np.int64)[0]
+        cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
+        with cut if tiny else contextlib.nullcontext():
+            r = augment(inst, basis, seed, policy="best")
+        x, fx, steps, examined = reference_descent(inst, basis, seed, "best")
+        assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined) == (1, 1, 112)
+        assert np.array_equal(r.terminal_x, x)
 
 
 class TestClassifier:
@@ -386,37 +547,66 @@ def _per_seed_digest(report):
     return h.hexdigest()
 
 
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
 class TestGoldenOutputs:
     """Pinned per-seed outputs of ``solve``.  A change to how the basis is
     stored or scanned must keep the move order and the random stream, so
     these digests only move when the descent itself is meant to change."""
 
+    # (class, n, k, instance seed, solve keywords, box, policy, data, digest);
+    # data "fraction" divides c and Q by ten primes above 100, whose LCM
+    # trips the int64 bound (exact object arithmetic after scaling), and
+    # "float" divides them by 4.0
     CASES = {
-        "qap_4x3_full": ("QAP", 4, 3, 39, {}, None,
+        "qap_4x3_full": ("QAP", 4, 3, 39, {}, None, "first", "int",
                             "06b316f9a36fd6041a3ba708849dbb17c2cf8de78aa194e8826bac5842257ffe"),
-        "qap_5x5_sampler": ("QAP", 5, 5, 32, {"enumeration_cap": 200}, None,
+        "qap_5x5_sampler": ("QAP", 5, 5, 32, {"enumeration_cap": 200}, None, "first", "int",
                             "09f575323daede2dd6e237bbaebea4fa6f901aad7cf8fc671ce0f74341dfe904"),
-        "qsap1_5x3": ("QSAP1", 5, 3, 32, {}, None,
+        "qsap1_5x3": ("QSAP1", 5, 3, 32, {}, None, "first", "int",
                             "4b75db176f9b59617017b7ead060f68e9b63579d97f8d0e053e90d0f0c8ddb02"),
         # n = 70 spans two 64-bit words of the room bitsets
-        "cbqp_70": ("CBQP", 70, None, 41, {}, None,
+        "cbqp_70": ("CBQP", 70, None, 41, {}, None, "first", "int",
                             "1a3d3d104349d7b897c6c2fff294b8f7ac980ccb1739cd18ae865a1a98b66c04"),
         # a -1..2 box: seeds are binary, descent moves to both ends
-        "cbqp_12_box": ("CBQP", 12, None, 43, {}, (-1, 2),
+        "cbqp_12_box": ("CBQP", 12, None, 43, {}, (-1, 2), "first", "int",
                             "1a06b72d62c5c71805db0d4a0579a532a2ac1881f0f27693451edde2898e46a1"),
+        "qsap2_6x4_best": ("QSAP2", 6, 4, 44, {}, None, "best", "int",
+                            "70ccbec7fc3253cf3cb3f30ef05049e5e95a592621f31b1f1fb7a235ccf4ebe4"),
+        "qsap1_5x3_fraction": ("QSAP1", 5, 3, 45, {}, None, "first", "fraction",
+                            "64f4b324b88536ab2a70f681b3069bac86053190d7275c221a1b795f9f2f0ee0"),
+        "cbqp_20_float": ("CBQP", 20, None, 46, {}, None, "first", "float",
+                            "521c45a8b9237b02a9669ae7682392fc7ad77f948d042c012690a7822405edbe"),
+        # default seed count 72, more seeds than bits in a word
+        "qsap1_9x8": ("QSAP1", 9, 8, 47, {}, None, "first", "int",
+                            "ee54abef5fe6b28e14ad41c9aac33a42da7772d34baf429a26ee8ae7cc5a773d"),
     }
+
+    @staticmethod
+    def instance(klass, n, k, instance_seed, box, data):
+        inst = generate_instance(np.random.default_rng(instance_seed), klass, n, k)
+        c, Q = inst.c, inst.Q
+        if data == "fraction":
+            c, Q = (
+                np.array([Fraction(int(v), PRIMES[i % 10]) for i, v in enumerate(a.flat)],
+                         dtype=object).reshape(a.shape)
+                for a in (c, Q)
+            )
+        elif data == "float":
+            c, Q = c / 4.0, Q / 4.0
+        lower, upper = (inst.lower, inst.upper) if box is None else (
+            np.full(inst.size, box[0]), np.full(inst.size, box[1]))
+        return QuadraticInstance(
+            c=c, Q=Q, kind=inst.kind, b=inst.b, name=inst.name, lower=lower, upper=upper
+        )
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_per_seed_digest(self, case):
-        klass, n, k, instance_seed, kw, box, want = self.CASES[case]
-        inst = generate_instance(np.random.default_rng(instance_seed), klass, n, k)
-        if box:
-            inst = QuadraticInstance(
-                c=inst.c, Q=inst.Q, kind=inst.kind, b=inst.b, name=inst.name,
-                lower=np.full(inst.size, box[0]), upper=np.full(inst.size, box[1]),
-            )
+        klass, n, k, instance_seed, kw, box, policy, data, want = self.CASES[case]
+        inst = self.instance(klass, n, k, instance_seed, box, data)
         if kw:  # the capped QAP basis is truncated and sampler-backed
             assert build_basis(inst.kind, **kw).sampler is not None
-        report = solve(inst, rng_seed=13, **kw)
+        report = solve(inst, rng_seed=13, policy=policy, **kw)
         assert report.sampler_assisted == bool(kw)
         assert _per_seed_digest(report) == want
