@@ -15,9 +15,7 @@ also be set through environment variables ``GRAVEROPT_SEEDS``,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import itertools
 import json
 import os
 import sys
@@ -64,15 +62,15 @@ def _env_int(name: str, fallback):
     return int(raw) if raw is not None else fallback
 
 
-def _processes(raw: str) -> int:
-    """``--threads`` (or ``GRAVEROPT_THREADS``): a process count of at least 1."""
+def _thread_count(raw: str) -> int:
+    """``--threads`` (or ``GRAVEROPT_THREADS``): a count of at least 1."""
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"{raw!r} is not a process count of at least 1 (from --threads or GRAVEROPT_THREADS)"
+            f"{raw!r} is not a count of at least 1 (from --threads or GRAVEROPT_THREADS)"
         )
     return value
 
@@ -170,81 +168,59 @@ def _report_document(report, seeds_dumped: bool, wall_ms: int) -> dict:
     return doc
 
 
-def _solve_file(path: str, args) -> tuple:
-    """Solve one instance file.  Returns what :func:`cmd_solve` writes for
-    it: (name, result document, per-seed rows or None, summary row,
-    message, failed)."""
-    name, size = Path(path).stem, ""
-    try:
-        inst = load_instance(path)
-        inst.name = (inst.name or name).replace(os.sep, "_")
-        name, size = inst.name, inst.size
-        started = time.perf_counter()
-        seed_count = args.seeds if args.seeds is not None else default_seed_count(inst.kind)
-        report = solve(
-            inst,
-            seed_count=seed_count,
-            policy=args.policy,
-            rng_seed=args.rng_seed,
-            max_cycle_len=args.max_cycle_len,
-            sampler_budget=args.sampler_budget,
-            walk_len_range=tuple(args.walk_len) if args.walk_len else None,
-        )
-    except (InfeasibleError, ValueError, OSError) as exc:
-        doc = {"name": name, "error": str(exc)}
-        return name, doc, None, [name, size, "", 0, "", 0], f"{name}: {exc}", True
-    wall_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
-    doc = _report_document(report, args.dump_seeds, wall_ms)
-    seed_rows = None
-    if args.per_seed_csv:
-        seed_rows = [(r.seed_index, repr(r.terminal_f), r.steps) for r in report.results]
-    row = [
-        inst.name,
-        inst.size,
-        repr(report.best.terminal_f),
-        report.distinct_terminal_values,
-        f"{report.best_share:.6f}",
-        wall_ms,
-    ]
-    message = (
-        f"{inst.name}: best={report.best.terminal_f} "
-        f"terminals={report.distinct_terminal_values} landscape={report.landscape}"
-    )
-    return inst.name, doc, seed_rows, row, message, False
-
-
 def cmd_solve(args) -> int:
-    """Solve every instance file, in ``--threads`` worker processes when
-    there are several files; output is written in input order, so it does
-    not depend on the number of processes."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     failed = False
-    workers = min(args.threads, len(args.instances))
-    pool = None
-    if workers > 1:
-        # imported here, as the pool modules add about 1 MB to every run;
-        # spawned, as fork is unsafe once numpy has started threads
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
-    with pool or contextlib.nullcontext():
-        each = pool.map if pool else map
-        for name, doc, seed_rows, row, message, bad in each(
-            _solve_file, args.instances, itertools.repeat(args)
-        ):
-            failed |= bad
-            print(message, file=sys.stderr if bad else sys.stdout)
+    for path in args.instances:
+        name, size = Path(path).stem, ""
+        try:
+            inst = load_instance(path)
+            inst.name = (inst.name or name).replace(os.sep, "_")
+            name, size = inst.name, inst.size
+            started = time.perf_counter()
+            seed_count = args.seeds if args.seeds is not None else default_seed_count(inst.kind)
+            report = solve(
+                inst,
+                seed_count=seed_count,
+                policy=args.policy,
+                rng_seed=args.rng_seed,
+                max_cycle_len=args.max_cycle_len,
+                sampler_budget=args.sampler_budget,
+                walk_len_range=tuple(args.walk_len) if args.walk_len else None,
+            )
+        except (InfeasibleError, ValueError, OSError) as exc:
+            failed = True
+            print(f"{name}: {exc}", file=sys.stderr)
             with open(out_dir / f"{name}.result.json", "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-            if seed_rows is not None:
-                with open(out_dir / f"{name}.seeds.csv", "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(("seed_index", "terminal_f", "steps"))
-                    writer.writerows(seed_rows)
-            rows.append(row)
+                json.dump({"name": name, "error": str(exc)}, fh, indent=1)
+            rows.append([name, size, "", 0, "", 0])
+            continue
+        wall_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
+        doc = _report_document(report, args.dump_seeds, wall_ms)
+        with open(out_dir / f"{inst.name}.result.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+        if args.per_seed_csv:
+            with open(out_dir / f"{inst.name}.seeds.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("seed_index", "terminal_f", "steps"))
+                for r in report.results:
+                    writer.writerow((r.seed_index, repr(r.terminal_f), r.steps))
+        rows.append(
+            [
+                inst.name,
+                inst.size,
+                repr(report.best.terminal_f),
+                report.distinct_terminal_values,
+                f"{report.best_share:.6f}",
+                wall_ms,
+            ]
+        )
+        print(
+            f"{inst.name}: best={report.best.terminal_f} "
+            f"terminals={report.distinct_terminal_values} landscape={report.landscape}"
+        )
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -363,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seeds", type=int, default=_env_int("GRAVEROPT_SEEDS", None))
     p_solve.add_argument("--policy", choices=("first", "best"), default="first")
     p_solve.add_argument(
-        "--threads", type=_processes, default=os.environ.get("GRAVEROPT_THREADS", "1"),
-        help="worker processes, each solving whole instance files",
+        "--threads", type=_thread_count, default=os.environ.get("GRAVEROPT_THREADS", "1"),
+        help="accepted for compatibility; files are solved one after another",
     )
     p_solve.add_argument("--rng-seed", type=int, default=_env_int("GRAVEROPT_RNG_SEED", 0))
     p_solve.add_argument("--max-cycle-len", type=int, default=None)

@@ -596,12 +596,12 @@ def solve(
     Deterministic for a fixed ``rng_seed`` and policy: each seed's random
     stream is spawned by its index.  All seeds run in one lockstep engine
     in this process, so ``parallelism`` must be 1; to use more processors,
-    solve instance files in parallel with ``graveropt solve --threads N``.
+    run separate solves in separate processes.
     """
     if parallelism != 1:
         raise ValueError(
-            f"parallelism={parallelism}: solve runs every seed in one lockstep engine; "
-            "use `graveropt solve --threads N` to solve instance files in parallel"
+            f"parallelism={parallelism}: solve runs every seed in one lockstep engine "
+            "in one process; run separate solves in separate processes instead"
         )
     if basis is None:
         if isinstance(inst.kind, Explicit):

@@ -214,9 +214,9 @@ class TestSolve:
         assert [r["instance"] for r in rows] == ["broken", "lacking", "missing", "CBQP_6_000"]
         assert [r["best_f"] == "" for r in rows] == [True, True, True, False]
 
-    def test_bad_file_under_worker_processes(self, tmp_path):
+    def test_bad_file_under_two_threads(self, tmp_path):
         # a malformed and a missing file between good ones: the same
-        # bytes, rows and exit code in one process and in two
+        # bytes, rows and exit code at --threads 1 and 2
         good = tmp_path / "in"
         run(["generate", "--class", "QSAP1", "--n", "4", "--k", "3", "--count", "2",
              "--rng-seed", "3", "--out-dir", str(good)])

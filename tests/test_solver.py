@@ -149,8 +149,8 @@ class TestSolve:
         assert report.landscape != "convex-like"
 
     def test_determinism_across_parallelism(self, tmp_path):
-        # the library runs every seed in one process; parallelism is across
-        # instance files, through the CLI's worker processes
+        # the library runs every seed in one process and rejects other
+        # parallelism; the CLI's output does not depend on --threads
         from graveropt import save_instance
         from graveropt.cli import main
 
@@ -163,7 +163,7 @@ class TestSolve:
         r1 = solve(load_instance(paths[0]), seed_count=24, rng_seed=5)
         r1b = solve(load_instance(paths[0]), seed_count=24, rng_seed=5)
         assert report_signature(r1) == report_signature(r1b)
-        with pytest.raises(ValueError, match="--threads"):
+        with pytest.raises(ValueError, match="one process"):
             solve(load_instance(paths[0]), seed_count=24, rng_seed=5, parallelism=8)
         outputs = []
         for threads in ("1", "8"):
