@@ -8,7 +8,6 @@ from .graver import (
     ConstraintKind,
     CoordinateCardinality,
     DimensionError,
-    DirectedCycle,
     Explicit,
     GraverBasis,
     LiftingSampler,
@@ -20,8 +19,6 @@ from .graver import (
     graver_coordinate_cardinality,
     graver_ones,
     hilbert_basis_cycles,
-    hilbert_cycle_count,
-    lift_cycle,
     load_basis,
     predicted_cardinality,
     realize_matrix,

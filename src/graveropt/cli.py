@@ -45,7 +45,7 @@ from .problems import (
     load_instance,
     save_instance,
 )
-from .solver import default_seed_count, solve
+from .solver import LONG_CYCLE_CAP, default_seed_count, solve
 
 CLI_KINDS = {
     "cardinality": lambda n, k: Cardinality(n),
@@ -344,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--rng-seed", type=int, default=_env_int("GRAVEROPT_RNG_SEED", 0))
     p_solve.add_argument("--max-cycle-len", type=int, default=None)
-    p_solve.add_argument("--sampler-budget", type=int, default=None)
+    p_solve.add_argument(
+        "--sampler-budget", type=int, default=None,
+        help="cap on the open paths per level of the long-cycle phase of a sampler-backed "
+        f"basis (default {LONG_CYCLE_CAP}; over it a random subset goes on; 0 turns it off)",
+    )
     p_solve.add_argument(
         "--walk-len", type=int, nargs=2, default=None, metavar=("LO", "HI"),
         help="attempted moves per step of the assignment seeding walk",

@@ -16,7 +16,8 @@ cycle on the k slots into distinct bricks: brick b_s carries e_{j_s} - e_{j_s+1}
 so brick sums and slot sums both cancel.  Enumerating every cycle together
 with every injective brick placement produces the complete basis; when that
 enumeration is too large, a bounded prefix (small cycle lengths) is stored
-and a streaming sampler covers the rest on demand.
+and a :class:`LiftingSampler` names the omitted lengths: the seed walk draws
+from it, and descent enumerates those lengths at the points where it stalls.
 
 A basis is stored as padded int64 (index, value) arrays, one row per
 element, built in numpy from index grids (``combinations`` for the swaps,
@@ -185,62 +186,23 @@ def realize_matrix(kind: ConstraintKind) -> np.ndarray:
 # directed cycles on the k coordinate slots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectedCycle:
-    """Directed cycle on distinct nodes, rotated so the smallest node leads.
-
-    Direction is significant: for length >= 3 a cycle and its reversal are
-    different objects (they lift to a Graver element and its negation
-    respectively, via different brick orders).
-    """
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.nodes) < 2:
-            raise ValueError("a cycle needs at least 2 nodes")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("cycle nodes must be distinct")
-        if self.nodes[0] != min(self.nodes):
-            raise ValueError("cycle must be rotated so the smallest node leads")
-
-    @classmethod
-    def from_nodes(cls, nodes: Sequence[int]) -> "DirectedCycle":
-        """Build a cycle from any rotation of its node sequence."""
-        nodes = tuple(int(v) for v in nodes)
-        if not nodes:
-            raise ValueError("empty node sequence")
-        pivot = nodes.index(min(nodes))
-        return cls(nodes[pivot:] + nodes[:pivot])
-
-    def reversed(self) -> "DirectedCycle":
-        return DirectedCycle.from_nodes(tuple(reversed(self.nodes)))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def hilbert_cycle_count(k: int) -> int:
-    """Number of directed cycles of length 2..k on k labelled nodes."""
-    if k < 2:
-        raise DimensionError("need k >= 2")
-    return sum(math.factorial(t - 1) * math.comb(k, t) for t in range(2, k + 1))
-
-
-def hilbert_basis_cycles(k: int, max_len: Optional[int] = None) -> list[DirectedCycle]:
-    """All directed cycles of length 2..min(max_len, k) on [0, k), in the
-    canonical order: length ascending, node subsets lexicographic, then
-    permutations lexicographic.
+def hilbert_basis_cycles(k: int, max_len: Optional[int] = None) -> list[tuple[int, ...]]:
+    """All directed cycles of length 2..min(max_len, k) on [0, k), as node
+    tuples rotated so the smallest node leads, in the canonical order:
+    length ascending, node subsets lexicographic, then permutations
+    lexicographic.
 
     For each node subset the (t-1)! cycles are produced by fixing the
     smallest node first and permuting the rest, which is already the
-    canonical rotation.
+    canonical rotation.  Direction is significant: for t >= 3 a cycle and
+    its reversal are different tuples, which lift to an element and its
+    negation via different brick orders.
     """
     if k < 2:
         raise DimensionError("need k >= 2")
     top = k if max_len is None else min(max_len, k)
     return [
-        DirectedCycle((subset[0],) + rest)
+        (subset[0],) + rest
         for t in range(2, top + 1)
         for subset in combinations(range(k), t)
         for rest in permutations(subset[1:])
@@ -251,8 +213,9 @@ def _lift(cycles: np.ndarray, bricks: np.ndarray, k: int) -> tuple[np.ndarray, n
     """Cycle liftings as (index, value) arrays sorted along the last axis.
 
     Brick bricks[..., s] carries e_{j_s} - e_{j_{s+1 mod t}} for the cycle
-    nodes j = cycles[..., :], as in :func:`lift_cycle`; the 2t indices of
-    one lifting are distinct, so nothing cancels.  Leading axes broadcast.
+    nodes j = cycles[..., :], so every brick sums to zero and every slot
+    appears once with +1 and once with -1; the 2t indices of one lifting
+    are distinct, so nothing cancels.  Leading axes broadcast.
     """
     base = bricks * k
     nxt = np.concatenate([cycles[..., 1:], cycles[..., :1]], axis=-1)  # a cheaper np.roll
@@ -260,30 +223,6 @@ def _lift(cycles: np.ndarray, bricks: np.ndarray, k: int) -> tuple[np.ndarray, n
     order = np.argsort(idx, axis=-1)
     t = cycles.shape[-1]
     return np.take_along_axis(idx, order, axis=-1), np.where(order < t, 1, -1)
-
-
-def lift_cycle(cycle: DirectedCycle, bricks: Sequence[int], n: int, k: int) -> SparseIntVector:
-    """Place a directed slot cycle into distinct bricks of an n*k vector.
-
-    Brick bricks[s] receives e_{j_s} - e_{j_{s+1 mod t}} where j are the
-    cycle nodes, so every brick sums to zero and every slot appears once
-    with +1 and once with -1.  The result is a kernel element of the
-    Assignment(n, k) matrix with exactly 2t nonzeros.
-    """
-    nodes = cycle.nodes
-    t = len(nodes)
-    bricks = [int(b) for b in bricks]
-    if len(bricks) != t:
-        raise ValueError("need exactly one brick per cycle node")
-    if len(set(bricks)) != t:
-        raise ValueError("bricks must be distinct")
-    if any(b < 0 or b >= n for b in bricks):
-        raise ValueError(f"brick indices must lie in [0, {n})")
-    if any(j < 0 or j >= k for j in nodes):
-        raise ValueError(f"cycle nodes must lie in [0, {k})")
-    entries = [(b * k + nodes[s], 1) for s, b in enumerate(bricks)]
-    entries += [(b * k + nodes[(s + 1) % t], -1) for s, b in enumerate(bricks)]
-    return SparseIntVector(n * k, tuple(sorted(entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +275,8 @@ class GraverBasis:
     padded with index 0 and value 0.  ``elements`` is a derived
     :class:`SparseIntVector` view that the solve path never builds.
     ``sampler``, present only for a truncated assignment enumeration,
-    yields the omitted cycle lengths on demand.
+    stands for the omitted cycle lengths: the seed walk draws from it, and
+    descent searches those lengths exactly.
     """
 
     dim: int
@@ -485,7 +425,7 @@ def graver_assignment(
 
     blocks = []
     for t, group in groupby(hilbert_basis_cycles(k, t_top), len):
-        cycles = np.array([c.nodes for c in group], dtype=np.int64)
+        cycles = np.array(list(group), dtype=np.int64)
         bricks = np.array(list(permutations(range(n), t)), dtype=np.int64)
         idx, val = _lift(cycles[:, None, :], bricks[None, :, :], k)
         keep = val[..., 0] > 0

@@ -30,6 +30,14 @@ in one pass, so the per-call overhead of numpy is shared by the seeds.
 Each seed still takes exactly the moves, and draws exactly the random
 numbers, of a descent run on its own, so reports do not depend on which
 seeds share a round.
+
+A sampler-backed assignment basis stores the cycle liftings up to some
+length and stands for the longer ones too.  When a seed's pass over the
+stored elements finds nothing, its long-cycle phase enumerates the
+omitted lengths exactly: a lifting fits the box at x exactly when it is a
+directed alternating cycle in the brick/slot graph whose arcs are the up
+and down room bits (the cyclic exchanges of Thompson and Orlin, 1989), so
+the feasible liftings are found by growing such paths level by level.
 """
 
 from __future__ import annotations
@@ -56,11 +64,22 @@ from .problems import InfeasibleError, QuadraticInstance, check_feasible, object
 from .seeds import seeds_cbqp, seeds_qap, seeds_qsap1, seeds_qsap2
 
 POLICIES = ("first", "best")
+LONG_CYCLE_CAP = 16_384  # default cap on the open paths per level of a long-cycle phase
 
 
 @dataclass
 class AugmentationResult:
-    """Terminal point of one seed's descent, with a path-length audit trail."""
+    """Terminal point of one seed's descent, with a path-length audit trail.
+
+    ``moves_scanned`` counts the stored signed moves examined plus the
+    cycles the long-cycle phase evaluated.  ``sampler_assisted`` says the
+    descent took at least one long-cycle move (the name predates the
+    phase and is kept so reports keep their fields).  ``certificate`` says
+    what the terminal point is locally optimal against: ``"full"``, every
+    signed element of the basis the solve was given, including all
+    liftings its sampler stands for; ``"stored"``, the stored elements
+    only, because the long-cycle phase was off or thinned its paths.
+    """
 
     seed_index: int
     terminal_x: np.ndarray
@@ -68,6 +87,7 @@ class AugmentationResult:
     steps: int
     moves_scanned: int
     sampler_assisted: bool = False
+    certificate: str = "full"
 
 
 @dataclass
@@ -115,6 +135,7 @@ class MovePrep:
     words as the support has entries, and a word costs 12 bytes against 16
     per entry, so the masks stay smaller than ``idxm`` + ``valm``.
     ``unit`` says every entry is +-1, which makes the room test exact.
+    ``cycles`` holds the long-cycle tables of a sampler-backed basis.
     """
 
     idxm: np.ndarray
@@ -126,6 +147,68 @@ class MovePrep:
     word: np.ndarray
     mask: np.ndarray
     unit: bool
+    cycles: Optional["LongCycles"] = None
+
+
+@dataclass
+class LongCycles:
+    """Per-instance tables of the long-cycle phase, in the engine's arithmetic.
+
+    A lifting of a cycle on t slots into t bricks is a sum of t pairs
+    v = e_(b, j_up) - e_(b, j_down), one per brick, where coordinate (b, j)
+    is b*k + j; pair (b, j_up, j_down) has id (b*k + j_up)*k + j_down.
+    f(x+g) - f(x) is the sum over its pairs of (c + w).v + v'Qv, plus
+    v'(Q+Q')v'' over every two pairs, so a path's delta grows by one
+    ``selfq`` entry and one ``cross`` entry per pair already on it.
+    ``cross`` has (n k^2)^2 entries; above ``CROSS_ENTRIES`` it is None
+    and its entries are computed from ``qsym`` = Q+Q' instead.
+    """
+
+    CROSS_ENTRIES = 1 << 22
+
+    n: int
+    k: int
+    t_min: int
+    t_max: int
+    selfq: np.ndarray
+    qsym: np.ndarray
+    cross: Optional[np.ndarray]
+
+    @classmethod
+    def build(cls, sampler, Q) -> "LongCycles":
+        n, k = sampler.n, sampler.k
+        q4 = Q.reshape(n, k, n, k)
+        block = q4[np.arange(n), :, np.arange(n), :]  # [b, j, j'] = Q[(b, j), (b, j')]
+        diag = np.diagonal(block, axis1=1, axis2=2)
+        selfq = diag[:, :, None] + diag[:, None, :] - block - block.transpose(0, 2, 1)
+        qsym = Q + Q.T
+        cross = None
+        if (n * k * k) ** 2 <= cls.CROSS_ENTRIES:
+            s4 = qsym.reshape(n, k, n, k)
+            cross = s4[:, :, None, :, :, None] - s4[:, :, None, :, None, :]
+            cross = cross - s4[:, None, :, :, :, None]  # now full size
+            cross += s4[:, None, :, :, None, :]
+            cross = cross.reshape(n * k * k, n * k * k)
+        return cls(n, k, sampler.t_min, sampler.t_max, selfq.reshape(-1), qsym, cross)
+
+    def cross_sum(self, pairs, new):
+        """Per row, the cross terms of pair ``new[i]`` with the pairs ``pairs[i]``, summed."""
+        if self.cross is not None:
+            return np.take(self.cross, pairs * len(self.cross) + new[:, None]).sum(axis=1)
+        up, down = self.ends(pairs)
+        new_up, new_down = (end[:, None] for end in self.ends(new))
+        q = self.qsym
+        return (q[up, new_up] - q[up, new_down] - q[down, new_up] + q[down, new_down]).sum(axis=1)
+
+    def ends(self, pairs):
+        """The coordinates where pairs go up and where they go down."""
+        brick, rest = np.divmod(pairs, self.k * self.k)
+        return brick * self.k + rest // self.k, brick * self.k + rest % self.k
+
+    def lifting(self, pairs):
+        """A cycle given by its pair ids as unpadded (indices, values)."""
+        up, down = self.ends(pairs)
+        return np.concatenate([up, down]), np.repeat([1, -1], len(pairs))
 
 
 def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
@@ -147,6 +230,7 @@ def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
     return MovePrep(
         idxm=idxm, valm=valm, c=c, Q=Q, cg=cg, qgg=qgg, word=word, mask=mask,
         unit=bool(np.abs(valm).max(initial=0) <= 1),
+        cycles=None if basis.sampler is None else LongCycles.build(basis.sampler, Q),
     )
 
 
@@ -188,10 +272,10 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple[np.ndarray, np
     Rational data (every entry an int or a Fraction) is multiplied by the
     LCM of its denominators.  A positive factor scales every move delta
     alike, so the sign of each delta and the order between any two are
-    kept, and both policies and the sampler accept the same moves.  The
-    integers are then kept in int64 when every intermediate provably fits,
-    else as exact Python ints on object arrays.  Floats stay in double
-    precision; object data with floats mixed in stays object.
+    kept, and both policies and the long-cycle phase accept the same
+    moves.  The integers are then kept in int64 when every intermediate
+    provably fits, else as exact Python ints on object arrays.  Floats stay
+    in double precision; object data with floats mixed in stays object.
     """
     c, Q = inst.c, inst.Q
     if c.dtype == object or Q.dtype == object:
@@ -267,6 +351,7 @@ class _Lockstep:
         self.word = prep.word
         self.mask = prep.mask
         self.unit = prep.unit
+        self.cycles = prep.cycles
         self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), inst.size)
         qsym = self.Q + self.Q.T
         self.w = np.stack([qsym @ x for x in self.x])
@@ -284,16 +369,6 @@ class _Lockstep:
         bits[:, 1:3, : x.shape[1]] = (x <= self.lower)[:, None]  # rows 1 and 2: not down
         packed = np.packbits(bits, axis=-1, bitorder="little")
         self.full[seeds] = packed.view("<u8").reshape(len(seeds), 2, -1)
-
-    def delta_support(self, s, idx, val):
-        """f(x+g) - f(x) at seed ``s`` for one support, e.g. a fresh
-        sampler draw, or None when x+g leaves the box."""
-        moved = self.x[s, idx] + val
-        if np.any(moved < self.lower[idx]) or np.any(moved > self.upper[idx]):
-            return None
-        cg = self.c[idx] @ val
-        qgg = val @ self.Q[np.ix_(idx, idx)] @ val
-        return cg + self.w[s, idx] @ val + qgg
 
     def apply_support(self, s, idx, val, sign):
         self.x[s, idx] += sign * val
@@ -361,13 +436,97 @@ class _Lockstep:
         offset = at - 2 * first[slot] - (start[slot] & 1)
         return slot, offset, 2 * e[improving] + odd[improving], delta[improving]
 
-    def descend(self, policy, sampler, budget, rngs):
+    def long_cycles(self, s, cap, rng):
+        """The feasible liftings of lengths ``t_min..t_max`` at seed ``s``:
+        per length, in order, (pair ids [cycles, t], deltas, thinned).
+
+        A path is a first brick b_1 with slots j_1 (up) and j_2 (down),
+        then bricks b_2, b_3, ... above b_1, each entered at the open slot
+        (up room there) and left at a new slot (down room there).  It
+        closes when it leaves at j_1.  Each signed lifting is one such
+        cycle with its smallest brick first, so each is found once.  Within
+        a length the order is lexicographic in (b_1, j_1, j_2, b_2, j_3,
+        ..., j_t, b_t).  When a level has more than ``cap`` open paths, a
+        uniform random ``cap`` of them, drawn from ``rng``, go on, in
+        order, and every later yield says ``thinned``.  Every length
+        yields, so the last yield tells whether the enumeration was
+        complete."""
+        tab = self.cycles
+        n, k = tab.n, tab.k
+        up = (self.x[s] < self.upper).reshape(n, k)
+        down = (self.x[s] > self.lower).reshape(n, k)
+        cw = (self.c + self.w[s]).reshape(n, k)
+        linear = (cw[:, :, None] - cw[:, None, :]).reshape(-1) + tab.selfq
+        # reach[j*n + b] lists the bricks above b with up room at slot j
+        reach = (up.T[:, None, :] & np.triu(np.ones((n, n), dtype=bool), 1)).reshape(k * n, n)
+        exits = up[:, :, None] & down[:, None, :] & ~np.eye(k, dtype=bool)
+        first_b, first_s, open_s = np.nonzero(exits)  # [b, j_up, j_down]
+        thinned = False
+
+        def thin(*paths):
+            nonlocal thinned
+            if len(paths[0]) <= cap:
+                return paths
+            thinned = True
+            keep = np.sort(rng.choice(len(paths[0]), cap, replace=False))
+            return tuple(a[keep] for a in paths)
+
+        first_b, first_s, open_s = thin(first_b, first_s, open_s)
+        pairs = ((first_b * k + first_s) * k + open_s)[:, None]
+        delta = linear[pairs[:, 0]]
+        free_b = np.ones((len(pairs), n), dtype=bool)  # per path, the bricks not on it
+        free_s = np.ones((len(pairs), k), dtype=bool)  # and the slots
+        rows = np.arange(len(pairs))
+        free_b[rows, first_b] = free_s[rows, first_s] = free_s[rows, open_s] = False
+
+        def extend(par, brick, slot):
+            new = (brick * k + open_s.take(par)) * k + slot
+            old = pairs.take(par, axis=0)
+            return np.c_[old, new], delta.take(par) + linear.take(new) + tab.cross_sum(old, new)
+
+        for level in range(1, tab.t_max):  # paths hold `level` pairs
+            par, brick = np.nonzero(reach.take(open_s * n + first_b, axis=0) & free_b)
+            if level + 1 >= tab.t_min:
+                close = down[brick, first_s.take(par)]
+                cp = par[close]
+                yield (*extend(cp, brick[close], first_s.take(cp)), thinned)
+            if level + 2 > tab.t_max:
+                return
+            at, slot = np.nonzero(down.take(brick, axis=0) & free_s.take(par, axis=0))
+            par, brick, slot = thin(par.take(at), brick.take(at), slot)
+            pairs, delta = extend(par, brick, slot)
+            first_b, first_s, open_s = first_b.take(par), first_s.take(par), slot
+            free_b, free_s = free_b.take(par, axis=0), free_s.take(par, axis=0)
+            rows = np.arange(len(par))
+            free_b[rows, brick] = free_s[rows, slot] = False
+
+    def long_cycle(self, s, policy, cap, rng):
+        """The long-cycle phase of seed ``s``: (pair ids of the cycle to
+        take or None, cycles evaluated, certificate).  Under ``"first"``
+        the first improving cycle, lengths ascending; under ``"best"`` the
+        lowest delta, first wins ties.  Cycles evaluated counts up to the
+        taken one under ``"first"``, all of them otherwise."""
+        taken, low, examined, thinned = None, None, 0, False
+        for pairs, delta, thinned in self.long_cycles(s, cap, rng):
+            if policy == "first":
+                hit = np.flatnonzero(delta < 0)
+                if len(hit):
+                    return pairs[hit[0]], examined + int(hit[0]) + 1, "stored"
+            elif len(delta):
+                j = int(np.argmin(delta))
+                if delta[j] < 0 and (low is None or delta[j] < low):
+                    taken, low = pairs[j], delta[j]
+            examined += len(delta)
+        return taken, examined, "stored" if thinned else "full"
+
+    def descend(self, policy, cap, rngs):
         """Run every seed to its terminal point: per seed (steps, moves
-        examined, sampler-assisted)."""
+        examined, long-cycle assisted, certificate)."""
         count = len(self.x)
         steps = np.zeros(count, dtype=np.int64)
         scanned = np.zeros(count, dtype=np.int64)
         assisted = [False] * count
+        certificate = ["full" if self.cycles is None else "stored"] * count
         pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
         left = np.full(count, self.n_moves, dtype=np.int64)  # moves left in its pass
         window = np.full(count, self.WINDOW, dtype=np.int64)
@@ -376,20 +535,16 @@ class _Lockstep:
         live = np.ones(count, dtype=bool)
 
         def stalled(s):
-            """A pass of seed ``s`` found no improving move: its sampler
-            phase.  True when it accepted a draw and rejoins the scan."""
-            while sampler is not None and budget:
-                accepted = False
-                for _ in range(budget):
-                    idx, val = sampler.draw(rngs[s])
-                    scanned[s] += 1
-                    d = self.delta_support(s, idx, val)
-                    if d is not None and d < 0:
-                        self.apply_support(s, idx, val, 1)
-                        steps[s] += 1
-                        accepted = assisted[s] = True
-                if not accepted:
+            """A pass of seed ``s`` found no improving move: its long-cycle
+            phase.  True when it took a cycle and rejoins the scan."""
+            while self.cycles is not None and cap:
+                pairs, examined, certificate[s] = self.long_cycle(s, policy, cap, rngs[s])
+                scanned[s] += examined
+                if pairs is None:
                     return False
+                self.apply_support(s, *self.cycles.lifting(pairs), 1)
+                steps[s] += 1
+                assisted[s] = True
                 if self.n_moves:
                     pointer[s], left[s], window[s] = 0, self.n_moves, self.WINDOW
                     return True
@@ -433,7 +588,9 @@ class _Lockstep:
                 window[movers] = self.WINDOW
             for s in seeds[left[seeds] == 0].tolist():
                 live[s] = stalled(s)
-        return [(int(steps[s]), int(scanned[s]), assisted[s]) for s in range(count)]
+        return [
+            (int(steps[s]), int(scanned[s]), assisted[s], certificate[s]) for s in range(count)
+        ]
 
 
 def _descend(
@@ -451,11 +608,13 @@ def _descend(
     for x in seeds:
         if not check_feasible(inst, x):
             raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
-    if basis.sampler is not None:
-        sampler_budget = 10 * inst.size if sampler_budget is None else sampler_budget
-        rngs = [np.random.default_rng(0) if rng is None else rng for rng in rngs]
+    if sampler_budget is None:
+        sampler_budget = LONG_CYCLE_CAP
+    elif sampler_budget < 0:
+        raise ValueError(f"sampler_budget must be >= 0, got {sampler_budget}")
+    rngs = [np.random.default_rng(0) if rng is None else rng for rng in rngs]
     engine = _Lockstep(inst, prep, seeds)
-    runs = engine.descend(policy, basis.sampler, sampler_budget, rngs)
+    runs = engine.descend(policy, sampler_budget, rngs)
     return [
         AugmentationResult(
             seed_index=i,
@@ -464,8 +623,9 @@ def _descend(
             steps=steps,
             moves_scanned=scanned,
             sampler_assisted=assisted,
+            certificate=certificate,
         )
-        for i, (steps, scanned, assisted) in enumerate(runs)
+        for i, (steps, scanned, assisted, certificate) in enumerate(runs)
     ]
 
 
@@ -481,12 +641,16 @@ def augment(
 ) -> AugmentationResult:
     """Descend from a feasible point until no signed basis move improves.
 
-    The returned point carries a local-optimality certificate relative to
-    the enumerated elements: no feasible signed move strictly improves it.
-    When the basis is sampler-backed, each stall additionally tries
-    ``sampler_budget`` random high-length liftings (default 10 * dim) before
-    termination; accepted sampler moves mark the result sampler-assisted and
-    restrict the certificate to the enumerated part.
+    No feasible signed stored element strictly improves the returned
+    point.  When the basis is sampler-backed, each time a pass over the
+    stored elements finds nothing the long-cycle phase enumerates the
+    feasible liftings of the sampler's lengths at x and takes one that
+    improves (the first, lengths ascending, or under ``"best"`` the lowest),
+    or stops.  ``sampler_budget`` caps the open paths of each level of that
+    enumeration (default ``LONG_CYCLE_CAP``; 0 turns the phase off).  A
+    level over the cap goes on with a uniform random subset of its paths,
+    drawn from ``rng``; the result's ``certificate`` is ``"full"`` when the
+    last phase saw every lifting and ``"stored"`` otherwise.
 
     ``prep`` is the output of :func:`prepare_moves` for this (instance,
     basis) pair, computed here when not given.  This is a one-seed run of

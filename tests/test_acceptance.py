@@ -34,7 +34,6 @@ from graveropt import (
     graver_coordinate_cardinality,
     graver_ones,
     hilbert_basis_cycles,
-    hilbert_cycle_count,
     objective,
     pottier_graver,
     realize_matrix,
@@ -47,6 +46,7 @@ from graveropt import (
 )
 from graveropt.cli import main as cli_main
 from graveropt.problems import kind_for_class
+from references import hilbert_cycle_count
 
 
 def report_line(num: int, ok: bool, detail: str) -> None:

@@ -11,7 +11,6 @@ from graveropt import (
     Cardinality,
     CoordinateCardinality,
     DimensionError,
-    DirectedCycle,
     Explicit,
     GraverBasis,
     LiftingSampler,
@@ -23,14 +22,13 @@ from graveropt import (
     graver_coordinate_cardinality,
     graver_ones,
     hilbert_basis_cycles,
-    hilbert_cycle_count,
-    lift_cycle,
     load_basis,
     pottier_graver,
     predicted_cardinality,
     realize_matrix,
     save_basis,
 )
+from references import hilbert_cycle_count, lift_cycle
 
 
 def dense_set(basis):
@@ -164,11 +162,11 @@ class TestCoordinateCardinality:
 
 class TestHilbertCycles:
     def test_k3_exact(self):
-        got = {c.nodes for c in hilbert_basis_cycles(3)}
+        got = set(hilbert_basis_cycles(3))
         assert got == {(0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 2, 1)}
 
     def test_k2_single(self):
-        assert [c.nodes for c in hilbert_basis_cycles(2)] == [(0, 1)]
+        assert hilbert_basis_cycles(2) == [(0, 1)]
 
     def test_k4_count(self):
         assert len(hilbert_basis_cycles(4)) == 20
@@ -179,28 +177,39 @@ class TestHilbertCycles:
         cycles = hilbert_basis_cycles(k)
         assert len(cycles) == hilbert_cycle_count(k)
         assert len(set(cycles)) == len(cycles)
-        assert all(c.nodes[0] == min(c.nodes) for c in cycles)
+        assert all(c[0] == min(c) for c in cycles)
 
     def test_canonical_rotation(self):
-        c = DirectedCycle.from_nodes((2, 0, 1))
-        assert c.nodes == (0, 1, 2)
-        with pytest.raises(ValueError):
-            DirectedCycle((1, 1))
-        assert DirectedCycle((0, 1, 2)).reversed().nodes == (0, 2, 1)
+        # each cycle is listed once, smallest node first, and for t >= 3 its
+        # reversal, rotated the same way, is a different cycle of the list
+        cycles = hilbert_basis_cycles(5)
+        listed = set(cycles)
+        for c in cycles:
+            assert len(set(c)) == len(c) and c[0] == min(c)
+            back = (c[0],) + tuple(reversed(c[1:]))
+            assert back in listed
+            assert (back == c) == (len(c) == 2)
+        with pytest.raises(DimensionError):
+            hilbert_basis_cycles(1)
 
 
 class TestLiftCycle:
+    """The reference lifting agrees with the basis built in numpy."""
+
     def test_two_cycle(self):
-        g = lift_cycle(DirectedCycle((0, 1)), [0, 1], n=2, k=2)
+        g = lift_cycle((0, 1), [0, 1], n=2, k=2)
         assert list(g.to_dense()) == [1, -1, -1, 1]
+        assert dense_set(graver_assignment(2, 2)) == {tuple(g.to_dense())}
 
     def test_brick_order_swap_negates(self):
-        g = lift_cycle(DirectedCycle((0, 1)), [1, 0], n=2, k=2)
+        g = lift_cycle((0, 1), [1, 0], n=2, k=2)
         assert list(g.to_dense()) == [-1, 1, 1, -1]
+        assert g == -lift_cycle((0, 1), [0, 1], n=2, k=2)
 
     def test_three_cycle(self):
-        g = lift_cycle(DirectedCycle((0, 1, 2)), [0, 1, 2], n=3, k=3)
+        g = lift_cycle((0, 1, 2), [0, 1, 2], n=3, k=3)
         assert g.entries == ((0, 1), (1, -1), (4, 1), (5, -1), (6, -1), (8, 1))
+        assert g.canonical().entries in graver_assignment(3, 3).canonical_set()
 
     def test_kernel_membership_random(self):
         rng = np.random.default_rng(1)
@@ -212,11 +221,13 @@ class TestLiftCycle:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            lift_cycle(DirectedCycle((0, 1)), [0, 0], n=2, k=2)
+            lift_cycle((0, 1), [0, 0], n=2, k=2)
         with pytest.raises(ValueError):
-            lift_cycle(DirectedCycle((0, 1)), [0, 5], n=2, k=2)
+            lift_cycle((0, 1), [0, 5], n=2, k=2)
         with pytest.raises(ValueError):
-            lift_cycle(DirectedCycle((0, 3)), [0, 1], n=2, k=2)
+            lift_cycle((0, 3), [0, 1], n=2, k=2)
+        with pytest.raises(ValueError):
+            lift_cycle((1, 1), [0, 1], n=2, k=2)
 
 
 class TestGraverAssignment:

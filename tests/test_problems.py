@@ -75,12 +75,17 @@ class TestObjectiveDelta:
 
     @staticmethod
     def engine_deltas(inst, x, g):
-        """``delta_support`` of +g, and the deltas one round over the
-        basis {g} reports, keyed by the sign of the move."""
+        """The delta of +g from the engine's per-element terms, c.g + w.g +
+        g'Qg (None when x+g leaves the box), and the deltas one round over
+        the basis {g} reports, keyed by the sign of the move."""
         basis = GraverBasis.from_elements(inst.size, [g])
-        engine = _Lockstep(inst, prepare_moves(inst, basis), [np.asarray(x)])
-        real = basis.val[0] != 0
-        plus = engine.delta_support(0, basis.idx[0][real], basis.val[0][real])
+        prep = prepare_moves(inst, basis)
+        engine = _Lockstep(inst, prep, [np.asarray(x)])
+        idx, val = basis.idx[0], basis.val[0]
+        moved = engine.x[0] + g.to_dense()
+        plus = None
+        if np.all((moved >= inst.lower) & (moved <= inst.upper)):
+            plus = prep.cg[0] + (engine.w[0][idx] * val).sum() + prep.qgg[0]
         _, _, moves, deltas = engine._scan(np.array([0]), np.array([0]), np.array([2]))
         return plus, {1 - 2 * j: d for j, d in zip(moves.tolist(), deltas.tolist())}
 

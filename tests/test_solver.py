@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import hashlib
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -9,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graveropt import (
+    Assignment,
     Cardinality,
     Explicit,
     GraverBasis,
     InfeasibleError,
+    LiftingSampler,
     QuadraticInstance,
     SparseIntVector,
     augment,
@@ -21,12 +25,14 @@ from graveropt import (
     classify_landscape,
     enumerate_feasible,
     generate_instance,
+    graver_assignment,
     graver_ones,
     load_instance,
     objective,
     solve,
     verify_local_optimality,
 )
+from graveropt.solver import POLICIES, LongCycles, _Lockstep, prepare_moves
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -197,23 +203,28 @@ class TestSolve:
         assert sum(report.terminal_value_counts.values()) == report.seed_count
 
     def test_sampler_backed_basis(self):
-        # each seed draws from its own stream, spawned by seed index after
-        # the stream of the seed generator; on the 4x4 case a pass after an
-        # accepted draw finds a move, so where it starts shows
+        # a truncated basis stores the 2-cycles; a seed whose pass finds
+        # nothing enumerates the liftings of lengths 3..n and takes the first
+        # improving one (the lowest under "best"), then scans again from the
+        # first move; brute force over the full basis finds the same moves
+        assisted = set()
         for instance_seed, n, seed_count, rng_seed in ((16, 5, 10, 3), (3, 4, 6, 3)):
             inst = generate_instance(np.random.default_rng(instance_seed), "QAP", n, n)
             basis = build_basis(inst.kind, max_cycle_len=2)
             assert basis.sampler is not None
-            report = solve(inst, seed_count=seed_count, rng_seed=rng_seed, basis=basis)
-            master = np.random.SeedSequence(rng_seed)
-            master.spawn(1)
-            streams = master.spawn(len(report.seeds) + 1)[1:]
-            for r, seed, stream in zip(report.results, report.seeds, streams):
-                x, fx, steps, examined = reference_descent(
-                    inst, basis, seed, "first", np.random.default_rng(stream), 10 * inst.size)
-                assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined)
-                assert np.array_equal(r.terminal_x, x)
-                assert verify_local_optimality(inst, basis, r.terminal_x) == []
+            full = graver_assignment(n, n)
+            for policy in POLICIES:
+                report = solve(inst, seed_count=seed_count, rng_seed=rng_seed, basis=basis,
+                               policy=policy)
+                for r, seed in zip(report.results, report.seeds):
+                    x, fx, steps, examined = reference_descent(inst, basis, seed, policy)
+                    assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined)
+                    assert np.array_equal(r.terminal_x, x)
+                    assert r.certificate == "full"
+                    assert verify_local_optimality(inst, full, r.terminal_x) == []
+                if report.sampler_assisted:
+                    assisted.add((n, policy))
+        assert assisted == {(n, policy) for n in (4, 5) for policy in POLICIES}
 
     def test_float_instance_runs_in_double(self):
         rng = np.random.default_rng(17)
@@ -296,8 +307,6 @@ class TestScannerEquivalence:
     def test_huge_values_fall_back_to_exact(self):
         # at 2**56 the conservative int64 bound trips and moves are evaluated
         # in exact Python ints on object arrays
-        from graveropt.solver import prepare_moves
-
         big = 2**56
         inst = QuadraticInstance(
             c=np.full(25, big, dtype=np.int64),
@@ -359,8 +368,6 @@ class TestRoomPrefilter:
         draw=st.integers(0, 2**32 - 1),
     )
     def test_matches_full_bounds_check(self, n, basis, draw):
-        from graveropt.solver import _Lockstep, prepare_moves
-
         rng = np.random.default_rng(draw)
         lower = rng.integers(-2, 2, size=n)
         upper = lower + rng.integers(0, 4, size=n)  # widths 0..3
@@ -397,8 +404,6 @@ class TestRoomPrefilter:
             engine.apply_moves(np.array(movers), np.array(taken))
 
     def test_masks_fit_in_the_basis_memory(self):
-        from graveropt.solver import prepare_moves
-
         inst = binary_instance(Cardinality(200), [100])  # four words per bitset
         basis = build_basis(inst.kind)
         prep = prepare_moves(inst, basis)
@@ -406,15 +411,56 @@ class TestRoomPrefilter:
         assert prep.word.nbytes + prep.mask.nbytes <= basis.idx.nbytes + basis.val.nbytes
 
 
-def reference_descent(inst, basis, x, policy, rng=None, budget=0):
+def cycle_key(g, k):
+    """A signed lifting as (b_1, j_1, j_2, b_2, j_3, ..., j_t, b_t): b_1 is
+    its smallest brick, and brick b_s goes up at slot j_s and down at slot
+    j_{s+1}, with j_{t+1} = j_1."""
+    up = {int(i) // k: int(i) % k for i in np.flatnonzero(g > 0)}
+    down = {int(i) // k: int(i) % k for i in np.flatnonzero(g < 0)}
+    b = min(up)
+    key = [b, up[b]]
+    while down[b] != key[1]:
+        j = down[b]
+        b = next(other for other, slot in up.items() if slot == j)
+        key += [j, b]
+    return tuple(key)
+
+
+def long_cycle_moves(basis):
+    """The liftings a sampler-backed basis stands for, both signs, from the
+    full closed form, in the long-cycle phase's order: length ascending,
+    then ``cycle_key`` ascending.  None without a sampler."""
+    sampler = basis.sampler
+    if sampler is None:
+        return []
+    return _long_cycle_moves(sampler.n, sampler.k, sampler.t_min, sampler.t_max)
+
+
+@functools.lru_cache(maxsize=None)
+def _long_cycle_moves(n, k, t_min, t_max):
+    keyed = []
+    for g in graver_assignment(n, k).elements:
+        t = len(g) // 2
+        if t_min <= t <= t_max:
+            for sign in (1, -1):
+                dense = sign * g.to_dense()
+                keyed.append(((t, cycle_key(dense, k)), dense))
+    return [g for _, g in sorted(keyed, key=lambda pair: pair[0])]
+
+
+def reference_descent(inst, basis, x, policy):
     """One seed's descent, move by move, on direct objective values:
     (terminal x, terminal f, steps, moves examined).  Under "first" the
     cyclic scan resumes just past the last accepted move; under "best"
     every pass scans all moves from the first and the first best wins.
-    A sampler-backed basis gets ``budget`` draws from ``rng`` whenever a
-    pass finds nothing, and the scan starts over from the first move when
-    one of them was accepted."""
+    When a pass finds nothing and the basis is sampler-backed, the
+    feasible liftings it stands for are tried in ``long_cycle_moves``
+    order, the first improving one taken (the first best under "best")
+    and counted as examined, with every feasible one before it (all of
+    them when none is taken); after a taken one the scan starts over from
+    the first move."""
     moves = [sign * g.to_dense() for g in basis.elements for sign in (1, -1)]
+    cycles = long_cycle_moves(basis)
     x = np.asarray(x, dtype=np.int64)
     fx = objective(inst, x)
     steps = examined = pointer = 0
@@ -440,18 +486,19 @@ def reference_descent(inst, basis, x, policy, rng=None, budget=0):
             steps += 1
             pointer = (j + 1) % len(moves)
             continue
-        accepted = False
-        for _ in range(budget if basis.sampler is not None else 0):
-            idx, val = basis.sampler.draw(rng)
-            examined += 1
-            y = x.copy()
-            y[idx] += val
-            if fits(y) and objective(inst, y) < fx:
-                x, fx = y, objective(inst, y)
-                steps += 1
-                accepted = True
-        if not accepted:
+        for g in cycles:
+            y = x + g
+            if fits(y):
+                examined += 1
+                fy = objective(inst, y)
+                if fy < (fx if found is None else found[1]):
+                    found = (y, fy)
+                    if policy == "first":
+                        break
+        if found is None:
             return x, fx, steps, examined
+        x, fx = found
+        steps += 1
         pointer = 0
 
 
@@ -468,10 +515,9 @@ class TestLockstep:
         k=st.integers(2, 3),
         data=st.sampled_from(["int", "fraction", "object"]),
         tiny=st.booleans(),
+        truncate=st.booleans(),
     )
-    def test_seeds_match_reference_descent(self, policy, klass, draw, n, k, data, tiny):
-        from graveropt.solver import _Lockstep
-
+    def test_seeds_match_reference_descent(self, policy, klass, draw, n, k, data, tiny, truncate):
         rng = np.random.default_rng(draw)
         if klass == "CBQP":
             n, k = 2 * n + 2, None
@@ -488,7 +534,9 @@ class TestLockstep:
         lower = -rng.integers(0, 2, size=base.size)
         upper = rng.integers(1, 4, size=base.size)
         inst = QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=lower, upper=upper)
-        basis = build_basis(inst.kind)
+        # a 3x3 assignment basis cut at length 2 leaves the 3-cycles to the long-cycle phase
+        sampled = klass == "QAP" and truncate and n == k == 3
+        basis = build_basis(inst.kind, max_cycle_len=2 if sampled else None)
         # tiny rounds split seeds and windows at odd offsets
         cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
         with cut if tiny else contextlib.nullcontext():
@@ -504,8 +552,6 @@ class TestLockstep:
     def test_best_ties_go_to_the_first_move(self, tiny):
         # from e_0 the seven swaps to e_1..e_7 all improve by 8; tiny rounds
         # put the tied moves in different rounds
-        from graveropt.solver import _Lockstep
-
         inst = binary_instance(Cardinality(8), [1], c=[9, 1, 1, 1, 1, 1, 1, 1])
         basis = build_basis(inst.kind)
         seed = np.eye(8, dtype=np.int64)[0]
@@ -515,6 +561,141 @@ class TestLockstep:
         x, fx, steps, examined = reference_descent(inst, basis, seed, "best")
         assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined) == (1, 1, 112)
         assert np.array_equal(r.terminal_x, x)
+
+
+def rational_scale(inst):
+    """The LCM of the denominators of c and Q: the factor the engine scales rational data by."""
+    return math.lcm(*(Fraction(v).denominator for v in [*inst.c.flat, *inst.Q.flat]))
+
+
+class TestLongCycles:
+    """The long-cycle phase finds exactly the liftings that fit the box."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        k=st.integers(2, 4),
+        top=st.integers(1, 2),
+        data=st.sampled_from(["int", "fraction"]),
+        tabled=st.booleans(),
+    )
+    def test_enumeration_is_the_full_basis_in_the_box(self, draw, n, k, top, data, tabled):
+        rng = np.random.default_rng(draw)
+        base = generate_instance(rng, "QAP", n, k)
+        c, Q = base.c, base.Q
+        if data == "fraction":
+            c, Q = (
+                np.array([Fraction(int(v), int(d)) for v, d in zip(a.flat, rng.integers(1, 8, a.size))],
+                         dtype=object).reshape(a.shape)
+                for a in (c, Q)
+            )
+        inst = QuadraticInstance(
+            c=c, Q=Q, kind=base.kind, b=base.b, lower=np.zeros(base.size, dtype=np.int64),
+            upper=np.full(base.size, top, dtype=np.int64),
+        )
+        x = rng.integers(0, top + 1, size=inst.size)  # any point of the box
+        t_full = min(n, k)
+        # no stored elements: the sampler stands for every lifting
+        empty = np.zeros((0, 2), dtype=np.int64)
+        basis = GraverBasis(inst.size, empty, empty, Assignment(n, k), LiftingSampler(n, k, 2, t_full))
+        with mock.patch.object(LongCycles, "CROSS_ENTRIES", LongCycles.CROSS_ENTRIES if tabled else 0):
+            engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
+        assert (engine.cycles.cross is None) == (not tabled)
+        scale, fx = rational_scale(inst), objective(inst, x)
+        got = []
+        levels = list(engine.long_cycles(0, 10**9, None))
+        assert len(levels) == t_full - 1
+        for t, (pairs, delta, thinned) in enumerate(levels, start=2):
+            assert not thinned and pairs.shape == (len(delta), t)
+            for row, d in zip(pairs, delta):
+                idx, val = engine.cycles.lifting(row)
+                g = np.zeros(inst.size, dtype=np.int64)
+                g[idx] = val
+                got.append(tuple(g))
+                assert d == scale * (objective(inst, x + g) - fx)
+        want = {
+            tuple(sign * g.to_dense())
+            for g in graver_assignment(n, k).elements
+            for sign in (1, -1)
+            if np.all((x + sign * g.to_dense() >= inst.lower) & (x + sign * g.to_dense() <= inst.upper))
+        }
+        assert len(got) == len(set(got))
+        assert set(got) == want
+
+    def test_cycles_come_in_the_documented_order(self):
+        rng = np.random.default_rng(5)
+        inst = generate_instance(rng, "QAP", 5, 6)
+        basis = build_basis(inst.kind, max_cycle_len=2)
+        x = rng.integers(0, 2, size=inst.size)  # a random 0/1 point has more cycles than a seed
+        engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
+        keys = []
+        for pairs, _, _ in engine.long_cycles(0, 10**9, None):
+            for row in pairs:
+                idx, val = engine.cycles.lifting(row)
+                g = np.zeros(inst.size, dtype=np.int64)
+                g[idx] = val
+                keys.append((len(row), cycle_key(g, 6)))
+        assert len(keys) > 100
+        assert keys == sorted(keys)
+
+    def test_thinned_enumeration_is_a_feasible_subset(self):
+        inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
+        basis = build_basis(inst.kind, max_cycle_len=2)
+        seed = solve(inst, seed_count=1, rng_seed=2, basis=basis).seeds[0]
+        engine = _Lockstep(inst, prepare_moves(inst, basis), [seed])
+        full = {tuple(g) for g in long_cycle_moves(basis) if np.all(seed + g <= 1) and np.all(seed + g >= 0)}
+
+        def cycles(cap, rng):
+            out, flags = [], []
+            for pairs, _, thinned in engine.long_cycles(0, cap, rng):
+                flags.append(thinned)
+                for row in pairs:
+                    idx, val = engine.cycles.lifting(row)
+                    g = np.zeros(inst.size, dtype=np.int64)
+                    g[idx] = val
+                    out.append(tuple(g))
+            return out, flags
+
+        everything, flags = cycles(10**9, None)
+        assert set(everything) == full and not any(flags)
+        thin, flags = cycles(4, np.random.default_rng(0))
+        assert flags[-1] and set(thin) < full
+        assert cycles(4, np.random.default_rng(0))[0] == thin
+
+    def test_certificates_hold_against_the_full_basis(self):
+        # truncated bases: a seed certified "full" has no improving element
+        # of the whole closed form, not only of the stored lengths
+        cases = [
+            (generate_instance(np.random.default_rng(3), "QAP", 4, 4), {"max_cycle_len": 2}, 3),
+            (generate_instance(np.random.default_rng(16), "QAP", 5, 5), {"max_cycle_len": 2}, 3),
+            (TestGoldenOutputs.instance("QAP", 5, 5, 32, None, "int"), {"enumeration_cap": 200}, 13),
+        ]
+        for inst, kw, rng_seed in cases:
+            n, k = inst.kind.n, inst.kind.k
+            full = graver_assignment(n, k)
+            report = solve(inst, rng_seed=rng_seed, **kw)
+            assert [r.certificate for r in report.results] == ["full"] * report.seed_count
+            for r in report.results:
+                assert verify_local_optimality(inst, full, r.terminal_x) == []
+
+    def test_budget_caps_or_turns_off_the_phase(self):
+        inst = generate_instance(np.random.default_rng(16), "QAP", 5, 5)
+        basis = build_basis(inst.kind, max_cycle_len=2)
+        off = solve(inst, seed_count=8, rng_seed=3, basis=basis, sampler_budget=0)
+        assert not off.sampler_assisted
+        assert {r.certificate for r in off.results} == {"stored"}
+        capped = solve(inst, seed_count=8, rng_seed=3, basis=basis, sampler_budget=3)
+        assert "stored" in {r.certificate for r in capped.results}
+        again = solve(inst, seed_count=8, rng_seed=3, basis=basis, sampler_budget=3)
+        assert report_signature(again) == report_signature(capped)
+        with pytest.raises(ValueError, match="sampler_budget"):
+            solve(inst, seed_count=2, basis=basis, sampler_budget=-1)
+
+    def test_stored_bases_certify_in_full(self):
+        inst = generate_instance(np.random.default_rng(7), "QSAP1", 4, 3)
+        report = solve(inst, seed_count=5, rng_seed=1)
+        assert {r.certificate for r in report.results} == {"full"}
 
 
 class TestClassifier:
@@ -562,8 +743,10 @@ class TestGoldenOutputs:
     CASES = {
         "qap_4x3_full": ("QAP", 4, 3, 39, {}, None, "first", "int",
                             "06b316f9a36fd6041a3ba708849dbb17c2cf8de78aa194e8826bac5842257ffe"),
+        # re-pinned when the long-cycle phase replaced blind sampler draws:
+        # 13 of the 25 old terminal points had an improving 3..5-cycle
         "qap_5x5_sampler": ("QAP", 5, 5, 32, {"enumeration_cap": 200}, None, "first", "int",
-                            "09f575323daede2dd6e237bbaebea4fa6f901aad7cf8fc671ce0f74341dfe904"),
+                            "187117ace4aa4b6c900d3beb065a2a8e1a0d302fc479609ca5b234f62800b523"),
         "qsap1_5x3": ("QSAP1", 5, 3, 32, {}, None, "first", "int",
                             "4b75db176f9b59617017b7ead060f68e9b63579d97f8d0e053e90d0f0c8ddb02"),
         # n = 70 spans two 64-bit words of the room bitsets
