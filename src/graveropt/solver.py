@@ -58,6 +58,7 @@ from .graver import (
     CoordinateCardinality,
     Explicit,
     GraverBasis,
+    LiftingSampler,
     build_basis,
 )
 from .problems import InfeasibleError, QuadraticInstance, check_feasible, objective
@@ -135,80 +136,33 @@ class MovePrep:
     words as the support has entries, and a word costs 12 bytes against 16
     per entry, so the masks stay smaller than ``idxm`` + ``valm``.
     ``unit`` says every entry is +-1, which makes the room test exact.
-    ``cycles`` holds the long-cycle tables of a sampler-backed basis.
+    ``qsym`` is Q+Q'.  ``sampler`` is the basis's lifting sampler, for
+    the long-cycle phase; ``selfq`` then holds v'Qv per pair (see
+    :func:`_pair_selfq`).
     """
 
     idxm: np.ndarray
     valm: np.ndarray
     c: np.ndarray
     Q: np.ndarray
+    qsym: np.ndarray
     cg: np.ndarray
     qgg: np.ndarray
     word: np.ndarray
     mask: np.ndarray
     unit: bool
-    cycles: Optional["LongCycles"] = None
+    sampler: Optional[LiftingSampler] = None
+    selfq: Optional[np.ndarray] = None
 
 
-@dataclass
-class LongCycles:
-    """Per-instance tables of the long-cycle phase, in the engine's arithmetic.
-
-    A lifting of a cycle on t slots into t bricks is a sum of t pairs
-    v = e_(b, j_up) - e_(b, j_down), one per brick, where coordinate (b, j)
-    is b*k + j; pair (b, j_up, j_down) has id (b*k + j_up)*k + j_down.
-    f(x+g) - f(x) is the sum over its pairs of (c + w).v + v'Qv, plus
-    v'(Q+Q')v'' over every two pairs, so a path's delta grows by one
-    ``selfq`` entry and one ``cross`` entry per pair already on it.
-    ``cross`` has (n k^2)^2 entries; above ``CROSS_ENTRIES`` it is None
-    and its entries are computed from ``qsym`` = Q+Q' instead.
-    """
-
-    CROSS_ENTRIES = 1 << 22
-
-    n: int
-    k: int
-    t_min: int
-    t_max: int
-    selfq: np.ndarray
-    qsym: np.ndarray
-    cross: Optional[np.ndarray]
-
-    @classmethod
-    def build(cls, sampler, Q) -> "LongCycles":
-        n, k = sampler.n, sampler.k
-        q4 = Q.reshape(n, k, n, k)
-        block = q4[np.arange(n), :, np.arange(n), :]  # [b, j, j'] = Q[(b, j), (b, j')]
-        diag = np.diagonal(block, axis1=1, axis2=2)
-        selfq = diag[:, :, None] + diag[:, None, :] - block - block.transpose(0, 2, 1)
-        qsym = Q + Q.T
-        cross = None
-        if (n * k * k) ** 2 <= cls.CROSS_ENTRIES:
-            s4 = qsym.reshape(n, k, n, k)
-            cross = s4[:, :, None, :, :, None] - s4[:, :, None, :, None, :]
-            cross = cross - s4[:, None, :, :, :, None]  # now full size
-            cross += s4[:, None, :, :, None, :]
-            cross = cross.reshape(n * k * k, n * k * k)
-        return cls(n, k, sampler.t_min, sampler.t_max, selfq.reshape(-1), qsym, cross)
-
-    def cross_sum(self, pairs, new):
-        """Per row, the cross terms of pair ``new[i]`` with the pairs ``pairs[i]``, summed."""
-        if self.cross is not None:
-            return np.take(self.cross, pairs * len(self.cross) + new[:, None]).sum(axis=1)
-        up, down = self.ends(pairs)
-        new_up, new_down = (end[:, None] for end in self.ends(new))
-        q = self.qsym
-        return (q[up, new_up] - q[up, new_down] - q[down, new_up] + q[down, new_down]).sum(axis=1)
-
-    def ends(self, pairs):
-        """The coordinates where pairs go up and where they go down."""
-        brick, rest = np.divmod(pairs, self.k * self.k)
-        return brick * self.k + rest // self.k, brick * self.k + rest % self.k
-
-    def lifting(self, pairs):
-        """A cycle given by its pair ids as unpadded (indices, values)."""
-        up, down = self.ends(pairs)
-        return np.concatenate([up, down]), np.repeat([1, -1], len(pairs))
+def _pair_selfq(Q, n, k) -> np.ndarray:
+    """v'Qv per pair v = e_(b, j_up) - e_(b, j_down) of an n x k
+    assignment, where coordinate (b, j) is b*k + j, by pair id
+    (b*k + j_up)*k + j_down (see :meth:`_Lockstep.long_cycles`)."""
+    q4 = Q.reshape(n, k, n, k)
+    block = q4[np.arange(n), :, np.arange(n), :]  # [b, j, j'] = Q[(b, j), (b, j')]
+    diag = np.diagonal(block, axis1=1, axis2=2)
+    return (diag[:, :, None] + diag[:, None, :] - block - block.transpose(0, 2, 1)).reshape(-1)
 
 
 def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
@@ -216,8 +170,9 @@ def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
     idxm, valm = basis.idx, basis.val
     count, width = idxm.shape
     max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
-    if basis.sampler is not None:  # a lifting of a t-cycle has 2t entries of +-1
-        max_weight = max(max_weight, 2 * basis.sampler.t_max)
+    sampler = basis.sampler
+    if sampler is not None:  # a lifting of a t-cycle has 2t entries of +-1
+        max_weight = max(max_weight, 2 * sampler.t_max)
     c, Q = _scan_data(inst, max_weight)
     cg = (c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
     qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
@@ -228,9 +183,9 @@ def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
         qgg[rows] = np.einsum("ea,eab,eb->e", valm[rows], gathered, valm[rows])
     word, mask = _room_masks(idxm, valm, _room_span(inst.size))
     return MovePrep(
-        idxm=idxm, valm=valm, c=c, Q=Q, cg=cg, qgg=qgg, word=word, mask=mask,
-        unit=bool(np.abs(valm).max(initial=0) <= 1),
-        cycles=None if basis.sampler is None else LongCycles.build(basis.sampler, Q),
+        idxm=idxm, valm=valm, c=c, Q=Q, qsym=Q + Q.T, cg=cg, qgg=qgg, word=word, mask=mask,
+        unit=bool(np.abs(valm).max(initial=0) <= 1), sampler=sampler,
+        selfq=None if sampler is None else _pair_selfq(Q, sampler.n, sampler.k),
     )
 
 
@@ -351,13 +306,11 @@ class _Lockstep:
         self.word = prep.word
         self.mask = prep.mask
         self.unit = prep.unit
-        self.cycles = prep.cycles
+        self.qsym = prep.qsym
+        self.sampler = prep.sampler
+        self.selfq = prep.selfq
         self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), inst.size)
-        qsym = self.Q + self.Q.T
-        self.w = np.stack([qsym @ x for x in self.x])
-        # int64 rows of w are updated for all movers at once, which is
-        # exact; float and object rows one at a time, as a lone seed's are
-        self.qsym = qsym if self.w.dtype == np.int64 else None
+        self.w = np.stack([self.qsym @ x for x in self.x])
         self.full = np.zeros((len(self.x), 2, _room_span(inst.size) // 32), dtype="<u8")
         self._mark_room(np.arange(len(self.x)))
 
@@ -379,7 +332,9 @@ class _Lockstep:
         """Seed ``seeds[i]`` takes signed move ``moves[i]``; seeds are distinct."""
         e = moves >> 1
         sign = 1 - 2 * (moves & 1)
-        if self.qsym is None:
+        # int64 rows of w are updated for all movers at once, which is
+        # exact; float and object rows one at a time, as a lone seed's are
+        if self.w.dtype != np.int64:
             for s, g, sg in zip(seeds.tolist(), e.tolist(), sign.tolist()):
                 val = self.valm[g]
                 # padding repeats index 0, and a buffered x[idx] += ... would
@@ -436,9 +391,17 @@ class _Lockstep:
         offset = at - 2 * first[slot] - (start[slot] & 1)
         return slot, offset, 2 * e[improving] + odd[improving], delta[improving]
 
+    @staticmethod
+    def lifting(cycle):
+        """A cycle, given as its up coordinates then its down coordinates,
+        as unpadded (indices, values)."""
+        return cycle, np.repeat([1, -1], len(cycle) // 2)
+
     def long_cycles(self, s, cap, rng):
         """The feasible liftings of lengths ``t_min..t_max`` at seed ``s``:
-        per length, in order, (pair ids [cycles, t], deltas, thinned).
+        per length, in order, (cycles [count, 2t], deltas, thinned), where
+        a cycle lists the t coordinates it goes up at, then the t it goes
+        down at.
 
         A path is a first brick b_1 with slots j_1 (up) and j_2 (down),
         then bricks b_2, b_3, ... above b_1, each entered at the open slot
@@ -450,13 +413,20 @@ class _Lockstep:
         uniform random ``cap`` of them, drawn from ``rng``, go on, in
         order, and every later yield says ``thinned``.  Every length
         yields, so the last yield tells whether the enumeration was
-        complete."""
-        tab = self.cycles
-        n, k = tab.n, tab.k
+        complete.
+
+        A lifting is a sum of pairs v = e_(b, j_up) - e_(b, j_down), one
+        per brick, where coordinate (b, j) is b*k + j.  f(x+g) - f(x) sums
+        (c + w).v + v'Qv over its pairs (``linear``, by pair id
+        (b*k + j_up)*k + j_down) and v'(Q+Q')v'' over every two pairs, so a
+        path's delta grows by one ``linear`` entry and four ``qsym``
+        entries per pair already on it."""
+        n, k = self.sampler.n, self.sampler.k
         up = (self.x[s] < self.upper).reshape(n, k)
         down = (self.x[s] > self.lower).reshape(n, k)
         cw = (self.c + self.w[s]).reshape(n, k)
-        linear = (cw[:, :, None] - cw[:, None, :]).reshape(-1) + tab.selfq
+        linear = (cw[:, :, None] - cw[:, None, :]).reshape(-1) + self.selfq
+        q = self.qsym.reshape(-1)  # symmetric, so q[a*n*k + b] serves (a, b) and (b, a)
         # reach[j*n + b] lists the bricks above b with up room at slot j
         reach = (up.T[:, None, :] & np.triu(np.ones((n, n), dtype=bool), 1)).reshape(k * n, n)
         exits = up[:, :, None] & down[:, None, :] & ~np.eye(k, dtype=bool)
@@ -472,50 +442,61 @@ class _Lockstep:
             return tuple(a[keep] for a in paths)
 
         first_b, first_s, open_s = thin(first_b, first_s, open_s)
-        pairs = ((first_b * k + first_s) * k + open_s)[:, None]
-        delta = linear[pairs[:, 0]]
-        free_b = np.ones((len(pairs), n), dtype=bool)  # per path, the bricks not on it
-        free_s = np.ones((len(pairs), k), dtype=bool)  # and the slots
-        rows = np.arange(len(pairs))
+        ups = (first_b * k + first_s)[:, None]  # per path, where its pairs go up
+        downs = (first_b * k + open_s)[:, None]  # and where they go down
+        delta = linear.take(ups[:, 0] * k + open_s)
+        free_b = np.ones((len(ups), n), dtype=bool)  # per path, the bricks not on it
+        free_s = np.ones((len(ups), k), dtype=bool)  # and the slots
+        rows = np.arange(len(ups))
         free_b[rows, first_b] = free_s[rows, first_s] = free_s[rows, open_s] = False
 
         def extend(par, brick, slot):
-            new = (brick * k + open_s.take(par)) * k + slot
-            old = pairs.take(par, axis=0)
-            return np.c_[old, new], delta.take(par) + linear.take(new) + tab.cross_sum(old, new)
+            """Paths ``par`` with one more pair: ``brick`` entered at the open slot, left at ``slot``."""
+            new_up, new_down = brick * k + open_s.take(par), brick * k + slot
+            old_up, old_down = ups.take(par, axis=0), downs.take(par, axis=0)
+            row_up, row_down = (new_up * (n * k))[:, None], (new_down * (n * k))[:, None]
+            cross = q.take(row_up + old_up) - q.take(row_down + old_up)
+            cross -= q.take(row_up + old_down) - q.take(row_down + old_down)
+            grown = delta.take(par) + linear.take(new_up * k + slot) + cross.sum(axis=1)
+            return (
+                np.concatenate([old_up, new_up[:, None]], axis=1),
+                np.concatenate([old_down, new_down[:, None]], axis=1),
+                grown,
+            )
 
-        for level in range(1, tab.t_max):  # paths hold `level` pairs
+        for level in range(1, self.sampler.t_max):  # paths hold `level` pairs
             par, brick = np.nonzero(reach.take(open_s * n + first_b, axis=0) & free_b)
-            if level + 1 >= tab.t_min:
+            if level + 1 >= self.sampler.t_min:
                 close = down[brick, first_s.take(par)]
                 cp = par[close]
-                yield (*extend(cp, brick[close], first_s.take(cp)), thinned)
-            if level + 2 > tab.t_max:
+                cycle_up, cycle_down, cycle_delta = extend(cp, brick[close], first_s.take(cp))
+                yield np.concatenate([cycle_up, cycle_down], axis=1), cycle_delta, thinned
+            if level + 2 > self.sampler.t_max:
                 return
             at, slot = np.nonzero(down.take(brick, axis=0) & free_s.take(par, axis=0))
             par, brick, slot = thin(par.take(at), brick.take(at), slot)
-            pairs, delta = extend(par, brick, slot)
+            ups, downs, delta = extend(par, brick, slot)
             first_b, first_s, open_s = first_b.take(par), first_s.take(par), slot
             free_b, free_s = free_b.take(par, axis=0), free_s.take(par, axis=0)
             rows = np.arange(len(par))
             free_b[rows, brick] = free_s[rows, slot] = False
 
     def long_cycle(self, s, policy, cap, rng):
-        """The long-cycle phase of seed ``s``: (pair ids of the cycle to
-        take or None, cycles evaluated, certificate).  Under ``"first"``
-        the first improving cycle, lengths ascending; under ``"best"`` the
-        lowest delta, first wins ties.  Cycles evaluated counts up to the
-        taken one under ``"first"``, all of them otherwise."""
+        """The long-cycle phase of seed ``s``: (the cycle to take or None,
+        cycles evaluated, certificate).  Under ``"first"`` the first
+        improving cycle, lengths ascending; under ``"best"`` the lowest
+        delta, first wins ties.  Cycles evaluated counts up to the taken
+        one under ``"first"``, all of them otherwise."""
         taken, low, examined, thinned = None, None, 0, False
-        for pairs, delta, thinned in self.long_cycles(s, cap, rng):
+        for cycles, delta, thinned in self.long_cycles(s, cap, rng):
             if policy == "first":
                 hit = np.flatnonzero(delta < 0)
                 if len(hit):
-                    return pairs[hit[0]], examined + int(hit[0]) + 1, "stored"
+                    return cycles[hit[0]], examined + int(hit[0]) + 1, "stored"
             elif len(delta):
                 j = int(np.argmin(delta))
                 if delta[j] < 0 and (low is None or delta[j] < low):
-                    taken, low = pairs[j], delta[j]
+                    taken, low = cycles[j], delta[j]
             examined += len(delta)
         return taken, examined, "stored" if thinned else "full"
 
@@ -526,7 +507,7 @@ class _Lockstep:
         steps = np.zeros(count, dtype=np.int64)
         scanned = np.zeros(count, dtype=np.int64)
         assisted = [False] * count
-        certificate = ["full" if self.cycles is None else "stored"] * count
+        certificate = ["full" if self.sampler is None else "stored"] * count
         pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
         left = np.full(count, self.n_moves, dtype=np.int64)  # moves left in its pass
         window = np.full(count, self.WINDOW, dtype=np.int64)
@@ -537,12 +518,12 @@ class _Lockstep:
         def stalled(s):
             """A pass of seed ``s`` found no improving move: its long-cycle
             phase.  True when it took a cycle and rejoins the scan."""
-            while self.cycles is not None and cap:
-                pairs, examined, certificate[s] = self.long_cycle(s, policy, cap, rngs[s])
+            while self.sampler is not None and cap:
+                cycle, examined, certificate[s] = self.long_cycle(s, policy, cap, rngs[s])
                 scanned[s] += examined
-                if pairs is None:
+                if cycle is None:
                     return False
-                self.apply_support(s, *self.cycles.lifting(pairs), 1)
+                self.apply_support(s, *self.lifting(cycle), 1)
                 steps[s] += 1
                 assisted[s] = True
                 if self.n_moves:

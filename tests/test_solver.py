@@ -32,7 +32,7 @@ from graveropt import (
     solve,
     verify_local_optimality,
 )
-from graveropt.solver import POLICIES, LongCycles, _Lockstep, prepare_moves
+from graveropt.solver import POLICIES, _Lockstep, prepare_moves
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -578,9 +578,8 @@ class TestLongCycles:
         k=st.integers(2, 4),
         top=st.integers(1, 2),
         data=st.sampled_from(["int", "fraction"]),
-        tabled=st.booleans(),
     )
-    def test_enumeration_is_the_full_basis_in_the_box(self, draw, n, k, top, data, tabled):
+    def test_enumeration_is_the_full_basis_in_the_box(self, draw, n, k, top, data):
         rng = np.random.default_rng(draw)
         base = generate_instance(rng, "QAP", n, k)
         c, Q = base.c, base.Q
@@ -599,17 +598,15 @@ class TestLongCycles:
         # no stored elements: the sampler stands for every lifting
         empty = np.zeros((0, 2), dtype=np.int64)
         basis = GraverBasis(inst.size, empty, empty, Assignment(n, k), LiftingSampler(n, k, 2, t_full))
-        with mock.patch.object(LongCycles, "CROSS_ENTRIES", LongCycles.CROSS_ENTRIES if tabled else 0):
-            engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
-        assert (engine.cycles.cross is None) == (not tabled)
+        engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
         scale, fx = rational_scale(inst), objective(inst, x)
         got = []
         levels = list(engine.long_cycles(0, 10**9, None))
         assert len(levels) == t_full - 1
-        for t, (pairs, delta, thinned) in enumerate(levels, start=2):
-            assert not thinned and pairs.shape == (len(delta), t)
-            for row, d in zip(pairs, delta):
-                idx, val = engine.cycles.lifting(row)
+        for t, (cycles, delta, thinned) in enumerate(levels, start=2):
+            assert not thinned and cycles.shape == (len(delta), 2 * t)
+            for row, d in zip(cycles, delta):
+                idx, val = engine.lifting(row)
                 g = np.zeros(inst.size, dtype=np.int64)
                 g[idx] = val
                 got.append(tuple(g))
@@ -630,9 +627,9 @@ class TestLongCycles:
         x = rng.integers(0, 2, size=inst.size)  # a random 0/1 point has more cycles than a seed
         engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
         keys = []
-        for pairs, _, _ in engine.long_cycles(0, 10**9, None):
-            for row in pairs:
-                idx, val = engine.cycles.lifting(row)
+        for cycles, _, _ in engine.long_cycles(0, 10**9, None):
+            for row in cycles:
+                idx, val = engine.lifting(row)
                 g = np.zeros(inst.size, dtype=np.int64)
                 g[idx] = val
                 keys.append((len(row), cycle_key(g, 6)))
@@ -648,10 +645,10 @@ class TestLongCycles:
 
         def cycles(cap, rng):
             out, flags = [], []
-            for pairs, _, thinned in engine.long_cycles(0, cap, rng):
+            for found, _, thinned in engine.long_cycles(0, cap, rng):
                 flags.append(thinned)
-                for row in pairs:
-                    idx, val = engine.cycles.lifting(row)
+                for row in found:
+                    idx, val = engine.lifting(row)
                     g = np.zeros(inst.size, dtype=np.int64)
                     g[idx] = val
                     out.append(tuple(g))
