@@ -71,14 +71,15 @@ class QuadraticInstance:
     upper: np.ndarray
     name: str = ""
     _A: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _mag: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c)
         self.Q = np.asarray(self.Q)
-        self.b = np.asarray(self.b, dtype=np.int64)
-        self.lower = np.asarray(self.lower, dtype=np.int64)
-        self.upper = np.asarray(self.upper, dtype=np.int64)
+        for label in ("b", "lower", "upper"):
+            try:
+                setattr(self, label, np.asarray(getattr(self, label), dtype=np.int64))
+            except OverflowError:
+                raise ValueError(f"{label} has an entry outside int64") from None
         size = self.kind.dim
         if self.c.shape != (size,):
             raise ValueError(f"c must have shape ({size},), got {self.c.shape}")
@@ -124,14 +125,18 @@ def _objective_scalar(inst: QuadraticInstance, x: np.ndarray):
     return lin + quad
 
 
-def _int64_safe(inst: QuadraticInstance, abs_sum: int) -> bool:
-    """True when c.x + x'Qx provably fits int64 for any x with that 1-norm."""
-    if not (np.issubdtype(inst.c.dtype, np.integer) and np.issubdtype(inst.Q.dtype, np.integer)):
-        return True  # floats saturate rather than wrap; no exactness promised
-    if inst._mag is None:
-        inst._mag = (int(np.abs(inst.c).max(initial=0)), int(np.abs(inst.Q).max(initial=0)))
-    maxc, maxq = inst._mag
-    return maxq * abs_sum * abs_sum + maxc * abs_sum < 2**62
+def _int64_safe(c: np.ndarray, Q: np.ndarray, norm: int) -> bool:
+    """The int64 guard: max|Q| * norm**2 + max|c| * norm < 2**62.
+
+    Then c.x + x'Qx, its partial sums and (Q+Q')x fit int64 for every
+    integer x with |x|_1 <= norm.  The descent engine passes its box's
+    largest |x|_1 plus its largest move weight, which bounds every move
+    delta too.  Floats always pass: they saturate rather than wrap.
+    """
+    if c.dtype.kind == "f" or Q.dtype.kind == "f":
+        return True
+    maxc, maxq = (max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in (c, Q))
+    return maxq * norm * norm + maxc * norm < 2**62
 
 
 def objective(inst: QuadraticInstance, x) -> object:
@@ -139,9 +144,8 @@ def objective(inst: QuadraticInstance, x) -> object:
     x = np.asarray(x)
     if x.shape != (inst.size,):
         raise ValueError(f"x must have shape ({inst.size},), got {x.shape}")
-    if inst.Q.dtype == object or inst.c.dtype == object:
-        return _objective_scalar(inst, x)
-    if not _int64_safe(inst, int(np.abs(x).sum())):
+    exact = inst.Q.dtype == object or inst.c.dtype == object
+    if exact or not _int64_safe(inst.c, inst.Q, int(np.abs(x).sum())):
         return _objective_scalar(inst, x)
     value = inst.c @ x + x @ inst.Q @ x
     return value.item() if isinstance(value, np.generic) else value
@@ -152,7 +156,7 @@ def batch_objective(inst: QuadraticInstance, points: np.ndarray) -> list:
     points = np.asarray(points)
     if inst.Q.dtype == object or inst.c.dtype == object:
         return [objective(inst, row) for row in points]
-    if points.shape[0] and not _int64_safe(inst, int(np.abs(points).sum(axis=1).max())):
+    if not _int64_safe(inst.c, inst.Q, int(np.abs(points).sum(axis=1).max(initial=0))):
         return [_objective_scalar(inst, row) for row in points]
     values = points @ inst.c + np.einsum("ij,jk,ik->i", points, inst.Q, points)
     return [v.item() for v in values]
@@ -296,7 +300,10 @@ def _decode_array(data, shape):
     elif any(isinstance(v, float) for v in flat):
         arr = np.array(flat, dtype=np.float64)
     else:
-        arr = np.array(flat, dtype=np.int64)
+        try:
+            arr = np.array(flat, dtype=np.int64)
+        except OverflowError:  # integers beyond int64 stay exact Python ints
+            arr = np.array(flat, dtype=object)
     if shape == 2:
         rows = len(data)
         return arr.reshape(rows, -1)
@@ -334,9 +341,9 @@ def parse_instance(text: str) -> QuadraticInstance:
             c=_decode_array(doc["c"], 1),
             Q=_decode_array(doc["Q"], 2),
             kind=kind,
-            b=np.array(doc["b"], dtype=np.int64),
-            lower=np.array(doc["l"], dtype=np.int64),
-            upper=np.array(doc["u"], dtype=np.int64),
+            b=doc["b"],
+            lower=doc["l"],
+            upper=doc["u"],
             name=doc.get("name", ""),
         )
     except KeyError as exc:

@@ -13,7 +13,8 @@ moves over padded numpy arrays.  Only its arithmetic varies, chosen once
 per run: rational data (ints and Fractions) is scaled to integers, which
 keeps the sign of every move delta, and computed in int64 when every
 intermediate provably fits, else in exact Python ints on object arrays;
-float data is computed in double precision.
+float data is computed in double precision.  Terminal values of rational
+data are read off the same scaled integers.
 
 Bounds are tested first, with word operations on bitsets.  Each seed keeps
 two room bitsets, ``up`` (x_i < u_i) and ``down`` (x_i > l_i), and every
@@ -46,6 +47,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,7 +63,7 @@ from .graver import (
     LiftingSampler,
     build_basis,
 )
-from .problems import InfeasibleError, QuadraticInstance, check_feasible, objective
+from .problems import InfeasibleError, QuadraticInstance, _int64_safe, check_feasible, objective
 from .seeds import seeds_cbqp, seeds_qap, seeds_qsap1, seeds_qsap2
 
 POLICIES = ("first", "best")
@@ -138,7 +140,7 @@ class MovePrep:
     ``unit`` says every entry is +-1, which makes the room test exact.
     ``qsym`` is Q+Q'.  ``sampler`` is the basis's lifting sampler, for
     the long-cycle phase; ``selfq`` then holds v'Qv per pair (see
-    :func:`_pair_selfq`).
+    :func:`_pair_selfq`).  ``scale``, ``has_fraction``: see :func:`_scan_data`.
     """
 
     idxm: np.ndarray
@@ -151,6 +153,8 @@ class MovePrep:
     word: np.ndarray
     mask: np.ndarray
     unit: bool
+    scale: Optional[int]
+    has_fraction: Optional[np.ndarray]
     sampler: Optional[LiftingSampler] = None
     selfq: Optional[np.ndarray] = None
 
@@ -173,7 +177,7 @@ def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
     sampler = basis.sampler
     if sampler is not None:  # a lifting of a t-cycle has 2t entries of +-1
         max_weight = max(max_weight, 2 * sampler.t_max)
-    c, Q = _scan_data(inst, max_weight)
+    c, Q, scale, has_fraction = _scan_data(inst, max_weight)
     cg = (c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
     qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
     block = max(1, 250_000 // max(1, width * width))
@@ -184,8 +188,8 @@ def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
     word, mask = _room_masks(idxm, valm, _room_span(inst.size))
     return MovePrep(
         idxm=idxm, valm=valm, c=c, Q=Q, qsym=Q + Q.T, cg=cg, qgg=qgg, word=word, mask=mask,
-        unit=bool(np.abs(valm).max(initial=0) <= 1), sampler=sampler,
-        selfq=None if sampler is None else _pair_selfq(Q, sampler.n, sampler.k),
+        unit=bool(np.abs(valm).max(initial=0) <= 1), scale=scale, has_fraction=has_fraction,
+        sampler=sampler, selfq=None if sampler is None else _pair_selfq(Q, sampler.n, sampler.k),
     )
 
 
@@ -221,8 +225,10 @@ def _room_masks(idxm, valm, span) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(word[:, :used]), np.ascontiguousarray(mask[:, :used])
 
 
-def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple[np.ndarray, np.ndarray]:
-    """The c and Q that moves are evaluated with.
+def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
+    """The c and Q that moves are evaluated with, the factor they are
+    scaled by (``None`` for floats), and whether each row of Q, then c,
+    holds a Fraction.
 
     Rational data (every entry an int or a Fraction) is multiplied by the
     LCM of its denominators.  A positive factor scales every move delta
@@ -233,33 +239,38 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple[np.ndarray, np
     in double precision; object data with floats mixed in stays object.
     """
     c, Q = inst.c, inst.Q
+    scale, has_fraction = 1, np.zeros(inst.size + 1, dtype=bool)
     if c.dtype == object or Q.dtype == object:
         flat = c.tolist() + Q.ravel().tolist()
         if not all(isinstance(v, numbers.Rational) for v in flat):
-            return c.astype(object), Q.astype(object)
+            return c.astype(object), Q.astype(object), None, None
+        held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size)
+        has_fraction = np.append(held[1:].any(axis=1), held[0].any())
         scale = math.lcm(*{int(v.denominator) for v in flat})
-        c, Q = (
-            np.array(
-                [int(v.numerator) * (scale // int(v.denominator)) for v in a.ravel().tolist()],
-                dtype=object,
-            ).reshape(a.shape)
-            for a in (c, Q)
-        )
+        scaled = np.array([int(v.numerator) * (scale // int(v.denominator)) for v in flat], object)
+        c, Q = scaled[: c.size], scaled[c.size :].reshape(Q.shape)
     elif c.dtype.kind == "f" or Q.dtype.kind == "f":
-        return c, Q
-    if _int64_headroom_ok(inst, c, Q, max_weight):
-        return c.astype(np.int64), Q.astype(np.int64)
-    return c.astype(object), Q.astype(object)
+        return c, Q, None, None
+    maxb = max(int(np.abs(inst.lower).max(initial=0)), int(np.abs(inst.upper).max(initial=0)), 1)
+    dtype = np.int64 if _int64_safe(c, Q, inst.size * maxb + max_weight) else object
+    return c.astype(dtype), Q.astype(dtype), scale, has_fraction
 
 
-def _int64_headroom_ok(inst: QuadraticInstance, c, Q, max_weight: int) -> bool:
-    """Conservative bound that every int64 intermediate of a move with at
-    most ``max_weight`` total |entry| stays far from overflow."""
-    maxq = int(np.abs(Q).max(initial=0))
-    maxc = int(np.abs(c).max(initial=0))
-    maxb = int(max(np.abs(inst.lower).max(initial=0), np.abs(inst.upper).max(initial=0), 1))
-    bound = max_weight * (maxc + 2 * maxq * inst.size * maxb) + max_weight**2 * maxq
-    return bound < 2**62
+def _terminal_values(inst: QuadraticInstance, prep: MovePrep, x, w) -> list:
+    """f at each row of ``x``, given ``w`` = (Q+Q')x in the engine's arithmetic.
+
+    For rational data, with c and Q scaled by ``prep.scale``, scale * f =
+    c.x + x.w/2, as x'(Q+Q')x = 2x'Qx; the int64 guard covers it, so it is
+    exact in the engine's arithmetic.  f is a Fraction exactly when
+    ``objective`` gives one (c, or a row i of Q with x_i != 0, holds a
+    Fraction).  Float data goes through ``objective``.
+    """
+    if prep.scale is None:
+        return [objective(inst, row) for row in x]
+    xs = x.astype(prep.c.dtype)
+    scaled = (xs @ prep.c + (xs * w).sum(axis=1) // 2).tolist()
+    typed = (x != 0) @ prep.has_fraction[:-1] | prep.has_fraction[-1]
+    return [Fraction(v, prep.scale) if t else v // prep.scale for v, t in zip(scaled, typed)]
 
 
 class _Lockstep:
@@ -596,11 +607,12 @@ def _descend(
     rngs = [np.random.default_rng(0) if rng is None else rng for rng in rngs]
     engine = _Lockstep(inst, prep, seeds)
     runs = engine.descend(policy, sampler_budget, rngs)
+    values = _terminal_values(inst, prep, engine.x, engine.w)
     return [
         AugmentationResult(
             seed_index=i,
             terminal_x=engine.x[i].copy(),
-            terminal_f=objective(inst, engine.x[i]),
+            terminal_f=values[i],
             steps=steps,
             moves_scanned=scanned,
             sampler_assisted=assisted,

@@ -8,6 +8,7 @@ import pytest
 import graveropt.cli
 from graveropt import Assignment, build_basis, graver_assignment, load_basis, load_instance
 from graveropt.cli import _bases_match, main
+from graveropt.problems import _objective_scalar
 
 
 def run(argv):
@@ -291,6 +292,37 @@ class TestSolve:
 
         # feasible points are the three unit vectors: f = 1/3, -2/7, 1/2 - 1/3
         assert Fraction(str(result["best_objective"])) == Fraction(-2, 7)
+
+    def test_integers_beyond_int64(self, tmp_path):
+        # coefficients past int64 decode to exact Python ints and solve;
+        # a bound past int64 fails its own file with the field named
+        inputs = tmp_path / "in"
+        run(["generate", "--class", "CBQP", "--n", "6", "--count", "2", "--rng-seed", "2",
+             "--out-dir", str(inputs)])
+        first, second = sorted(inputs.glob("*.json"))
+        doc = json.loads(first.read_text())
+        doc["name"], doc["c"][0], doc["Q"][1][2] = "big", -(2**70), 3 * 2**64
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        doc["name"], doc["u"][0] = "bound", 2**64
+        bound = tmp_path / "bound.json"
+        bound.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        paths = [str(big), str(bound), str(second)]
+        assert run(["solve", *paths, "--seeds", "4", "--no-timing", "--out", str(out)]) == 1
+        inst = load_instance(big)
+        assert inst.c.dtype == object and inst.Q.dtype == object
+        result = json.loads((out / "big.result.json").read_text())
+        best = result["best_objective"]
+        assert best == _objective_scalar(inst, np.array(result["best_x"])) and best < -(2**69)
+        error = json.loads((out / "bound.result.json").read_text())["error"]
+        assert "upper" in error and "int64" in error
+        assert "best_objective" in json.loads((out / f"{second.stem}.result.json").read_text())
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance"], r["best_f"] != "") for r in rows] == [
+            ("big", True), ("bound", False), (second.stem, True),
+        ]
 
     def test_cbqp_50_batch(self, tmp_path):
         # one full-size cardinality instance through generate + solve

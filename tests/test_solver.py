@@ -29,9 +29,13 @@ from graveropt import (
     graver_ones,
     load_instance,
     objective,
+    parse_instance,
+    serialize_instance,
     solve,
     verify_local_optimality,
 )
+from graveropt import problems, solver
+from graveropt.problems import _int64_safe, _objective_scalar
 from graveropt.solver import POLICIES, _Lockstep, prepare_moves
 
 
@@ -322,7 +326,175 @@ class TestScannerEquivalence:
         x0 = np.zeros(25, dtype=np.int64)
         x0[:2] = 1
         res = augment(inst, basis, x0, prep=prep)
-        assert res.terminal_f == objective(inst, res.terminal_x)
+        assert repr(res.terminal_f) == repr(objective(inst, res.terminal_x))
+
+
+class TestTerminalValues:
+    """Terminal values are read off the engine's scaled integers, and
+    ``objective`` is the independent reference they must match, type and
+    all: a Fraction exactly where ``objective`` gives one."""
+
+    @staticmethod
+    def variant(inst, data, rng, lower, upper):
+        def over(a, dens):
+            return np.array([Fraction(int(v), int(d)) for v, d in zip(a.flat, rng.choice(dens, a.size))],
+                            dtype=object).reshape(a.shape)
+
+        c, Q = inst.c, inst.Q
+        if data == "huge":  # int64 data past the guard: the engine runs on Python ints
+            c, Q = c * 2**56, Q * 2**56
+        elif data in ("fraction", "json"):  # small denominators: int64 after scaling
+            c, Q = over(c, (1, 2, 3, 4, 5, 6, 7)), over(Q, (1, 2, 3, 4, 5, 6, 7))
+        elif data == "primes":  # an LCM past the guard: object after scaling
+            c, Q = over(c, PRIMES), over(Q, PRIMES)
+        elif data == "whole":  # Fraction(v, 1) everywhere: scale 1, Fraction values
+            c, Q = over(c, (1,)), over(Q, (1,))
+        out = QuadraticInstance(c=c, Q=Q, kind=inst.kind, b=inst.b, lower=lower, upper=upper)
+        if data == "json":  # whole Fractions come back as ints beside the others
+            out = parse_instance(serialize_instance(out))
+            assert {type(v) for v in out.Q.flat} <= {int, Fraction}
+        return out
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("data", ["int", "huge", "fraction", "primes", "whole", "json"])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        klass=st.sampled_from(["CBQP", "QSAP1", "QSAP2", "QAP"]),
+        box=st.booleans(),
+    )
+    def test_values_match_objective(self, policy, data, draw, klass, box):
+        rng = np.random.default_rng(draw)
+        n, k = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        if klass == "CBQP":
+            n, k = 2 * n + 2, None
+        elif klass == "QAP":  # cut at length 2: the long-cycle phase takes the rest
+            n, k = n + 1, k + 1
+        base = generate_instance(rng, klass, n, k)
+        lower, upper = base.lower, base.upper
+        if box:
+            lower, upper = -rng.integers(0, 2, size=base.size), rng.integers(1, 4, size=base.size)
+        inst = self.variant(base, data, rng, lower, upper)
+        basis = build_basis(inst.kind, max_cycle_len=2 if klass == "QAP" else None)
+        report = solve(inst, seed_count=int(rng.integers(1, 7)), rng_seed=draw % 89,
+                       policy=policy, basis=basis)
+        for r in report.results:
+            assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=15, deadline=None)
+    @given(draw=st.integers(0, 2**32 - 1))
+    def test_fractions_only_in_rows_at_zero(self, policy, draw):
+        # coordinates fixed at 0 by the box carry every Fraction of Q in
+        # their rows; objective never reads those rows, so values are ints
+        rng = np.random.default_rng(draw)
+        base = generate_instance(rng, "CBQP", 8)
+        zero = rng.choice(8, 3, replace=False)
+        free = np.setdiff1d(np.arange(8), zero)
+        Q = base.Q.astype(object)
+        Q[zero] = [[Fraction(int(v), 3) for v in row] for row in base.Q[zero]]
+        upper = np.ones(8, dtype=np.int64)
+        upper[zero] = 0
+        inst = QuadraticInstance(c=base.c, Q=Q, kind=base.kind, b=[2], lower=np.zeros(8),
+                                 upper=upper)
+        seeds = [np.isin(np.arange(8), rng.choice(free, 2, replace=False)).astype(np.int64)
+                 for _ in range(4)]
+        for r in solve(inst, seeds=seeds, policy=policy).results:
+            assert type(r.terminal_f) is int
+            assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+
+    @pytest.mark.parametrize("data", ["int", "fraction"])
+    def test_long_cycle_steps_keep_values_exact(self, data):
+        # the golden sampler-backed QAP, whose long-cycle steps update the
+        # engine's (Q+Q')x through apply_support
+        inst = TestGoldenOutputs.instance("QAP", 5, 5, 32, None, data)
+        report = solve(inst, rng_seed=13, enumeration_cap=200)
+        assert report.sampler_assisted
+        for r in report.results:
+            assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+
+    def test_solve_never_evaluates_fraction_data_directly(self, monkeypatch):
+        # small denominators scale into int64, prime ones past it
+        base = generate_instance(np.random.default_rng(45), "QSAP1", 5, 3)
+        rng = np.random.default_rng(1)
+        exact = [self.variant(base, data, rng, base.lower, base.upper)
+                 for data in ("fraction", "primes")]
+        basis = build_basis(base.kind)
+        assert [prepare_moves(inst, basis).qgg.dtype for inst in exact] == [np.int64, object]
+
+        def refuse(*args):
+            raise AssertionError("solve evaluated the objective directly")
+
+        monkeypatch.setattr(problems, "_objective_scalar", refuse)
+        reports = [solve(inst, rng_seed=13, policy=policy) for inst in exact for policy in POLICIES]
+        monkeypatch.undo()
+        for inst, report in zip([i for i in exact for _ in POLICIES], reports):
+            for r in report.results:
+                assert isinstance(r.terminal_f, Fraction)
+                assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+
+
+class TestInt64Guard:
+    """One guard, max|Q| * norm**2 + max|c| * norm < 2**62, picks int64 or
+    exact Python ints for ``objective`` and the engine alike; either side
+    of the bound gives the same results."""
+
+    N, B = 8, 3  # CBQP size and cardinality: binary points have |x|_1 = 3
+
+    def instance(self, maxq):
+        sign = np.sign(generate_instance(np.random.default_rng(5), "CBQP", self.N).Q)
+        return binary_instance(Cardinality(self.N), [self.B], Q=sign * maxq)
+
+    def test_bound(self):
+        assert _int64_safe(np.array([2**61 - 1]), np.zeros((1, 1), dtype=np.int64), 2)
+        assert not _int64_safe(np.array([2**61]), np.zeros((1, 1), dtype=np.int64), 2)
+        # |int64 min| wraps in np.abs; the guard reads it as 2**63
+        assert not _int64_safe(np.array([-(2**63)]), np.zeros((1, 1), dtype=np.int64), 1)
+        assert _int64_safe(np.array([1e300]), np.zeros((1, 1)), 10**9)  # floats always pass
+
+    def test_engine_switches_at_the_bound(self, monkeypatch):
+        # the engine's norm: |x|_1 at most N in the 0/1 box, plus the
+        # weight 2 of a basis move e_i - e_j
+        top = (2**62 - 1) // (self.N + 2) ** 2
+        basis = build_basis(Cardinality(self.N))
+        runs = []
+        for maxq, dtype in ((top, np.int64), (top + 1, object)):
+            inst = self.instance(maxq)
+            assert prepare_moves(inst, basis).qgg.dtype == dtype
+            report = solve(inst, seed_count=12, rng_seed=3)
+            with monkeypatch.context() as m:  # the same data forced through Python ints
+                m.setattr(solver, "_int64_safe", lambda *args: False)
+                assert prepare_moves(inst, basis).qgg.dtype == object
+                forced = solve(inst, seed_count=12, rng_seed=3)
+            assert report_signature(report) == report_signature(forced)
+            for r in report.results:
+                assert repr(r.terminal_f) == repr(_objective_scalar(inst, r.terminal_x))
+            runs.append(report)
+        # Q differs by a positive factor, so both sides take the same moves
+        below, above = runs
+        for a, b in zip(below.results, above.results):
+            assert (a.steps, a.moves_scanned, a.terminal_x.tobytes()) == (
+                b.steps, b.moves_scanned, b.terminal_x.tobytes())
+            assert a.terminal_f * (top + 1) == b.terminal_f * top
+        assert any(r.steps for r in below.results)
+
+    def test_objective_switches_at_the_bound(self, monkeypatch):
+        top = (2**62 - 1) // self.B**2
+        x = np.zeros(self.N, dtype=np.int64)
+        x[:self.B] = 1
+        for maxq, exact_path in ((top, False), (top + 1, True)):
+            inst = self.instance(maxq)
+            calls = []
+
+            def spy(*args):
+                calls.append(1)
+                return _objective_scalar(*args)
+
+            monkeypatch.setattr(problems, "_objective_scalar", spy)
+            value = objective(inst, x)
+            monkeypatch.undo()
+            assert bool(calls) == exact_path
+            assert type(value) is int and value == _objective_scalar(inst, x)
 
 
 class TestRoomPrefilter:
