@@ -34,7 +34,6 @@ from .oracle import (
     pottier_graver,
 )
 from .problems import (
-    Assignment2D,
     InfeasibleError,
     QuadraticInstance,
     check_feasible,

@@ -7,9 +7,8 @@ Subcommands:
 * ``solve``     run the multi-seeded augmentation over instance files
 * ``verify``    cross-check constructions against the completion oracle
 
-Every subcommand is deterministic for a fixed ``--rng-seed``.  Defaults can
-also be set through environment variables ``GRAVEROPT_SEEDS``,
-``GRAVEROPT_THREADS`` and ``GRAVEROPT_RNG_SEED``.
+Every subcommand is deterministic for a fixed ``--rng-seed``.  Arguments
+out of range exit with status 2 and a message on standard error.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .problems import (
     load_instance,
     save_instance,
 )
-from .solver import LONG_CYCLE_CAP, default_seed_count, solve
+from .solver import solve
 
 CLI_KINDS = {
     "cardinality": lambda n, k: Cardinality(n),
@@ -57,21 +56,14 @@ CLI_KINDS = {
 CSV_COLUMNS = ("instance", "size", "best_f", "distinct_terminals", "best_share", "wall_ms")
 
 
-def _env_int(name: str, fallback):
-    raw = os.environ.get(name)
-    return int(raw) if raw is not None else fallback
-
-
 def _thread_count(raw: str) -> int:
-    """``--threads`` (or ``GRAVEROPT_THREADS``): a count of at least 1."""
+    """``--threads``: a count of at least 1."""
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not a count of at least 1 (from --threads or GRAVEROPT_THREADS)"
-        )
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a count of at least 1")
     return value
 
 
@@ -84,20 +76,24 @@ def cmd_generate(args) -> int:
         print(f"class {args.klass} needs --k", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.rng_seed)
     for i in range(args.count):
         shape = f"{args.n}" if args.klass == "CBQP" else f"{args.k}x{args.n}"
         name = f"{args.klass}_{shape}_{i:03d}"
-        inst = generate_instance(
-            rng,
-            args.klass,
-            args.n,
-            args.k,
-            density=args.density,
-            value_range=tuple(args.value_range),
-            name=name,
-        )
+        try:  # the dimensions are checked here, before anything is written
+            inst = generate_instance(
+                rng,
+                args.klass,
+                args.n,
+                args.k,
+                density=args.density,
+                value_range=tuple(args.value_range),
+                name=name,
+            )
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_instance(inst, out_dir / f"{name}.json")
     print(f"wrote {args.count} {args.klass} instance(s) to {out_dir}")
     return 0
@@ -113,19 +109,17 @@ def cmd_graver(args) -> int:
         return 2
     try:
         kind = CLI_KINDS[args.kind](args.n, args.k)
+        if isinstance(kind, Assignment) and args.max_cycle_len is None:
+            full = assignment_basis_count(kind.n, kind.k)
+            if full > args.cap:
+                raise DimensionError(
+                    f"full enumeration has {full} elements (> cap {args.cap}); "
+                    "pass --max-cycle-len to truncate explicitly"
+                )
+        basis = build_basis(kind, max_cycle_len=args.max_cycle_len, enumeration_cap=args.cap)
     except DimensionError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if isinstance(kind, Assignment) and args.max_cycle_len is None:
-        full = assignment_basis_count(kind.n, kind.k)
-        if full > args.cap:
-            print(
-                f"full enumeration has {full} elements (> cap {args.cap}); "
-                "pass --max-cycle-len to truncate explicitly",
-                file=sys.stderr,
-            )
-            return 2
-    basis = build_basis(kind, max_cycle_len=args.max_cycle_len, enumeration_cap=args.cap)
     predicted = predicted_cardinality(kind, args.max_cycle_len)
     print(f"kind={args.kind} n={args.n} k={args.k} predicted={predicted} actual={len(basis)}")
     if predicted != len(basis):
@@ -180,15 +174,12 @@ def cmd_solve(args) -> int:
             inst.name = (inst.name or name).replace(os.sep, "_")
             name, size = inst.name, inst.size
             started = time.perf_counter()
-            seed_count = args.seeds if args.seeds is not None else default_seed_count(inst.kind)
             report = solve(
                 inst,
-                seed_count=seed_count,
+                seed_count=args.seeds,
                 policy=args.policy,
                 rng_seed=args.rng_seed,
                 max_cycle_len=args.max_cycle_len,
-                sampler_budget=args.sampler_budget,
-                walk_len_range=tuple(args.walk_len) if args.walk_len else None,
             )
         except (InfeasibleError, ValueError, OSError) as exc:
             failed = True
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--density", type=float, default=1.0)
     p_gen.add_argument("--value-range", type=int, nargs=2, default=(-10, 10), metavar=("LO", "HI"))
-    p_gen.add_argument("--rng-seed", type=int, default=_env_int("GRAVEROPT_RNG_SEED", 0))
+    p_gen.add_argument("--rng-seed", type=int, default=0)
     p_gen.add_argument("--out-dir", default=".")
     p_gen.set_defaults(func=cmd_generate)
 
@@ -336,23 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run augmentation over instance files")
     p_solve.add_argument("instances", nargs="+")
-    p_solve.add_argument("--seeds", type=int, default=_env_int("GRAVEROPT_SEEDS", None))
+    p_solve.add_argument("--seeds", type=int, default=None, help="default: 50 for CBQP, n*k else")
     p_solve.add_argument("--policy", choices=("first", "best"), default="first")
     p_solve.add_argument(
-        "--threads", type=_thread_count, default=os.environ.get("GRAVEROPT_THREADS", "1"),
+        "--threads", type=_thread_count, default=1,
         help="accepted for compatibility; files are solved one after another",
     )
-    p_solve.add_argument("--rng-seed", type=int, default=_env_int("GRAVEROPT_RNG_SEED", 0))
+    p_solve.add_argument("--rng-seed", type=int, default=0)
     p_solve.add_argument("--max-cycle-len", type=int, default=None)
-    p_solve.add_argument(
-        "--sampler-budget", type=int, default=None,
-        help="cap on the open paths per level of the long-cycle phase of a sampler-backed "
-        f"basis (default {LONG_CYCLE_CAP}; over it a random subset goes on; 0 turns it off)",
-    )
-    p_solve.add_argument(
-        "--walk-len", type=int, nargs=2, default=None, metavar=("LO", "HI"),
-        help="attempted moves per step of the assignment seeding walk",
-    )
     p_solve.add_argument(
         "--per-seed-csv", action="store_true",
         help="also write <name>.seeds.csv with seed_index,terminal_f,steps",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -76,10 +77,7 @@ class QuadraticInstance:
         self.c = np.asarray(self.c)
         self.Q = np.asarray(self.Q)
         for label in ("b", "lower", "upper"):
-            try:
-                setattr(self, label, np.asarray(getattr(self, label), dtype=np.int64))
-            except OverflowError:
-                raise ValueError(f"{label} has an entry outside int64") from None
+            setattr(self, label, _integer_field(label, getattr(self, label)))
         size = self.kind.dim
         if self.c.shape != (size,):
             raise ValueError(f"c must have shape ({size},), got {self.c.shape}")
@@ -105,6 +103,23 @@ class QuadraticInstance:
         if self._A is None:
             self._A = realize_matrix(self.kind)
         return self._A
+
+
+def _integer_field(label: str, values) -> np.ndarray:
+    """``values`` as int64, or a ValueError naming ``label`` for an entry
+    that is not an integer in int64 range (integral floats such as 2.0 pass)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind != "i":
+        flat = raw.ravel().tolist()
+        for v in flat:
+            whole = isinstance(v, numbers.Rational) and v.denominator == 1
+            if not (whole or isinstance(v, float) and v.is_integer()):
+                raise ValueError(f"{label} has an entry that is not an integer: {v!r}")
+        values = np.array([int(v) for v in flat], dtype=object).reshape(raw.shape)
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{label} has an entry outside int64") from None
 
 
 def _all_finite(data: np.ndarray) -> bool:
@@ -170,43 +185,6 @@ def check_feasible(inst: QuadraticInstance, x) -> bool:
     if np.any(x < inst.lower) or np.any(x > inst.upper):
         return False
     return bool(np.all(inst.matrix @ x == inst.b))
-
-
-# ---------------------------------------------------------------------------
-# k x n assignment matrices and vectorization
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Assignment2D:
-    """Binary k x n matrix whose columns are the bricks of the flat vector."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=np.int64)
-        if self.matrix.ndim != 2:
-            raise ValueError("need a 2-d matrix")
-        if np.any((self.matrix != 0) & (self.matrix != 1)):
-            raise ValueError("entries must be 0/1")
-
-    def vec(self) -> np.ndarray:
-        """Column-stacked flat vector: column j lands in brick j."""
-        return self.matrix.T.reshape(-1).copy()
-
-    @classmethod
-    def from_vec(cls, x, n: int, k: int) -> "Assignment2D":
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (n * k,):
-            raise ValueError(f"x must have shape ({n * k},), got {x.shape}")
-        return cls(x.reshape(n, k).T)
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-    @property
-    def col_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ uniformity of the walk is not claimed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graver import GraverBasis
-from .problems import Assignment2D, InfeasibleError
+from .problems import InfeasibleError
 
 
 def seeds_cbqp(rng: np.random.Generator, n: int, b: int, count: int) -> list[np.ndarray]:
@@ -69,7 +69,7 @@ def seeds_qsap2(
     return out
 
 
-def initial_assignment(r: Sequence[int], c: Sequence[int]) -> Assignment2D:
+def initial_assignment(r: Sequence[int], c: Sequence[int]) -> np.ndarray:
     """One binary k x n matrix with row sums r and column sums c.
 
     Greedy construction: columns in decreasing demand, each filled at the
@@ -99,7 +99,7 @@ def initial_assignment(r: Sequence[int], c: Sequence[int]) -> Assignment2D:
         residual[rows] -= 1
     if np.any(residual):
         raise InfeasibleError("margins fail the Gale-Ryser dominance condition")
-    return Assignment2D(matrix)
+    return matrix
 
 
 def seeds_qap(
@@ -109,30 +109,26 @@ def seeds_qap(
     b: Sequence[int],
     count: int,
     basis: GraverBasis,
-    walk_len_range: Optional[tuple[int, int]] = None,
 ) -> list[np.ndarray]:
     """Feasible assignment vectors generated by a Graver random walk.
 
     Starting from the greedy matrix for margins b = (row sums; column sums),
-    each successor attempts a random number of random signed basis moves,
-    applying only those that keep every coordinate in [0, 1]; attempts, not
-    successes, count toward the walk length, so seeding stays O(count * nk)
-    even for huge bases.  Every emitted vector is feasible.
+    flattened column by column so that column j is brick j, each successor
+    attempts a uniform 1..min(|G|, 10nk) random signed basis moves (1..10nk
+    when G stores no element and its sampler draws them all), applying only
+    those that keep every coordinate in [0, 1]; attempts, not successes,
+    count toward the walk length, so seeding stays O(count * nk) even for
+    huge bases.  Every emitted vector is feasible.
     """
     b = np.asarray(b, dtype=np.int64)
     if b.shape != (k + n,):
         raise ValueError(f"b must stack k row sums and n column sums, got shape {b.shape}")
-    x = initial_assignment(b[:k], b[k:]).vec()
-    if walk_len_range is None:
-        hi = min(len(basis), 10 * n * k) if len(basis) else 10 * n * k
-        walk_len_range = (1, max(1, hi))
-    lo, hi = walk_len_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad walk-length range [{lo}, {hi}]")
+    x = initial_assignment(b[:k], b[k:]).T.reshape(-1)
+    hi = max(1, min(len(basis), 10 * n * k) or 10 * n * k)
 
     out: list[np.ndarray] = []
     for _ in range(count):
-        attempts = int(rng.integers(lo, hi + 1))
+        attempts = int(rng.integers(1, hi + 1))
         for _ in range(attempts):
             idx, val = basis.draw(rng)
             moved = (x[idx] + val).tolist()  # a short list beats numpy reductions here

@@ -67,7 +67,8 @@ from .problems import InfeasibleError, QuadraticInstance, _int64_safe, check_fea
 from .seeds import seeds_cbqp, seeds_qap, seeds_qsap1, seeds_qsap2
 
 POLICIES = ("first", "best")
-LONG_CYCLE_CAP = 16_384  # default cap on the open paths per level of a long-cycle phase
+MAX_EASY_VALUES = 5  # classify_landscape: most distinct terminal values of an easy landscape
+MIN_BEST_SHARE = 0.5  # and the least share of seeds that reach the best one
 
 
 @dataclass
@@ -81,7 +82,7 @@ class AugmentationResult:
     what the terminal point is locally optimal against: ``"full"``, every
     signed element of the basis the solve was given, including all
     liftings its sampler stands for; ``"stored"``, the stored elements
-    only, because the long-cycle phase was off or thinned its paths.
+    only, because the long-cycle phase thinned its paths.
     """
 
     seed_index: int
@@ -303,6 +304,7 @@ class _Lockstep:
     BLOCK = 4096
     WINDOW = 256
     ROUND = 4 * BLOCK
+    CAP = 16_384  # open paths per level of a long-cycle phase (see long_cycles)
 
     def __init__(self, inst: QuadraticInstance, prep: MovePrep, seeds: Sequence[np.ndarray]):
         self.n_moves = 2 * len(prep.idxm)
@@ -492,14 +494,14 @@ class _Lockstep:
             rows = np.arange(len(par))
             free_b[rows, brick] = free_s[rows, slot] = False
 
-    def long_cycle(self, s, policy, cap, rng):
+    def long_cycle(self, s, policy, rng):
         """The long-cycle phase of seed ``s``: (the cycle to take or None,
         cycles evaluated, certificate).  Under ``"first"`` the first
         improving cycle, lengths ascending; under ``"best"`` the lowest
         delta, first wins ties.  Cycles evaluated counts up to the taken
         one under ``"first"``, all of them otherwise."""
         taken, low, examined, thinned = None, None, 0, False
-        for cycles, delta, thinned in self.long_cycles(s, cap, rng):
+        for cycles, delta, thinned in self.long_cycles(s, self.CAP, rng):
             if policy == "first":
                 hit = np.flatnonzero(delta < 0)
                 if len(hit):
@@ -511,7 +513,7 @@ class _Lockstep:
             examined += len(delta)
         return taken, examined, "stored" if thinned else "full"
 
-    def descend(self, policy, cap, rngs):
+    def descend(self, policy, rngs):
         """Run every seed to its terminal point: per seed (steps, moves
         examined, long-cycle assisted, certificate)."""
         count = len(self.x)
@@ -529,8 +531,8 @@ class _Lockstep:
         def stalled(s):
             """A pass of seed ``s`` found no improving move: its long-cycle
             phase.  True when it took a cycle and rejoins the scan."""
-            while self.sampler is not None and cap:
-                cycle, examined, certificate[s] = self.long_cycle(s, policy, cap, rngs[s])
+            while self.sampler is not None:
+                cycle, examined, certificate[s] = self.long_cycle(s, policy, rngs[s])
                 scanned[s] += examined
                 if cycle is None:
                     return False
@@ -587,11 +589,9 @@ class _Lockstep:
 
 def _descend(
     inst: QuadraticInstance,
-    basis: GraverBasis,
     prep: MovePrep,
     seeds: Sequence[np.ndarray],
     policy: str,
-    sampler_budget: Optional[int],
     rngs: Sequence[Optional[np.random.Generator]],
 ) -> list[AugmentationResult]:
     """Descend every seed in one lockstep engine; results in seed order."""
@@ -600,13 +600,9 @@ def _descend(
     for x in seeds:
         if not check_feasible(inst, x):
             raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
-    if sampler_budget is None:
-        sampler_budget = LONG_CYCLE_CAP
-    elif sampler_budget < 0:
-        raise ValueError(f"sampler_budget must be >= 0, got {sampler_budget}")
     rngs = [np.random.default_rng(0) if rng is None else rng for rng in rngs]
     engine = _Lockstep(inst, prep, seeds)
-    runs = engine.descend(policy, sampler_budget, rngs)
+    runs = engine.descend(policy, rngs)
     values = _terminal_values(inst, prep, engine.x, engine.w)
     return [
         AugmentationResult(
@@ -627,10 +623,7 @@ def augment(
     basis: GraverBasis,
     x0,
     policy: str = "first",
-    sampler_budget: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    seed_index: int = 0,
-    prep: Optional[MovePrep] = None,
 ) -> AugmentationResult:
     """Descend from a feasible point until no signed basis move improves.
 
@@ -639,21 +632,15 @@ def augment(
     stored elements finds nothing the long-cycle phase enumerates the
     feasible liftings of the sampler's lengths at x and takes one that
     improves (the first, lengths ascending, or under ``"best"`` the lowest),
-    or stops.  ``sampler_budget`` caps the open paths of each level of that
-    enumeration (default ``LONG_CYCLE_CAP``; 0 turns the phase off).  A
-    level over the cap goes on with a uniform random subset of its paths,
-    drawn from ``rng``; the result's ``certificate`` is ``"full"`` when the
-    last phase saw every lifting and ``"stored"`` otherwise.
+    or stops.  A level of that enumeration with more than ``_Lockstep.CAP``
+    open paths goes on with a uniform random subset of them, drawn from
+    ``rng``; the result's ``certificate`` is ``"full"`` when the last phase
+    saw every lifting and ``"stored"`` otherwise.
 
-    ``prep`` is the output of :func:`prepare_moves` for this (instance,
-    basis) pair, computed here when not given.  This is a one-seed run of
-    the engine :func:`solve` runs all seeds in.
+    This is a one-seed run of the engine :func:`solve` runs all seeds in.
     """
-    if prep is None:
-        prep = prepare_moves(inst, basis)
     x0 = np.asarray(x0, dtype=np.int64)
-    (result,) = _descend(inst, basis, prep, [x0], policy, sampler_budget, [rng])
-    result.seed_index = seed_index
+    (result,) = _descend(inst, prepare_moves(inst, basis), [x0], policy, [rng])
     return result
 
 
@@ -682,7 +669,6 @@ def generate_seeds(
     basis: GraverBasis,
     count: int,
     rng: np.random.Generator,
-    walk_len_range: Optional[tuple[int, int]] = None,
 ) -> list[np.ndarray]:
     """Class-appropriate feasible starting points for an instance."""
     kind = inst.kind
@@ -693,7 +679,7 @@ def generate_seeds(
     if isinstance(kind, CoordinateCardinality):
         return seeds_qsap2(rng, kind.n, kind.k, inst.b, count)
     if isinstance(kind, Assignment):
-        return seeds_qap(rng, kind.n, kind.k, inst.b, count, basis, walk_len_range)
+        return seeds_qap(rng, kind.n, kind.k, inst.b, count, basis)
     raise ValueError(f"no seed sampler for constraint kind {kind!r}")
 
 
@@ -704,17 +690,13 @@ def default_seed_count(kind: ConstraintKind) -> int:
     return 50
 
 
-def classify_landscape(
-    report_or_counts,
-    best_f=None,
-    max_easy_values: int = 5,
-    min_best_share: float = 0.5,
-) -> str:
+def classify_landscape(report_or_counts, best_f=None) -> str:
     """Bucket a terminal-value histogram into one of three regimes.
 
-    One distinct terminal value looks convex; a handful of values with the
-    best one reached from at least half the seeds is an easy non-convex
-    landscape; anything more scattered is hard.
+    One distinct terminal value looks convex; at most ``MAX_EASY_VALUES``
+    values with the best one reached from at least ``MIN_BEST_SHARE`` of
+    the seeds is an easy non-convex landscape; anything more scattered is
+    hard.
     """
     if isinstance(report_or_counts, SolveReport):
         counts = report_or_counts.terminal_value_counts
@@ -730,7 +712,7 @@ def classify_landscape(
     if distinct == 1:
         return "convex-like"
     share = counts[best_f] / total
-    if distinct <= max_easy_values and share >= min_best_share:
+    if distinct <= MAX_EASY_VALUES and share >= MIN_BEST_SHARE:
         return "easy-nonconvex"
     return "hard-nonconvex"
 
@@ -743,8 +725,6 @@ def solve(
     rng_seed: int = 0,
     max_cycle_len: Optional[int] = None,
     enumeration_cap: int = 10**6,
-    sampler_budget: Optional[int] = None,
-    walk_len_range: Optional[tuple[int, int]] = None,
     seeds: Optional[Sequence] = None,
     basis: Optional[GraverBasis] = None,
 ) -> SolveReport:
@@ -773,14 +753,14 @@ def solve(
         if seed_count is None:
             seed_count = default_seed_count(inst.kind)
         seed_rng = np.random.default_rng(master.spawn(1)[0])
-        seeds = generate_seeds(inst, basis, seed_count, seed_rng, walk_len_range)
+        seeds = generate_seeds(inst, basis, seed_count, seed_rng)
     seeds = [np.asarray(s, dtype=np.int64) for s in seeds]
     if not seeds:
         raise InfeasibleError("no seeds to augment")
     streams = master.spawn(len(seeds) + 1)[1:]
     rngs = [np.random.default_rng(stream) for stream in streams]
     prep = prepare_moves(inst, basis)
-    results = _descend(inst, basis, prep, seeds, policy, sampler_budget, rngs)
+    results = _descend(inst, prep, seeds, policy, rngs)
 
     best = min(results, key=lambda r: (r.terminal_f, r.seed_index))
     counts = dict(Counter(r.terminal_f for r in results))

@@ -151,17 +151,14 @@ class TestSolve:
         assert rows[0] == ["seed_index", "terminal_f", "steps"]
         assert len(rows) == 7
 
-    def test_walk_len_flag(self, tmp_path):
-        inst_dir = tmp_path / "qap"
-        run([
-            "generate", "--class", "QAP", "--n", "3", "--k", "3",
-            "--count", "1", "--rng-seed", "0", "--out-dir", str(inst_dir),
-        ])
-        out = tmp_path / "run"
-        files = [str(next(inst_dir.glob("*.json")))]
-        assert run([
-            "solve", *files, "--seeds", "5", "--walk-len", "1", "3", "--out", str(out),
-        ]) == 0
+    @pytest.mark.parametrize(
+        "flag", [["--sampler-budget", "5"], ["--walk-len", "1", "3"]], ids=["budget", "walk"]
+    )
+    def test_removed_flags_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", str(tmp_path / "never-read.json"), *flag, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_explicit_instance_solved_via_completion(self, tmp_path):
         doc = {
@@ -241,17 +238,12 @@ class TestSolve:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("threads", ["0", "-2", "x"])
-    def test_threads_below_one_rejected(self, tmp_path, threads, capsys, monkeypatch):
+    def test_threads_below_one_rejected(self, tmp_path, threads, capsys):
         path = str(tmp_path / "never-read.json")
         with pytest.raises(SystemExit) as exc:
             run(["solve", path, "--threads", threads, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
-        monkeypatch.setenv("GRAVEROPT_THREADS", threads)
-        with pytest.raises(SystemExit) as exc:
-            run(["solve", path, "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "GRAVEROPT_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
     def test_cap_below_length_two_does_not_stop_the_batch(self, tmp_path, monkeypatch):
@@ -324,6 +316,26 @@ class TestSolve:
             ("big", True), ("bound", False), (second.stem, True),
         ]
 
+    def test_fractional_bound_fails_its_file(self, tmp_path):
+        inputs = tmp_path / "in"
+        run(["generate", "--class", "CBQP", "--n", "6", "--count", "2", "--rng-seed", "2",
+             "--out-dir", str(inputs)])
+        first, second = sorted(inputs.glob("*.json"))
+        doc = json.loads(first.read_text())
+        doc["name"], doc["u"] = "frac", [1.5] + doc["u"][1:]
+        frac = tmp_path / "frac.json"
+        frac.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert run(["solve", str(frac), str(second), "--seeds", "4", "--out", str(out)]) == 1
+        error = json.loads((out / "frac.result.json").read_text())["error"]
+        assert error.startswith("upper") and "1.5" in error
+        assert "best_objective" in json.loads((out / f"{second.stem}.result.json").read_text())
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance"], r["best_f"] != "") for r in rows] == [
+            ("frac", False), (second.stem, True),
+        ]
+
     def test_cbqp_50_batch(self, tmp_path):
         # one full-size cardinality instance through generate + solve
         inst_dir = tmp_path / "big"
@@ -337,6 +349,21 @@ class TestSolve:
         doc = json.loads(next(out.glob("*.result.json")).read_text())
         assert doc["seed_count"] == 50
         assert len(doc["path_lengths"]) == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["graver", "--kind", "brick", "--n", "2", "--k", "1"],
+    ["graver", "--kind", "cardinality", "--n", "1"],
+    ["graver", "--kind", "coordinate", "--n", "1", "--k", "3"],
+    ["generate", "--class", "QSAP1", "--n", "3", "--k", "0"],
+    ["generate", "--class", "CBQP", "--n", "0"],
+], ids=["brick-k1", "cardinality-n1", "coordinate-n1", "qsap1-k0", "cbqp-n0"])
+def test_dimensions_out_of_range_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    target = ["--out", str(out / "basis.txt")] if argv[0] == "graver" else ["--out-dir", str(out)]
+    assert run(argv + target) == 2
+    assert "need" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestVerify:

@@ -6,16 +6,19 @@ import pytest
 
 from graveropt import (
     Assignment,
-    Assignment2D,
     Cardinality,
     GraverBasis,
+    InfeasibleError,
     QuadraticInstance,
     SparseIntVector,
     check_feasible,
     enumerate_feasible,
     generate_instance,
+    graver_assignment,
+    initial_assignment,
     objective,
     parse_instance,
+    seeds_qap,
     serialize_instance,
 )
 from graveropt.solver import _Lockstep, prepare_moves
@@ -148,8 +151,7 @@ class TestFeasibility:
 
     def test_permutation_matrix(self):
         inst = binary_instance(Assignment(2, 2), [1, 1, 1, 1])
-        x = Assignment2D(np.eye(2, dtype=np.int64)).vec()
-        assert check_feasible(inst, x)
+        assert check_feasible(inst, np.eye(2, dtype=np.int64).T.reshape(-1))
 
 
 class TestInstanceModel:
@@ -187,6 +189,14 @@ class TestInstanceModel:
         with pytest.raises(ValueError, match=f"^{field} has a non-finite"):
             binary_instance(Cardinality(2), [1], c=data["c"], Q=data["Q"])
 
+    @pytest.mark.parametrize("value", [1.5, "3", None], ids=["half", "str", "none"])
+    @pytest.mark.parametrize("field", ["b", "lower", "upper"])
+    def test_non_integer_entry_rejected(self, field, value):
+        data = {"b": [1], "lower": [0, 0], "upper": [1, 1]}
+        data[field] = [value] + data[field][1:]
+        with pytest.raises(ValueError, match=f"^{field} has an entry that is not an integer"):
+            QuadraticInstance(c=np.zeros(2), Q=np.zeros((2, 2)), kind=Cardinality(2), **data)
+
     def test_non_finite_float_among_fractions_rejected(self):
         Q = np.array([[Fraction(1, 2), 0.0], [float("nan"), 1]], dtype=object)
         with pytest.raises(ValueError, match="^Q has a non-finite"):
@@ -194,24 +204,37 @@ class TestInstanceModel:
 
 
 class TestAssignment2D:
+    """A k x n assignment matrix as ``initial_assignment`` returns it, and
+    the flat vector ``seeds_qap`` makes of it: column j is brick j."""
+
     def test_vec_round_trip(self):
-        m = np.array([[1, 0, 1], [0, 1, 0]])
-        a = Assignment2D(m)
-        back = Assignment2D.from_vec(a.vec(), n=3, k=2)
-        assert np.array_equal(back.matrix, m)
+        # non-square, asymmetric margins: a row-major flattening is infeasible
+        b = np.array([3, 1, 2, 1, 1])  # row sums (3, 1), column sums (2, 1, 1)
+        inst = QuadraticInstance(
+            c=np.zeros(6, dtype=np.int64), Q=np.zeros((6, 6), dtype=np.int64),
+            kind=Assignment(3, 2), b=b, lower=np.zeros(6), upper=np.ones(6),
+        )
+        rng = np.random.default_rng(0)
+        for x in seeds_qap(rng, 3, 2, b, 20, graver_assignment(3, 2)):
+            assert check_feasible(inst, x)
+            assert np.array_equal(x.reshape(3, 2).T.sum(axis=1), b[:2])
 
     def test_columns_are_bricks(self):
-        m = np.array([[1, 0], [0, 1]])
-        assert list(Assignment2D(m).vec()) == [1, 0, 0, 1]
+        # forced margins: every seed is the flattened greedy matrix
+        b = np.array([3, 0, 1, 1, 1])
+        assert initial_assignment(b[:2], b[2:]).tolist() == [[1, 1, 1], [0, 0, 0]]
+        for x in seeds_qap(np.random.default_rng(0), 3, 2, b, 5, graver_assignment(3, 2)):
+            assert list(x) == [1, 0, 1, 0, 1, 0]
 
     def test_margins(self):
-        a = Assignment2D(np.array([[1, 1], [0, 1]]))
-        assert list(a.row_sums) == [2, 1]
-        assert list(a.col_sums) == [1, 2]
+        a = initial_assignment([2, 1], [1, 2])
+        assert list(a.sum(axis=1)) == [2, 1]
+        assert list(a.sum(axis=0)) == [1, 2]
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            Assignment2D(np.array([[2, 0], [0, 1]]))
+        # the integer matrix [[2]] has these margins, no 0/1 matrix does
+        with pytest.raises(InfeasibleError):
+            initial_assignment([2], [2])
 
 
 class TestGenerator:

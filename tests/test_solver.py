@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graveropt import (
@@ -30,6 +30,7 @@ from graveropt import (
     load_instance,
     objective,
     parse_instance,
+    pottier_graver,
     serialize_instance,
     solve,
     verify_local_optimality,
@@ -194,7 +195,7 @@ class TestSolve:
         assert report_signature(a) == report_signature(b)
         basis = build_basis(inst.kind)
         for r, seed in zip(a.results, a.seeds):
-            lone = augment(inst, basis, seed, policy="best", seed_index=r.seed_index)
+            lone = augment(inst, basis, seed, policy="best")
             assert (lone.terminal_f, lone.steps, lone.moves_scanned) == (
                 r.terminal_f, r.steps, r.moves_scanned)
             assert np.array_equal(lone.terminal_x, r.terminal_x)
@@ -325,7 +326,7 @@ class TestScannerEquivalence:
         assert prep.cg.dtype == object and prep.qgg.dtype == object
         x0 = np.zeros(25, dtype=np.int64)
         x0[:2] = 1
-        res = augment(inst, basis, x0, prep=prep)
+        res = augment(inst, basis, x0)
         assert repr(res.terminal_f) == repr(objective(inst, res.terminal_x))
 
 
@@ -848,23 +849,47 @@ class TestLongCycles:
             for r in report.results:
                 assert verify_local_optimality(inst, full, r.terminal_x) == []
 
-    def test_budget_caps_or_turns_off_the_phase(self):
+    def test_cap_thins_the_phase(self, monkeypatch):
+        monkeypatch.setattr(_Lockstep, "CAP", 3)
         inst = generate_instance(np.random.default_rng(16), "QAP", 5, 5)
         basis = build_basis(inst.kind, max_cycle_len=2)
-        off = solve(inst, seed_count=8, rng_seed=3, basis=basis, sampler_budget=0)
-        assert not off.sampler_assisted
-        assert {r.certificate for r in off.results} == {"stored"}
-        capped = solve(inst, seed_count=8, rng_seed=3, basis=basis, sampler_budget=3)
+        capped = solve(inst, seed_count=8, rng_seed=3, basis=basis)
         assert "stored" in {r.certificate for r in capped.results}
-        again = solve(inst, seed_count=8, rng_seed=3, basis=basis, sampler_budget=3)
+        again = solve(inst, seed_count=8, rng_seed=3, basis=basis)
         assert report_signature(again) == report_signature(capped)
-        with pytest.raises(ValueError, match="sampler_budget"):
-            solve(inst, seed_count=2, basis=basis, sampler_budget=-1)
 
     def test_stored_bases_certify_in_full(self):
         inst = generate_instance(np.random.default_rng(7), "QSAP1", 4, 3)
         report = solve(inst, seed_count=5, rng_seed=1)
         assert {r.certificate for r in report.results} == {"full"}
+
+
+class TestSeparableConvexExactness:
+    """Criterion 5 as a property on random small explicit matrices: with a
+    separable convex objective on a box, the complete Graver basis of A
+    leads every seed to the global optimum (see ``test_05_convex_exactness``
+    in ``test_acceptance.py``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(draw=st.integers(0, 2**32 - 1), rows=st.integers(1, 2), cols=st.integers(3, 5))
+    def test_every_seed_reaches_the_optimum(self, draw, rows, cols):
+        rng = np.random.default_rng(draw)
+        A = rng.integers(-2, 3, size=(rows, cols))
+        assume(A.any())  # the completion oracle needs a nonzero matrix
+        upper = rng.integers(1, 4, size=cols)
+        inst = QuadraticInstance(
+            c=rng.integers(-10, 11, size=cols),
+            Q=np.diag(rng.integers(0, 6, size=cols)),
+            kind=Explicit.from_matrix(A),
+            b=A @ rng.integers(0, upper + 1),
+            lower=np.zeros(cols, dtype=np.int64),
+            upper=upper,
+        )
+        truth = brute_force_solve(inst)
+        basis = pottier_graver(A)
+        for policy in POLICIES:
+            report = solve(inst, seeds=list(truth.points), policy=policy, basis=basis)
+            assert [r.terminal_f for r in report.results] == [truth.best_f] * truth.feasible_count
 
 
 class TestClassifier:
