@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -56,14 +57,29 @@ CLI_KINDS = {
 CSV_COLUMNS = ("instance", "size", "best_f", "distinct_terminals", "best_share", "wall_ms")
 
 
-def _thread_count(raw: str) -> int:
-    """``--threads``: a count of at least 1."""
+def _count(minimum: int):
+    """An argument type: an integer of at least ``minimum``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a count of at least {minimum}")
+        return value
+
+    return parse
+
+
+def _share(raw: str) -> float:
+    """``--density``: a number in [0, 1]."""
     try:
-        value = int(raw)
+        value = float(raw)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not a count of at least 1")
+        value = math.nan
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a number in [0, 1]")
     return value
 
 
@@ -130,7 +146,11 @@ def cmd_graver(args) -> int:
             f"sampler attached for cycle lengths {basis.sampler.t_min}..{basis.sampler.t_max}"
         )
     if args.out:
-        save_basis(basis, args.out)
+        try:
+            save_basis(basis, args.out)
+        except OSError as exc:
+            print(f"cannot write the basis: {exc}", file=sys.stderr)
+            return 2
         print(f"basis written to {args.out}")
     return 0
 
@@ -309,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--class", dest="klass", choices=PROBLEM_CLASSES, required=True)
     p_gen.add_argument("--n", type=int, required=True, help="number of bricks (or variables for CBQP)")
     p_gen.add_argument("--k", type=int, default=None, help="brick width (unused for CBQP)")
-    p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--density", type=float, default=1.0)
+    p_gen.add_argument("--count", type=_count(0), default=1)
+    p_gen.add_argument("--density", type=_share, default=1.0)
     p_gen.add_argument("--value-range", type=int, nargs=2, default=(-10, 10), metavar=("LO", "HI"))
     p_gen.add_argument("--rng-seed", type=int, default=0)
     p_gen.add_argument("--out-dir", default=".")
@@ -327,10 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run augmentation over instance files")
     p_solve.add_argument("instances", nargs="+")
-    p_solve.add_argument("--seeds", type=int, default=None, help="default: 50 for CBQP, n*k else")
+    p_solve.add_argument(
+        "--seeds", type=_count(1), default=None, help="default: 50 for CBQP, n*k else"
+    )
     p_solve.add_argument("--policy", choices=("first", "best"), default="first")
     p_solve.add_argument(
-        "--threads", type=_thread_count, default=1,
+        "--threads", type=_count(1), default=1,
         help="accepted for compatibility; files are solved one after another",
     )
     p_solve.add_argument("--rng-seed", type=int, default=0)

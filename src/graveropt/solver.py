@@ -5,8 +5,9 @@ taken when it stays inside the bounds and strictly lowers the objective
 (ties never accepted, so descent is strict and termination finite).  The
 default policy is first-improvement over a cyclic sweep that resumes just
 past the last accepted move; best-improvement rescans the whole basis per
-step.  Terminal points from all seeds are collected, the best kept, and
-the spread of terminal values classifies how rugged the landscape is.
+step and takes its lowest move, the first on ties.  Terminal points from
+all seeds are collected, the best kept, and the spread of terminal values
+classifies how rugged the landscape is.
 
 One engine evaluates moves for every kind of data, in blocks of signed
 moves over padded numpy arrays.  Only its arithmetic varies, chosen once
@@ -28,6 +29,9 @@ that pass.
 All seeds of a run descend in lockstep: their points are rows of one
 array, and each round evaluates every active seed's next window of moves
 in one pass, so the per-call overhead of numpy is shared by the seeds.
+Under best-improvement every pass covers all moves from the first, so a
+round is every live seed's whole pass, evaluated as dense tiles of
+[seeds x elements] straight from the per-element arrays.
 Each seed still takes exactly the moves, and draws exactly the random
 numbers, of a descent run on its own, so reports do not depend on which
 seeds share a round.
@@ -279,20 +283,24 @@ class _Lockstep:
 
     Signed move j covers basis element j // 2, with +g on even j and -g on
     odd j.  The seeds' points ``x`` and ``w`` = (Q+Q')x are [seeds, n]
-    arrays, ``w`` in the arithmetic chosen by :func:`_scan_data`.  A round
-    lays each active seed's window of signed moves (cyclic, from that
-    seed's own pointer) end to end and evaluates them all in one pass: one
-    room test, then deltas for the moves that pass.  Then every seed with a
-    hit takes its move at once.  Each seed's moves, examined counts and
+    arrays, ``w`` in the arithmetic chosen by :func:`_scan_data`.  Each
+    round evaluates moves of many seeds in one pass, then every seed with
+    a hit takes its move at once.  Each seed's moves, examined counts and
     random draws are those of a descent run on its own.
 
-    Under ``"first"`` a window is ``WINDOW`` moves after an accept and
-    doubles on each miss, up to ``BLOCK``: a seed near its last accept
-    usually finds the next within a few hundred moves, and a seed that
-    certifies its terminal point scans in large blocks.  Under ``"best"``
-    a seed's window is the rest of its pass over all moves.  A round takes
-    the active seeds in index order until it holds ``ROUND`` moves, which
-    may split the last seed's window over two rounds.
+    Under ``"first"`` a round lays each active seed's window of signed
+    moves (cyclic, from that seed's own pointer) end to end: one room
+    test, then deltas for the moves that pass.  A window is ``WINDOW``
+    moves after an accept and doubles on each miss, up to ``BLOCK``: a
+    seed near its last accept usually finds the next within a few hundred
+    moves, and a seed that certifies its terminal point scans in large
+    blocks.  A round takes the active seeds in index order until it holds
+    ``ROUND`` moves, which may split the last seed's window over two
+    rounds.
+
+    Under ``"best"`` a round is every live seed's whole pass, run by
+    :meth:`best_moves` as dense tiles of [seeds x elements] read straight
+    from the per-element arrays, with no per-move window indices.
 
     The room bitsets are kept complemented, as ``full`` (bit set where
     x_i sits at that bound), so a move passes when its mask meets no set
@@ -403,6 +411,74 @@ class _Lockstep:
         at, slot = at[improving], slot[improving]
         offset = at - 2 * first[slot] - (start[slot] & 1)
         return slot, offset, 2 * e[improving] + odd[improving], delta[improving]
+
+    def _block(self, lo, hi):
+        """The best-policy kernel of elements ``lo .. hi - 1``: a function
+        from seeds to the deltas of their signed moves ``2*lo .. 2*hi - 1``,
+        a [seeds, moves] array with 0 for each move that leaves the box.
+        0 stands in for any arithmetic, as only a delta below 0 is taken."""
+        idx, val = self.idxm[lo:hi], self.valm[lo:hi]
+        words = self.full.shape[2]
+        # per mask column, the room words of +g and -g interleaved, and their bits
+        cols = [np.stack([w, w + words], axis=1).reshape(-1) for w in self.word[lo:hi].T]
+        bits = [np.repeat(m, 2) for m in self.mask[lo:hi].T]
+        entries = list(zip(idx.T, val.T, self.lower[idx].T, self.upper[idx].T))
+
+        def deltas(seeds):
+            shape = (len(seeds), hi - lo)
+            if self.unit:  # the room test is exact
+                full = self.full[seeds].reshape(len(seeds), -1)
+                blocked = np.zeros((len(seeds), 2 * (hi - lo)), dtype="<u8")
+                for at, bit in zip(cols, bits):
+                    blocked |= np.take(full, at, axis=1) & bit
+                blocked = blocked != 0
+            else:  # the full bounds check, which implies the room test
+                blocked, x = np.zeros((*shape, 2), dtype=bool), self.x[seeds]
+                for i, v, low, high in entries:
+                    xi = np.take(x, i, axis=1)
+                    blocked[..., 0] |= (xi + v < low) | (xi + v > high)
+                    blocked[..., 1] |= (xi - v < low) | (xi - v > high)
+                blocked = blocked.reshape(len(seeds), -1)
+            w = self.w[seeds]
+            if w.dtype == np.int64:  # exact in any order, so an entry at a time
+                wg = np.zeros(shape, dtype=np.int64)
+                for i, v, _, _ in entries:
+                    wg += np.take(w, i, axis=1) * v
+            else:  # summed as the windowed scan sums, for the same rounding
+                wg = (np.take(w, idx, axis=1) * val).sum(axis=2)
+            a = self.cg[lo:hi] + wg
+            delta = np.stack([a + self.qgg[lo:hi], -a + self.qgg[lo:hi]], axis=2)
+            return np.where(blocked, 0, delta.reshape(len(seeds), -1))
+
+        return deltas
+
+    def best_moves(self, seeds):
+        """Per seed of ``seeds``, the best move of a whole pass, first wins
+        ties, or -1 when no move improves.
+
+        The pass runs as tiles of [seed chunk x element block] of at most
+        ``ROUND`` signed moves: chunks of whole passes, or, when a pass
+        holds more, one seed's pass in blocks of ``ROUND // 2`` elements.
+        A tile runs the room test (the full bounds check when an entry
+        exceeds 1) and the delta formula on every move, and an ``argmin``
+        takes the first lowest.  Each seed keeps a running minimum that
+        only a strictly lower delta replaces, so ties go to the lowest
+        signed index across blocks too."""
+        n_elements = self.n_moves >> 1
+        size = min(n_elements, max(1, self.ROUND // 2))  # elements per block
+        chunk = max(1, self.ROUND // (2 * size))  # seeds per tile
+        low = np.zeros(len(seeds), dtype=self.w.dtype)
+        moves = np.full(len(seeds), -1, dtype=np.int64)
+        for lo in range(0, n_elements, size):
+            deltas = self._block(lo, min(n_elements, lo + size))
+            for at in range(0, len(seeds), chunk):
+                delta = deltas(seeds[at : at + chunk])
+                j = delta.argmin(axis=1)  # the first lowest
+                d = delta[np.arange(len(j)), j]
+                better = d < low[at : at + chunk]
+                low[at : at + chunk][better] = d[better]
+                moves[at : at + chunk][better] = 2 * lo + j[better]
+        return moves
 
     @staticmethod
     def lifting(cycle):
@@ -524,8 +600,6 @@ class _Lockstep:
         pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
         left = np.full(count, self.n_moves, dtype=np.int64)  # moves left in its pass
         window = np.full(count, self.WINDOW, dtype=np.int64)
-        best_d = [None] * count  # under "best": the pass's best move so far
-        best_j = np.full(count, -1, dtype=np.int64)
         live = np.ones(count, dtype=bool)
 
         def stalled(s):
@@ -548,33 +622,25 @@ class _Lockstep:
             live[:] = [stalled(s) for s in range(count)]
         while live.any():
             seeds = np.flatnonzero(live)
-            want = left[seeds] if policy == "best" else np.minimum(window[seeds], left[seeds])
-            ends = np.cumsum(want)
-            m = min(len(seeds), int(np.searchsorted(ends, self.ROUND)) + 1)
-            seeds, want = seeds[:m], want[:m]
-            want[-1] -= max(0, int(ends[m - 1]) - self.ROUND)
-            slot, offset, moves, delta = self._scan(seeds, pointer[seeds], want)
-            group = np.flatnonzero(np.diff(slot, prepend=-1))  # each seed's first hit
-            if policy == "first":
+            if policy == "best":  # every live seed's whole pass
+                moves = self.best_moves(seeds)
+                scanned[seeds] += self.n_moves
+                movers, moves = seeds[moves >= 0], moves[moves >= 0]
+                left[seeds] = 0  # every pass ends; a mover's starts over below
+            else:
+                want = np.minimum(window[seeds], left[seeds])
+                ends = np.cumsum(want)
+                m = min(len(seeds), int(np.searchsorted(ends, self.ROUND)) + 1)
+                seeds, want = seeds[:m], want[:m]
+                want[-1] -= max(0, int(ends[m - 1]) - self.ROUND)
+                slot, offset, moves, _ = self._scan(seeds, pointer[seeds], want)
+                group = np.flatnonzero(np.diff(slot, prepend=-1))  # each seed's first hit
                 want[slot[group]] = offset[group] + 1  # a hit ends the pass
                 movers, moves = seeds[slot[group]], moves[group]
-            else:
-                for lo, hi in zip(group.tolist(), [*group[1:].tolist(), len(slot)]):
-                    s = seeds[slot[lo]]
-                    k = lo + int(np.argmin(delta[lo:hi]))  # first wins ties
-                    if best_d[s] is None or delta[k] < best_d[s]:
-                        best_d[s], best_j[s] = delta[k], moves[k]
-            scanned[seeds] += want
-            pointer[seeds] = (pointer[seeds] + want) % self.n_moves
-            left[seeds] -= want
-            window[seeds] = np.minimum(2 * window[seeds], self.BLOCK)
-            if policy == "best":  # a pass that ends takes its best move
-                ended = seeds[left[seeds] == 0]
-                movers = ended[best_j[ended] >= 0]
-                moves = best_j[movers]
-                best_j[movers] = -1
-                for s in movers.tolist():
-                    best_d[s] = None
+                scanned[seeds] += want
+                pointer[seeds] = (pointer[seeds] + want) % self.n_moves
+                left[seeds] -= want
+                window[seeds] = np.minimum(2 * window[seeds], self.BLOCK)
             if len(movers):
                 self.apply_moves(movers, moves)
                 steps[movers] += 1

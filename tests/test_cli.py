@@ -45,6 +45,18 @@ class TestGenerate:
         ]) == 0
         assert list(out.glob("*.json")) == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "-2"), ("--count", "x"),
+        ("--density", "-1"), ("--density", "7"), ("--density", "nan"),
+    ])
+    def test_count_and_density_out_of_range_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "none"
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--class", "CBQP", "--n", "5", flag, value, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGraver:
     def test_cardinality_50(self, capsys):
@@ -63,6 +75,12 @@ class TestGraver:
         basis = load_basis(path)
         assert len(basis) == 6
         assert basis.dim == 6
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "dir" / "b.txt"
+        assert run(["graver", "--kind", "brick", "--n", "2", "--k", "3", "--out", str(path)]) == 2
+        assert "cannot write the basis" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_assignment_file_loads_to_built_arrays(self, tmp_path):
         path = tmp_path / "a.txt"
@@ -244,6 +262,15 @@ class TestSolve:
             run(["solve", path, "--threads", threads, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-3", "x"])
+    def test_seeds_below_one_rejected(self, tmp_path, seeds, capsys):
+        path = str(tmp_path / "never-read.json")
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", path, "--seeds", seeds, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
     def test_cap_below_length_two_does_not_stop_the_batch(self, tmp_path, monkeypatch):

@@ -80,7 +80,8 @@ class TestObjectiveDelta:
     def engine_deltas(inst, x, g):
         """The delta of +g from the engine's per-element terms, c.g + w.g +
         g'Qg (None when x+g leaves the box), and the deltas one round over
-        the basis {g} reports, keyed by the sign of the move."""
+        the basis {g} reports, keyed by the sign of the move; a best-policy
+        tile over {g} must report the same improving deltas."""
         basis = GraverBasis.from_elements(inst.size, [g])
         prep = prepare_moves(inst, basis)
         engine = _Lockstep(inst, prep, [np.asarray(x)])
@@ -90,7 +91,10 @@ class TestObjectiveDelta:
         if np.all((moved >= inst.lower) & (moved <= inst.upper)):
             plus = prep.cg[0] + (engine.w[0][idx] * val).sum() + prep.qgg[0]
         _, _, moves, deltas = engine._scan(np.array([0]), np.array([0]), np.array([2]))
-        return plus, {1 - 2 * j: d for j, d in zip(moves.tolist(), deltas.tolist())}
+        scanned = {1 - 2 * j: d for j, d in zip(moves.tolist(), deltas.tolist())}
+        tile = engine._block(0, 1)(np.array([0]))[0].tolist()  # best-policy tiles agree
+        assert {1 - 2 * j: d for j, d in enumerate(tile) if d < 0} == scanned
+        return plus, scanned
 
     def assert_engine_matches(self, inst, x, g, scale=1):
         plus, scanned = self.engine_deltas(inst, x, g)

@@ -503,14 +503,21 @@ class TestRoomPrefilter:
     in the box; it must report exactly what a full bounds check does."""
 
     @staticmethod
-    def reference_scan(engine, prep, s, start, count):
-        """Every move of seed ``s``'s window gathered and checked against the box."""
-        seq = (start + np.arange(count, dtype=np.int64)) % engine.n_moves
+    def reference_deltas(engine, prep, s, seq):
+        """Signed moves ``seq`` of seed ``s`` gathered and checked against
+        the box: (their deltas, whether each stays in the box)."""
         e, sign = seq >> 1, 1 - 2 * (seq & 1)
         idx, val = prep.idxm[e], prep.valm[e]
         moved = engine.x[s][idx] + sign[:, None] * val
         feasible = np.all((moved >= engine.lower[idx]) & (moved <= engine.upper[idx]), axis=1)
         delta = sign * (prep.cg[e] + (engine.w[s][idx] * val).sum(axis=1)) + prep.qgg[e]
+        return delta, feasible
+
+    @classmethod
+    def reference_scan(cls, engine, prep, s, start, count):
+        """Every move of seed ``s``'s window gathered and checked against the box."""
+        seq = (start + np.arange(count, dtype=np.int64)) % engine.n_moves
+        delta, feasible = cls.reference_deltas(engine, prep, s, seq)
         keep = feasible & (delta < 0)
         return np.flatnonzero(keep), seq[keep], delta[keep]
 
@@ -534,13 +541,9 @@ class TestRoomPrefilter:
             elements.append(SparseIntVector(n, tuple(zip(idx.tolist(), val.tolist()))))
         return elements
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.sampled_from([5, 63, 64, 65, 129]),
-        basis=st.sampled_from(["unit", "wide", "pottier"]),
-        draw=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_full_bounds_check(self, n, basis, draw):
+    @classmethod
+    def random_engine(cls, n, basis, draw):
+        """(rng, prep, engine) for one to four random seeds in a random box."""
         rng = np.random.default_rng(draw)
         lower = rng.integers(-2, 2, size=n)
         upper = lower + rng.integers(0, 4, size=n)  # widths 0..3
@@ -549,18 +552,27 @@ class TestRoomPrefilter:
             c=rng.integers(-9, 10, size=n), Q=rng.integers(-9, 10, size=(n, n)),
             kind=Cardinality(n), b=[int(seeds[0].sum())], lower=lower, upper=upper,
         )
-        prep = prepare_moves(inst, GraverBasis.from_elements(n, self.random_elements(rng, n, basis)))
+        prep = prepare_moves(inst, GraverBasis.from_elements(n, cls.random_elements(rng, n, basis)))
         assert prep.unit == (basis == "unit")
-        engine = _Lockstep(inst, prep, seeds)
+        return rng, prep, _Lockstep(inst, prep, seeds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([5, 63, 64, 65, 129]),
+        basis=st.sampled_from(["unit", "wide", "pottier"]),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_bounds_check(self, n, basis, draw):
+        rng, prep, engine = self.random_engine(n, basis, draw)
         n_moves = engine.n_moves
-        every = np.arange(len(seeds))
+        every = np.arange(len(engine.x))
         for _ in range(4):  # scan, then take a move per seed, so the room bits change
             # one round: seeds in random order, random windows, some of a full
             # pass (which wraps), each from a random start
             order = rng.permutation(every)
-            start = rng.integers(n_moves, size=len(seeds))
-            count = np.where(rng.random(len(seeds)) < 0.3, n_moves,
-                             rng.integers(1, n_moves + 1, size=len(seeds)))
+            start = rng.integers(n_moves, size=len(every))
+            count = np.where(rng.random(len(every)) < 0.3, n_moves,
+                             rng.integers(1, n_moves + 1, size=len(every)))
             slot, offset, moves, delta = engine._scan(order, start, count)
             movers, taken = [], []
             for i, s in enumerate(order):
@@ -575,6 +587,50 @@ class TestRoomPrefilter:
             if not movers:
                 break
             engine.apply_moves(np.array(movers), np.array(taken))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([5, 63, 64, 65, 129]),
+        basis=st.sampled_from(["unit", "wide", "pottier"]),
+        draw=st.integers(0, 2**32 - 1),
+        round_=st.sampled_from([3, 8, _Lockstep.ROUND]),
+    )
+    def test_best_tiles_match_full_bounds_check(self, n, basis, draw, round_):
+        # a tile holds every move's delta, 0 where it leaves the box, and
+        # at most ROUND moves; small rounds split a pass over several blocks
+        rng, prep, engine = self.random_engine(n, basis, draw)
+        n_elements = engine.n_moves >> 1
+        sizes, block = [], engine._block
+
+        def recorded(lo, hi):
+            deltas = block(lo, hi)
+
+            def run(seeds):
+                out = deltas(seeds)
+                sizes.append(out.size)
+                return out
+
+            return run
+
+        for _ in range(4):  # tiles and best moves, then take them, so the room bits change
+            seeds = rng.permutation(len(engine.x))[: int(rng.integers(1, len(engine.x) + 1))]
+            lo = int(rng.integers(n_elements))
+            hi = int(rng.integers(lo + 1, n_elements + 1))
+            tile = engine._block(lo, hi)(seeds)
+            with mock.patch.object(_Lockstep, "ROUND", round_), \
+                    mock.patch.object(engine, "_block", recorded):
+                best = engine.best_moves(seeds)
+            assert max(sizes) <= round_
+            for i, s in enumerate(seeds):
+                delta, feasible = self.reference_deltas(engine, prep, s, np.arange(2 * lo, 2 * hi))
+                assert np.array_equal(tile[i], np.where(feasible, delta, 0))
+                delta, feasible = self.reference_deltas(engine, prep, s, np.arange(engine.n_moves))
+                pass_ = np.where(feasible, delta, 0)
+                j = int(np.argmin(pass_))  # the first lowest
+                assert best[i] == (j if pass_[j] < 0 else -1)
+            if not (best >= 0).any():
+                break
+            engine.apply_moves(seeds[best >= 0], best[best >= 0])
 
     def test_masks_fit_in_the_basis_memory(self):
         inst = binary_instance(Cardinality(200), [100])  # four words per bitset
@@ -710,7 +766,8 @@ class TestLockstep:
         # a 3x3 assignment basis cut at length 2 leaves the 3-cycles to the long-cycle phase
         sampled = klass == "QAP" and truncate and n == k == 3
         basis = build_basis(inst.kind, max_cycle_len=2 if sampled else None)
-        # tiny rounds split seeds and windows at odd offsets
+        # tiny rounds split seeds and windows at odd offsets, and best
+        # passes of more than 3 elements over several element blocks
         cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
         with cut if tiny else contextlib.nullcontext():
             report = solve(inst, seed_count=int(rng.integers(1, 7)), rng_seed=draw % 89,
@@ -723,11 +780,14 @@ class TestLockstep:
 
     @pytest.mark.parametrize("tiny", [False, True])
     def test_best_ties_go_to_the_first_move(self, tiny):
-        # from e_0 the seven swaps to e_1..e_7 all improve by 8; tiny rounds
-        # put the tied moves in different rounds
+        # from e_0 the seven swaps to e_1..e_7 all improve by 8; a tiny
+        # ROUND, below the 56 signed moves, splits the pass into blocks of
+        # 3 elements and puts the tied moves in different blocks
         inst = binary_instance(Cardinality(8), [1], c=[9, 1, 1, 1, 1, 1, 1, 1])
         basis = build_basis(inst.kind)
         seed = np.eye(8, dtype=np.int64)[0]
+        tied = [e for e, idx in enumerate(basis.idx.tolist()) if 0 in idx]
+        assert len({e // 3 for e in tied}) == 3
         cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
         with cut if tiny else contextlib.nullcontext():
             r = augment(inst, basis, seed, policy="best")
@@ -958,6 +1018,19 @@ class TestGoldenOutputs:
         # default seed count 72, more seeds than bits in a word
         "qsap1_9x8": ("QSAP1", 9, 8, 47, {}, None, "first", "int",
                             "ee54abef5fe6b28e14ad41c9aac33a42da7772d34baf429a26ee8ae7cc5a773d"),
+        # the best policy on the paths above: float data, exact objects past
+        # the int64 guard, the full bounds check of a non-unit box, the
+        # long-cycle phase, and two room words
+        "cbqp_20_float_best": ("CBQP", 20, None, 46, {}, None, "best", "float",
+                            "1c42651bf02593b5d514d3ccecc543564ee8255a89c4a6e9218c689a4e742805"),
+        "qsap1_5x3_fraction_best": ("QSAP1", 5, 3, 45, {}, None, "best", "fraction",
+                            "6718546ada0c7a9c9b61c85cb1abf356b44def46844666148521a673faab4306"),
+        "cbqp_12_box_best": ("CBQP", 12, None, 43, {}, (-1, 2), "best", "int",
+                            "d5911a607ed6e3139e2ddba0f55df37bf70c9fc2a06b1cc13713adcb2c3da0f4"),
+        "qap_5x5_sampler_best": ("QAP", 5, 5, 32, {"enumeration_cap": 200}, None, "best", "int",
+                            "07cad2775a0609848148542fa8c47657e42c25d37c5e97ecaf6325f67a7b9b2a"),
+        "cbqp_70_best": ("CBQP", 70, None, 41, {}, None, "best", "int",
+                            "21c9d6dbf3268788d6792fb1cf2af237537648d62faa3321d50b83ea6cec6159"),
     }
 
     @staticmethod
