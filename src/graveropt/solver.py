@@ -17,24 +17,25 @@ intermediate provably fits, else in exact Python ints on object arrays;
 float data is computed in double precision.  Terminal values of rational
 data are read off the same scaled integers.
 
-Bounds are tested first, with word operations on bitsets.  Each seed keeps
-two room bitsets, ``up`` (x_i < u_i) and ``down`` (x_i > l_i), and every
-basis element carries, per 64-bit word, the coordinates where it goes up
-and where it goes down.  +g passes when its up bits lie in ``up`` and its
-down bits in ``down``; for -g the two swap roles.  Only moves that pass
-are evaluated.  For elements whose entries are all +-1 the test is exact
-on any box; larger entries still get the full bounds check, on the moves
-that pass.
+The first-improvement scan tests bounds first, with word operations on
+bitsets.  Each seed keeps two room bitsets, ``up`` (x_i < u_i) and
+``down`` (x_i > l_i), and every basis element carries, per 64-bit word,
+the coordinates where it goes up and where it goes down.  +g passes when
+its up bits lie in ``up`` and its down bits in ``down``; for -g the two
+swap roles.  Only moves that pass are evaluated.  For elements whose
+entries are all +-1 the test is exact on any box; larger entries still
+get the full bounds check, on the moves that pass.
 
 All seeds of a run descend in lockstep: their points are rows of one
 array, and each round evaluates every active seed's next window of moves
-in one pass, so the per-call overhead of numpy is shared by the seeds.
-Under best-improvement every pass covers all moves from the first, so a
-round is every live seed's whole pass, evaluated as dense tiles of
-[seeds x elements] straight from the per-element arrays.
-Each seed still takes exactly the moves, and draws exactly the random
-numbers, of a descent run on its own, so reports do not depend on which
-seeds share a round.
+in one pass, so the per-call overhead of numpy is shared by the
+seeds.  Under best-improvement every pass covers all moves from the first,
+so a round is every live seed's whole pass, evaluated as dense tiles of
+[seeds x elements] straight from the per-element arrays.  A tile computes
+every move's delta anyway, so it checks each move against the box
+directly instead of through the bitsets.  Each seed still takes exactly
+the moves, and draws exactly the random numbers, of a descent run on its
+own, so reports do not depend on which seeds share a round.
 
 A sampler-backed assignment basis stores the cycle liftings up to some
 length and stands for the longer ones too.  When a seed's pass over the
@@ -412,45 +413,30 @@ class _Lockstep:
         offset = at - 2 * first[slot] - (start[slot] & 1)
         return slot, offset, 2 * e[improving] + odd[improving], delta[improving]
 
-    def _block(self, lo, hi):
-        """The best-policy kernel of elements ``lo .. hi - 1``: a function
-        from seeds to the deltas of their signed moves ``2*lo .. 2*hi - 1``,
-        a [seeds, moves] array with 0 for each move that leaves the box.
-        0 stands in for any arithmetic, as only a delta below 0 is taken."""
+    def _tile(self, seeds, lo, hi):
+        """The best-policy tile of ``seeds`` x elements ``lo .. hi - 1``: the
+        deltas of signed moves ``2*lo .. 2*hi - 1``, a [seeds, moves] array
+        with 0 for each move that leaves the box.  0 stands in for any
+        arithmetic, as only a delta below 0 is taken."""
         idx, val = self.idxm[lo:hi], self.valm[lo:hi]
-        words = self.full.shape[2]
-        # per mask column, the room words of +g and -g interleaved, and their bits
-        cols = [np.stack([w, w + words], axis=1).reshape(-1) for w in self.word[lo:hi].T]
-        bits = [np.repeat(m, 2) for m in self.mask[lo:hi].T]
-        entries = list(zip(idx.T, val.T, self.lower[idx].T, self.upper[idx].T))
-
-        def deltas(seeds):
-            shape = (len(seeds), hi - lo)
-            if self.unit:  # the room test is exact
-                full = self.full[seeds].reshape(len(seeds), -1)
-                blocked = np.zeros((len(seeds), 2 * (hi - lo)), dtype="<u8")
-                for at, bit in zip(cols, bits):
-                    blocked |= np.take(full, at, axis=1) & bit
-                blocked = blocked != 0
-            else:  # the full bounds check, which implies the room test
-                blocked, x = np.zeros((*shape, 2), dtype=bool), self.x[seeds]
-                for i, v, low, high in entries:
-                    xi = np.take(x, i, axis=1)
-                    blocked[..., 0] |= (xi + v < low) | (xi + v > high)
-                    blocked[..., 1] |= (xi - v < low) | (xi - v > high)
-                blocked = blocked.reshape(len(seeds), -1)
-            w = self.w[seeds]
-            if w.dtype == np.int64:  # exact in any order, so an entry at a time
-                wg = np.zeros(shape, dtype=np.int64)
-                for i, v, _, _ in entries:
-                    wg += np.take(w, i, axis=1) * v
-            else:  # summed as the windowed scan sums, for the same rounding
-                wg = (np.take(w, idx, axis=1) * val).sum(axis=2)
-            a = self.cg[lo:hi] + wg
-            delta = np.stack([a + self.qgg[lo:hi], -a + self.qgg[lo:hi]], axis=2)
-            return np.where(blocked, 0, delta.reshape(len(seeds), -1))
-
-        return deltas
+        x, w = self.x[seeds], self.w[seeds]
+        plus = np.zeros((len(seeds), hi - lo), dtype=bool)  # +g leaves the box
+        minus = np.zeros_like(plus)
+        for i, v in zip(idx.T, val.T):  # padding adds 0 to an x inside its box
+            xi, low, high = np.take(x, i, axis=1), self.lower[i], self.upper[i]
+            plus |= xi < low - v
+            plus |= xi > high - v
+            minus |= xi < low + v
+            minus |= xi > high + v
+        if w.dtype == np.int64:  # exact in any order; an entry at a time skips a 3-d gather
+            wg = np.zeros((len(seeds), hi - lo), dtype=np.int64)
+            for i, v in zip(idx.T, val.T):
+                wg += np.take(w, i, axis=1) * v
+        else:  # summed as the windowed scan sums, for the same rounding
+            wg = (np.take(w, idx, axis=1) * val).sum(axis=2)
+        a = self.cg[lo:hi] + wg
+        delta = np.stack([a + self.qgg[lo:hi], -a + self.qgg[lo:hi]], axis=2)
+        return np.where(np.stack([plus, minus], axis=2), 0, delta).reshape(len(seeds), -1)
 
     def best_moves(self, seeds):
         """Per seed of ``seeds``, the best move of a whole pass, first wins
@@ -459,9 +445,8 @@ class _Lockstep:
         The pass runs as tiles of [seed chunk x element block] of at most
         ``ROUND`` signed moves: chunks of whole passes, or, when a pass
         holds more, one seed's pass in blocks of ``ROUND // 2`` elements.
-        A tile runs the room test (the full bounds check when an entry
-        exceeds 1) and the delta formula on every move, and an ``argmin``
-        takes the first lowest.  Each seed keeps a running minimum that
+        A tile runs the bounds check and the delta formula on every move,
+        and an ``argmin`` takes the first lowest.  Each seed keeps a running minimum that
         only a strictly lower delta replaces, so ties go to the lowest
         signed index across blocks too."""
         n_elements = self.n_moves >> 1
@@ -470,9 +455,8 @@ class _Lockstep:
         low = np.zeros(len(seeds), dtype=self.w.dtype)
         moves = np.full(len(seeds), -1, dtype=np.int64)
         for lo in range(0, n_elements, size):
-            deltas = self._block(lo, min(n_elements, lo + size))
             for at in range(0, len(seeds), chunk):
-                delta = deltas(seeds[at : at + chunk])
+                delta = self._tile(seeds[at : at + chunk], lo, min(n_elements, lo + size))
                 j = delta.argmin(axis=1)  # the first lowest
                 d = delta[np.arange(len(j)), j]
                 better = d < low[at : at + chunk]

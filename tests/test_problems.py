@@ -92,7 +92,7 @@ class TestObjectiveDelta:
             plus = prep.cg[0] + (engine.w[0][idx] * val).sum() + prep.qgg[0]
         _, _, moves, deltas = engine._scan(np.array([0]), np.array([0]), np.array([2]))
         scanned = {1 - 2 * j: d for j, d in zip(moves.tolist(), deltas.tolist())}
-        tile = engine._block(0, 1)(np.array([0]))[0].tolist()  # best-policy tiles agree
+        tile = engine._tile(np.array([0]), 0, 1)[0].tolist()  # best-policy tiles agree
         assert {1 - 2 * j: d for j, d in enumerate(tile) if d < 0} == scanned
         return plus, scanned
 

@@ -500,7 +500,8 @@ class TestInt64Guard:
 
 class TestRoomPrefilter:
     """The bitset room test lets a round evaluate only the moves that stay
-    in the box; it must report exactly what a full bounds check does."""
+    in the box, and a best-policy tile checks the box itself; both must
+    report exactly what a full bounds check does."""
 
     @staticmethod
     def reference_deltas(engine, prep, s, seq):
@@ -600,30 +601,25 @@ class TestRoomPrefilter:
         # at most ROUND moves; small rounds split a pass over several blocks
         rng, prep, engine = self.random_engine(n, basis, draw)
         n_elements = engine.n_moves >> 1
-        sizes, block = [], engine._block
+        sizes, tile = [], engine._tile
 
-        def recorded(lo, hi):
-            deltas = block(lo, hi)
+        def recorded(seeds, lo, hi):
+            out = tile(seeds, lo, hi)
+            sizes.append(out.size)
+            return out
 
-            def run(seeds):
-                out = deltas(seeds)
-                sizes.append(out.size)
-                return out
-
-            return run
-
-        for _ in range(4):  # tiles and best moves, then take them, so the room bits change
+        for _ in range(4):  # tiles and best moves, then take them, so the points change
             seeds = rng.permutation(len(engine.x))[: int(rng.integers(1, len(engine.x) + 1))]
             lo = int(rng.integers(n_elements))
             hi = int(rng.integers(lo + 1, n_elements + 1))
-            tile = engine._block(lo, hi)(seeds)
+            deltas = engine._tile(seeds, lo, hi)
             with mock.patch.object(_Lockstep, "ROUND", round_), \
-                    mock.patch.object(engine, "_block", recorded):
+                    mock.patch.object(engine, "_tile", recorded):
                 best = engine.best_moves(seeds)
             assert max(sizes) <= round_
             for i, s in enumerate(seeds):
                 delta, feasible = self.reference_deltas(engine, prep, s, np.arange(2 * lo, 2 * hi))
-                assert np.array_equal(tile[i], np.where(feasible, delta, 0))
+                assert np.array_equal(deltas[i], np.where(feasible, delta, 0))
                 delta, feasible = self.reference_deltas(engine, prep, s, np.arange(engine.n_moves))
                 pass_ = np.where(feasible, delta, 0)
                 j = int(np.argmin(pass_))  # the first lowest
@@ -1019,8 +1015,9 @@ class TestGoldenOutputs:
         "qsap1_9x8": ("QSAP1", 9, 8, 47, {}, None, "first", "int",
                             "ee54abef5fe6b28e14ad41c9aac33a42da7772d34baf429a26ee8ae7cc5a773d"),
         # the best policy on the paths above: float data, exact objects past
-        # the int64 guard, the full bounds check of a non-unit box, the
-        # long-cycle phase, and two room words
+        # the int64 guard, a -1..2 box (its swap basis is still all +-1), the
+        # long-cycle phase, and n = 70; test_pottier_basis_digest pins a
+        # basis with larger entries
         "cbqp_20_float_best": ("CBQP", 20, None, 46, {}, None, "best", "float",
                             "1c42651bf02593b5d514d3ccecc543564ee8255a89c4a6e9218c689a4e742805"),
         "qsap1_5x3_fraction_best": ("QSAP1", 5, 3, 45, {}, None, "best", "fraction",
@@ -1059,4 +1056,24 @@ class TestGoldenOutputs:
             assert build_basis(inst.kind, **kw).sampler is not None
         report = solve(inst, rng_seed=13, policy=policy, **kw)
         assert report.sampler_assisted == bool(kw)
+        assert _per_seed_digest(report) == want
+
+    @pytest.mark.parametrize("policy, want", [
+        ("first", "5a246c37c027601434f511006e37d4675bb20ec1dd339ffca90d2fe418c2579d"),
+        ("best", "be6095a0421f508b0a1933dcea5e2bc9de4c1b314fa54123e9c94c3d636a5c89"),
+    ])
+    def test_pottier_basis_digest(self, policy, want):
+        # a completion basis with entries up to 4, so not unit: the windowed
+        # scan adds the full bounds check, and a tile's check is the only one
+        rng = np.random.default_rng(1)
+        A = rng.integers(-2, 3, size=(2, 6))
+        upper = np.full(6, 3)
+        Q = rng.integers(-9, 10, size=(6, 6))
+        inst = QuadraticInstance(
+            c=rng.integers(-20, 21, size=6), Q=Q, kind=Explicit.from_matrix(A),
+            b=A @ rng.integers(0, upper + 1), lower=np.zeros(6, dtype=np.int64), upper=upper,
+        )
+        basis = pottier_graver(A)
+        assert not prepare_moves(inst, basis).unit
+        report = solve(inst, seeds=list(enumerate_feasible(inst)), policy=policy, basis=basis)
         assert _per_seed_digest(report) == want
