@@ -11,7 +11,6 @@ from .graver import (
     Explicit,
     GraverBasis,
     LiftingSampler,
-    SparseIntVector,
     assignment_basis_count,
     build_basis,
     graver_assignment,

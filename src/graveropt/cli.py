@@ -91,6 +91,10 @@ def cmd_generate(args) -> int:
     if args.klass != "CBQP" and args.k is None:
         print(f"class {args.klass} needs --k", file=sys.stderr)
         return 2
+    lo, hi = args.value_range
+    if lo > hi:
+        print(f"--value-range {lo} {hi}: LO must not exceed HI", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     rng = np.random.default_rng(args.rng_seed)
     for i in range(args.count):
@@ -103,7 +107,7 @@ def cmd_generate(args) -> int:
                 args.n,
                 args.k,
                 density=args.density,
-                value_range=tuple(args.value_range),
+                value_range=(lo, hi),
                 name=name,
             )
         except ValueError as exc:
@@ -199,7 +203,6 @@ def cmd_solve(args) -> int:
                 seed_count=args.seeds,
                 policy=args.policy,
                 rng_seed=args.rng_seed,
-                max_cycle_len=args.max_cycle_len,
             )
         except (InfeasibleError, ValueError, OSError) as exc:
             failed = True
@@ -243,8 +246,17 @@ def cmd_solve(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _canonical_rows(basis: GraverBasis) -> list:
+    """The rows as (index, value) tuples, padding dropped, first value made
+    positive, sorted."""
+    return sorted(
+        tuple((i, v if row_v[0] > 0 else -v) for i, v in zip(row_i, row_v) if v)
+        for row_i, row_v in zip(basis.idx.tolist(), basis.val.tolist())
+    )
+
+
 def _bases_match(a: GraverBasis, b: GraverBasis) -> bool:
-    return a.dim == b.dim and a.canonical_set() == b.canonical_set()
+    return a.dim == b.dim and _canonical_rows(a) == _canonical_rows(b)
 
 
 def _verification_checks(max_dim: int):
@@ -356,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; files are solved one after another",
     )
     p_solve.add_argument("--rng-seed", type=int, default=0)
-    p_solve.add_argument("--max-cycle-len", type=int, default=None)
     p_solve.add_argument(
         "--per-seed-csv", action="store_true",
         help="also write <name>.seeds.csv with seed_index,terminal_f,steps",
@@ -371,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="cross-check constructions against oracles")
-    p_verify.add_argument("--max-dim", type=int, default=12)
+    p_verify.add_argument(
+        "--max-dim", type=_count(2), default=12,
+        help="largest flat size checked against the oracle, at least 2",
+    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

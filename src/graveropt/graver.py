@@ -19,10 +19,10 @@ enumeration is too large, a bounded prefix (small cycle lengths) is stored
 and a :class:`LiftingSampler` names the omitted lengths: the seed walk draws
 from it, and descent enumerates those lengths at the points where it stalls.
 
-A basis is stored as padded int64 (index, value) arrays, one row per
-element, built in numpy from index grids (``combinations`` for the swaps,
-cycles times brick permutations for the liftings); the descent engine scans
-them as they are.  :class:`SparseIntVector` is a per-element view of a row.
+A basis is its padded int64 (index, value) arrays, one row per element,
+built in numpy from index grids (``combinations`` for the swaps, cycles
+times brick permutations for the liftings); the descent engine scans them
+as they are, and the text format reads and writes them row by row.
 """
 
 from __future__ import annotations
@@ -31,67 +31,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby, permutations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 
 class DimensionError(ValueError):
     """Constraint-family dimensions out of range (e.g. k < 2 for swaps)."""
-
-
-# ---------------------------------------------------------------------------
-# sparse integer vectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SparseIntVector:
-    """Integer vector in Z^dim stored as sorted (index, value) pairs.
-
-    Indices are strictly increasing, values never zero; instances are
-    immutable and hashable so they can live in sets.
-    """
-
-    dim: int
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise DimensionError(f"dim must be positive, got {self.dim}")
-        prev = -1
-        for idx, val in self.entries:
-            if idx <= prev or idx >= self.dim:
-                raise ValueError(f"indices must be strictly increasing in [0, {self.dim})")
-            if val == 0:
-                raise ValueError("stored values must be nonzero")
-            prev = idx
-
-    @classmethod
-    def from_dense(cls, vec: Sequence[int], dim: Optional[int] = None) -> "SparseIntVector":
-        arr = np.asarray(vec)
-        d = int(dim if dim is not None else arr.shape[0])
-        entries = tuple((int(i), int(v)) for i, v in enumerate(arr.tolist()) if v != 0)
-        return cls(d, entries)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.int64)
-        for idx, val in self.entries:
-            out[idx] = val
-        return out
-
-    def __neg__(self) -> "SparseIntVector":
-        return SparseIntVector(self.dim, tuple((i, -v) for i, v in self.entries))
-
-    @property
-    def is_canonical(self) -> bool:
-        """True when the first nonzero entry is positive (or the vector is empty)."""
-        return not self.entries or self.entries[0][1] > 0
-
-    def canonical(self) -> "SparseIntVector":
-        return self if self.is_canonical else -self
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +211,14 @@ class LiftingSampler:
 # Graver bases
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SparseIntVector:
+    """One basis row as sorted (index, value) pairs; see :attr:`GraverBasis.elements`."""
+
+    dim: int
+    entries: tuple[tuple[int, int], ...]
+
+
 @dataclass(eq=False)
 class GraverBasis:
     """A sign-canonical set of kernel elements, optionally sampler-backed.
@@ -272,36 +226,23 @@ class GraverBasis:
     The basis is the read-only int64 arrays ``idx`` (support indices,
     increasing) and ``val`` (nonzero values), one row per {g, -g} pair with
     its first nonzero positive, in a deterministic order; short rows are
-    padded with index 0 and value 0.  ``elements`` is a derived
-    :class:`SparseIntVector` view that the solve path never builds.
-    ``sampler``, present only for a truncated assignment enumeration,
-    stands for the omitted cycle lengths: the seed walk draws from it, and
-    descent searches those lengths exactly.
+    padded with index 0 and value 0.  ``sampler``, present only for a
+    truncated assignment enumeration, stands for the omitted cycle
+    lengths: the seed walk draws from it, and descent searches those
+    lengths exactly.
     """
 
     dim: int
     idx: np.ndarray
     val: np.ndarray
-    kind: Optional[ConstraintKind] = None
     sampler: Optional[LiftingSampler] = None
 
     def __post_init__(self) -> None:
         self.idx.flags.writeable = self.val.flags.writeable = False
 
-    @classmethod
-    def from_elements(cls, dim, elements: Sequence[SparseIntVector], kind=None) -> "GraverBasis":
-        """Pack elements into the padded arrays, in order."""
-        width = max((len(g) for g in elements), default=1)
-        idx = np.zeros((len(elements), width), dtype=np.int64)
-        val = np.zeros((len(elements), width), dtype=np.int64)
-        for e, g in enumerate(elements):
-            for s, (i, v) in enumerate(g.entries):
-                idx[e, s], val[e, s] = i, v
-        return cls(dim, idx, val, kind)
-
     @cached_property
     def elements(self) -> tuple[SparseIntVector, ...]:
-        """One :class:`SparseIntVector` per row, for text I/O, oracles and tests."""
+        # kept only for bench/gate.py's padded_moves; nothing in the package reads it
         return tuple(
             SparseIntVector(self.dim, tuple((i, v) for i, v in zip(row_i, row_v) if v))
             for row_i, row_v in zip(self.idx.tolist(), self.val.tolist())
@@ -309,13 +250,6 @@ class GraverBasis:
 
     def __len__(self) -> int:
         return len(self.idx)
-
-    def __iter__(self) -> Iterator[SparseIntVector]:
-        return iter(self.elements)
-
-    def canonical_set(self) -> frozenset:
-        """Hashable view for set comparison across construction routes."""
-        return frozenset(g.canonical().entries for g in self.elements)
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Random signed element as unpadded (indices, values), mixing in sampler draws."""
@@ -331,11 +265,11 @@ class GraverBasis:
         return (idx, val) if rng.integers(2) == 0 else (idx, -val)
 
 
-def _swap_basis(pairs: np.ndarray, dim: int, kind: ConstraintKind) -> GraverBasis:
+def _swap_basis(pairs: np.ndarray, dim: int) -> GraverBasis:
     """Basis of swaps e_i - e_j from an array of (i, j) rows with i < j."""
     pairs = pairs.reshape(-1, 2)
     signs = np.tile(np.array([1, -1], dtype=np.int64), (len(pairs), 1))
-    return GraverBasis(dim, pairs, signs, kind)
+    return GraverBasis(dim, pairs, signs)
 
 
 def _pairs(m: int) -> np.ndarray:
@@ -346,7 +280,7 @@ def graver_ones(k: int) -> GraverBasis:
     """Graver basis of the all-ones row 1_k^T: the k(k-1)/2 swaps e_i - e_j, i < j."""
     if k < 2:
         raise DimensionError(f"need k >= 2, got {k}")
-    return _swap_basis(_pairs(k), k, Cardinality(k))
+    return _swap_basis(_pairs(k), k)
 
 
 def graver_brick_cardinality(n: int, k: int) -> GraverBasis:
@@ -354,7 +288,7 @@ def graver_brick_cardinality(n: int, k: int) -> GraverBasis:
     if n < 1 or k < 2:
         raise DimensionError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
     pairs = np.arange(n, dtype=np.int64)[:, None, None] * k + _pairs(k)
-    return _swap_basis(pairs, n * k, BrickCardinality(n, k))
+    return _swap_basis(pairs, n * k)
 
 
 def graver_coordinate_cardinality(n: int, k: int) -> GraverBasis:
@@ -362,7 +296,7 @@ def graver_coordinate_cardinality(n: int, k: int) -> GraverBasis:
     if n < 2 or k < 1:
         raise DimensionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     pairs = _pairs(n)[:, None, :] * k + np.arange(k, dtype=np.int64)[None, :, None]
-    return _swap_basis(pairs, n * k, CoordinateCardinality(n, k))
+    return _swap_basis(pairs, n * k)
 
 
 def assignment_basis_count(n: int, k: int, max_cycle_len: Optional[int] = None) -> int:
@@ -434,7 +368,7 @@ def graver_assignment(
     idx, val = (np.concatenate(parts) for parts in zip(*blocks))
 
     sampler = LiftingSampler(n, k, t_top + 1, t_full) if t_top < t_full else None
-    return GraverBasis(n * k, idx, val, Assignment(n, k), sampler)
+    return GraverBasis(n * k, idx, val, sampler)
 
 
 def build_basis(
@@ -471,29 +405,50 @@ def predicted_cardinality(kind: ConstraintKind, max_cycle_len: Optional[int] = N
 # text export / import
 # ---------------------------------------------------------------------------
 
+def _pack_rows(dim: int, rows: Sequence[Sequence[tuple[int, int]]]) -> GraverBasis:
+    """A basis from rows of (index, value) pairs, in order, padded on the right."""
+    width = max((len(row) for row in rows), default=1)
+    idx = np.zeros((len(rows), width), dtype=np.int64)
+    val = np.zeros((len(rows), width), dtype=np.int64)
+    for e, row in enumerate(rows):
+        for s, (i, v) in enumerate(row):
+            idx[e, s], val[e, s] = i, v
+    return GraverBasis(dim, idx, val)
+
+
 def save_basis(basis: GraverBasis, path) -> None:
     """Write a basis as a `dim N` header plus one `index:value ...` line per element."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim {basis.dim}\n")
-        for g in basis.elements:
-            fh.write(" ".join(f"{i}:{v}" for i, v in g.entries) + "\n")
+        for row_i, row_v in zip(basis.idx.tolist(), basis.val.tolist()):
+            fh.write(" ".join(f"{i}:{v}" for i, v in zip(row_i, row_v) if v) + "\n")
 
 
 def load_basis(path) -> GraverBasis:
-    """Read a basis written by :func:`save_basis`; the kind tag is not stored."""
+    """Read a basis written by :func:`save_basis`, checking every row, since
+    the file may come from anywhere: indices strictly increasing in
+    [0, dim), values nonzero."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "dim":
             raise ValueError("basis file must start with a 'dim N' header")
         dim = int(header[1])
-        elements = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entries = []
+        if dim <= 0:
+            raise DimensionError(f"dim must be positive, got {dim}")
+        rows = []
+        for number, line in enumerate(fh, start=2):
+            row, prev = [], -1
             for token in line.split():
-                idx, val = token.split(":")
-                entries.append((int(idx), int(val)))
-            elements.append(SparseIntVector(dim, tuple(entries)))
-    return GraverBasis.from_elements(dim, elements)
+                i, sep, v = token.partition(":")
+                if not sep:
+                    raise ValueError(f"line {number}: {token!r} is not index:value")
+                i, v = int(i), int(v)
+                if not prev < i < dim:
+                    raise ValueError(f"line {number}: indices must increase strictly in [0, {dim})")
+                if v == 0:
+                    raise ValueError(f"line {number}: stored values must be nonzero")
+                row.append((i, v))
+                prev = i
+            if row:
+                rows.append(row)
+    return _pack_rows(dim, rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 import numpy as np
 
-from .graver import Explicit, GraverBasis, SparseIntVector, realize_matrix
+from .graver import GraverBasis, _pack_rows, realize_matrix
 from .problems import QuadraticInstance, batch_objective
 
 
@@ -119,11 +119,10 @@ def pottier_graver(
     if A.ndim != 2 or not np.any(A):
         raise ValueError("A must be a nonzero 2-d integer matrix")
     ncols = A.shape[1]
-    kind = Explicit.from_matrix(A)
 
     lattice = integer_kernel_basis(A)
     if not lattice:
-        return GraverBasis.from_elements(ncols, (), kind)
+        return _pack_rows(ncols, ())
 
     # members of G, stored twice: python-visible rows of `gm` (grow-only)
     gm = np.zeros((64, ncols), dtype=np.int64)
@@ -187,10 +186,12 @@ def pottier_graver(
         if not np.any(dominated):
             survivors.append(vec)
 
-    canonical = sorted(
-        {SparseIntVector.from_dense(v).canonical().entries for v in survivors}
-    )
-    return GraverBasis.from_elements(ncols, [SparseIntVector(ncols, e) for e in canonical], kind)
+    rows = set()
+    for vec in survivors:
+        support = np.flatnonzero(vec)
+        signed = vec[support] if vec[support[0]] > 0 else -vec[support]
+        rows.add(tuple(zip(support.tolist(), signed.tolist())))
+    return _pack_rows(ncols, sorted(rows))  # sign-canonical rows in sorted order
 
 
 def is_graver_minimal(g, A, max_ball: int = 10**7) -> bool:

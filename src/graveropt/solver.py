@@ -773,7 +773,6 @@ def solve(
     policy: str = "first",
     parallelism: int = 1,
     rng_seed: int = 0,
-    max_cycle_len: Optional[int] = None,
     enumeration_cap: int = 10**6,
     seeds: Optional[Sequence] = None,
     basis: Optional[GraverBasis] = None,
@@ -796,7 +795,7 @@ def solve(
 
             basis = pottier_graver(inst.kind.rows)
         else:
-            basis = build_basis(inst.kind, max_cycle_len, enumeration_cap)
+            basis = build_basis(inst.kind, enumeration_cap=enumeration_cap)
 
     master = np.random.SeedSequence(rng_seed)
     if seeds is None:

@@ -3,7 +3,10 @@
 import math
 from typing import Sequence
 
-from graveropt import DimensionError, SparseIntVector
+import numpy as np
+
+from graveropt import DimensionError, GraverBasis
+from graveropt.graver import _pack_rows
 
 
 def hilbert_cycle_count(k: int) -> int:
@@ -13,13 +16,13 @@ def hilbert_cycle_count(k: int) -> int:
     return sum(math.factorial(t - 1) * math.comb(k, t) for t in range(2, k + 1))
 
 
-def lift_cycle(cycle: Sequence[int], bricks: Sequence[int], n: int, k: int) -> SparseIntVector:
+def lift_cycle(cycle: Sequence[int], bricks: Sequence[int], n: int, k: int) -> np.ndarray:
     """Place a directed slot cycle into distinct bricks of an n*k vector.
 
     Brick bricks[s] receives e_{j_s} - e_{j_{s+1 mod t}} where j are the
     cycle nodes, so every brick sums to zero and every slot appears once
-    with +1 and once with -1.  The result is a kernel element of the
-    Assignment(n, k) matrix with exactly 2t nonzeros.
+    with +1 and once with -1.  The result, a dense int64 vector, is a
+    kernel element of the Assignment(n, k) matrix with exactly 2t nonzeros.
     """
     nodes = tuple(int(j) for j in cycle)
     t = len(nodes)
@@ -34,6 +37,26 @@ def lift_cycle(cycle: Sequence[int], bricks: Sequence[int], n: int, k: int) -> S
         raise ValueError(f"brick indices must lie in [0, {n})")
     if any(j < 0 or j >= k for j in nodes):
         raise ValueError(f"cycle nodes must lie in [0, {k})")
-    entries = [(b * k + nodes[s], 1) for s, b in enumerate(bricks)]
-    entries += [(b * k + nodes[(s + 1) % t], -1) for s, b in enumerate(bricks)]
-    return SparseIntVector(n * k, tuple(sorted(entries)))
+    g = np.zeros(n * k, dtype=np.int64)
+    for s, b in enumerate(bricks):
+        g[b * k + nodes[s]] += 1
+        g[b * k + nodes[(s + 1) % t]] -= 1
+    return g
+
+
+def dense_rows(basis: GraverBasis) -> np.ndarray:
+    """The basis as one dense int64 row per element, in order."""
+    rows = np.zeros((len(basis), basis.dim), dtype=np.int64)
+    np.add.at(rows, (np.arange(len(basis))[:, None], basis.idx), basis.val)  # padding adds 0
+    return rows
+
+
+def dense_set(basis: GraverBasis) -> set:
+    """The basis rows as a set of dense tuples, for comparison across routes."""
+    return set(map(tuple, dense_rows(basis).tolist()))
+
+
+def basis_of(dim: int, rows) -> GraverBasis:
+    """A basis holding the given dense rows, in order, packed as the builders pack theirs."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
+    return _pack_rows(dim, [[(i, r[i]) for i in np.flatnonzero(r)] for r in rows])

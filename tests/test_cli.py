@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import graveropt.cli
 from graveropt import Assignment, build_basis, graver_assignment, load_basis, load_instance
 from graveropt.cli import _bases_match, main
 from graveropt.problems import _objective_scalar
+from references import basis_of
 
 
 def run(argv):
@@ -58,6 +60,16 @@ class TestGenerate:
         assert not out.exists()
 
 
+    def test_value_range_low_above_high_rejected(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        argv = ["generate", "--class", "CBQP", "--n", "5", "--out-dir", str(out)]
+        assert run(argv + ["--value-range", "5", "-5"]) == 2
+        assert "--value-range" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv + ["--value-range", "3", "3"]) == 0  # a single value is a range
+        assert set(load_instance(next(out.glob("*.json"))).c.tolist()) == {3}
+
+
 class TestGraver:
     def test_cardinality_50(self, capsys):
         assert run(["graver", "--kind", "cardinality", "--n", "50"]) == 0
@@ -92,6 +104,24 @@ class TestGraver:
         built = build_basis(Assignment(5, 4), max_cycle_len=3)
         assert np.array_equal(loaded.idx, built.idx)
         assert np.array_equal(loaded.val, built.val)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--kind", "cardinality", "--n", "5"],
+         "bbf973a91a49f356c488587d01874d49192916c2c25c9be9a868ccc0c4d84bcc"),
+        (["--kind", "brick", "--n", "3", "--k", "4"],
+         "48f80686ec0f306738b7a6ab8bda815b2803cbf3012f36170407b723e4a84656"),
+        (["--kind", "coordinate", "--n", "4", "--k", "3"],
+         "fa58ed285a91779a223252275c19d3f9800c763200fbaef182c1fe81fa2f3ef8"),
+        (["--kind", "assignment", "--n", "4", "--k", "4"],
+         "0a7219f9c092fc4a2328b6f12a5c79b69aeaca416b9442785246104cd7c6eb7c"),
+        (["--kind", "assignment", "--n", "5", "--k", "4", "--max-cycle-len", "3"],
+         "2c689fb5119b77be359ccb9baa579d248787b8bbaa8583459e1dbe6226ca1bd0"),
+    ], ids=["cardinality-5", "brick-3x4", "coordinate-4x3", "assignment-4x4", "assignment-5x4-len3"])
+    def test_out_file_digest(self, tmp_path, argv, digest):
+        # the text format is pinned byte for byte
+        path = tmp_path / "b.txt"
+        assert run(["graver", *argv, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_cap_exceeded_advises_truncation(self, capsys):
         code = run(["graver", "--kind", "assignment", "--n", "8", "--k", "8", "--cap", "1000"])
@@ -170,7 +200,9 @@ class TestSolve:
         assert len(rows) == 7
 
     @pytest.mark.parametrize(
-        "flag", [["--sampler-budget", "5"], ["--walk-len", "1", "3"]], ids=["budget", "walk"]
+        "flag",
+        [["--sampler-budget", "5"], ["--walk-len", "1", "3"], ["--max-cycle-len", "2"]],
+        ids=["budget", "walk", "max-cycle-len"],
     )
     def test_removed_flags_rejected(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
@@ -401,10 +433,19 @@ class TestVerify:
         assert "checks passed" in out
 
     def test_negative_control(self):
-        # a mutated basis must be reported as mismatching the oracle output
-        from graveropt import GraverBasis, SparseIntVector
-
-        good = graver_assignment(2, 2)
-        mutated = GraverBasis.from_elements(4, (SparseIntVector(4, ((0, 1), (1, -1))),), good.kind)
+        # a mutated basis must be reported as mismatching the oracle output,
+        # while a reordered, sign-flipped copy still matches
+        good = graver_assignment(2, 3)
+        mutated = basis_of(6, [[1, -1, 0, 0, 0, 0]])
+        flipped = basis_of(6, [[-1, 1, 0, 1, -1, 0], [1, 0, -1, -1, 0, 1], [0, -1, 1, 0, 1, -1]])
         assert _bases_match(good, good)
+        assert _bases_match(good, flipped)
         assert not _bases_match(good, mutated)
+
+    @pytest.mark.parametrize("max_dim", ["1", "-3", "x"])
+    def test_max_dim_below_two_rejected(self, capsys, max_dim):
+        # below 2 no oracle check would run, so a pass would say nothing
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--max-dim", max_dim])
+        assert exc.value.code == 2
+        assert "--max-dim" in capsys.readouterr().err

@@ -2,7 +2,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from graveropt import (
@@ -12,9 +12,7 @@ from graveropt import (
     CoordinateCardinality,
     DimensionError,
     Explicit,
-    GraverBasis,
     LiftingSampler,
-    SparseIntVector,
     assignment_basis_count,
     build_basis,
     graver_assignment,
@@ -28,16 +26,19 @@ from graveropt import (
     realize_matrix,
     save_basis,
 )
-from references import hilbert_cycle_count, lift_cycle
+from references import basis_of, dense_rows, dense_set, hilbert_cycle_count, lift_cycle
 
 
-def dense_set(basis):
-    return {tuple(g.to_dense()) for g in basis}
-
-
-def as_vector(dim, drawn):
+def as_dense(dim, drawn):
     idx, val = drawn
-    return SparseIntVector(dim, tuple(zip(idx.tolist(), val.tolist())))
+    g = np.zeros(dim, dtype=np.int64)
+    g[idx] = val
+    return g
+
+
+def canonical(g):
+    """The sign of g whose first nonzero entry is positive."""
+    return g if g[np.flatnonzero(g)[0]] > 0 else -g
 
 
 def dominates(h, g):
@@ -48,27 +49,6 @@ def dominates(h, g):
         and np.all(h * g >= 0)
         and np.all(np.abs(h) <= np.abs(g))
     )
-
-
-class TestSparseIntVector:
-    def test_round_trip(self):
-        v = SparseIntVector.from_dense([0, 2, 0, -1])
-        assert v.entries == ((1, 2), (3, -1))
-        assert list(v.to_dense()) == [0, 2, 0, -1]
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SparseIntVector(3, ((1, 0),))
-        with pytest.raises(ValueError):
-            SparseIntVector(3, ((2, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            SparseIntVector(3, ((3, 1),))
-
-    def test_canonical_sign(self):
-        v = SparseIntVector.from_dense([0, -1, 1])
-        assert not v.is_canonical
-        assert v.canonical().entries == ((1, 1), (2, -1))
-        assert (-v).entries == ((1, 1), (2, -1))
 
 
 class TestRealizeMatrix:
@@ -138,7 +118,7 @@ class TestBrickCardinality:
         basis = graver_brick_cardinality(3, 3)
         assert len(basis) == 9
         oracle = pottier_graver(realize_matrix(BrickCardinality(3, 3)))
-        assert basis.canonical_set() == oracle.canonical_set()
+        assert dense_set(basis) == dense_set(oracle)
 
 
 class TestCoordinateCardinality:
@@ -157,7 +137,7 @@ class TestCoordinateCardinality:
         basis = graver_coordinate_cardinality(3, 2)
         assert len(basis) == 6
         oracle = pottier_graver(realize_matrix(CoordinateCardinality(3, 2)))
-        assert basis.canonical_set() == oracle.canonical_set()
+        assert dense_set(basis) == dense_set(oracle)
 
 
 class TestHilbertCycles:
@@ -198,26 +178,25 @@ class TestLiftCycle:
 
     def test_two_cycle(self):
         g = lift_cycle((0, 1), [0, 1], n=2, k=2)
-        assert list(g.to_dense()) == [1, -1, -1, 1]
-        assert dense_set(graver_assignment(2, 2)) == {tuple(g.to_dense())}
+        assert list(g) == [1, -1, -1, 1]
+        assert dense_set(graver_assignment(2, 2)) == {tuple(g)}
 
     def test_brick_order_swap_negates(self):
         g = lift_cycle((0, 1), [1, 0], n=2, k=2)
-        assert list(g.to_dense()) == [-1, 1, 1, -1]
-        assert g == -lift_cycle((0, 1), [0, 1], n=2, k=2)
+        assert list(g) == [-1, 1, 1, -1]
+        assert np.array_equal(g, -lift_cycle((0, 1), [0, 1], n=2, k=2))
 
     def test_three_cycle(self):
         g = lift_cycle((0, 1, 2), [0, 1, 2], n=3, k=3)
-        assert g.entries == ((0, 1), (1, -1), (4, 1), (5, -1), (6, -1), (8, 1))
-        assert g.canonical().entries in graver_assignment(3, 3).canonical_set()
+        assert list(g) == [1, -1, 0, 0, 1, -1, -1, 0, 1]
+        assert tuple(g) in dense_set(graver_assignment(3, 3))
 
     def test_kernel_membership_random(self):
         rng = np.random.default_rng(1)
         A = realize_matrix(Assignment(4, 4))
         sampler = LiftingSampler(4, 4, 2, 4)
         for _ in range(50):
-            g = as_vector(16, sampler.draw(rng))
-            assert not np.any(A @ g.to_dense())
+            assert not np.any(A @ as_dense(16, sampler.draw(rng)))
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -250,13 +229,12 @@ class TestGraverAssignment:
     def test_sign_canonical_and_kernel(self):
         basis = graver_assignment(3, 4)
         A = realize_matrix(Assignment(3, 4))
-        for g in basis:
-            assert g.entries[0][1] > 0
-            assert not np.any(A @ g.to_dense())
+        assert np.all(basis.val[:, 0] > 0)  # a row's first value is its first nonzero
+        assert not np.any(A @ dense_rows(basis).T)
 
     def test_no_pairwise_domination(self):
         basis = graver_assignment(3, 3)
-        dense = [g.to_dense() for g in basis]
+        dense = list(dense_rows(basis))
         signed = dense + [-d for d in dense]
         for g in dense:
             assert not any(dominates(h, g) for h in signed)
@@ -282,7 +260,8 @@ class TestGraverAssignment:
     def test_deterministic_enumeration(self):
         a = graver_assignment(4, 3)
         b = graver_assignment(4, 3)
-        assert [g.entries for g in a] == [g.entries for g in b]
+        assert np.array_equal(a.idx, b.idx)
+        assert np.array_equal(a.val, b.val)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionError):
@@ -296,18 +275,17 @@ class TestSampleLifting:
         rng = np.random.default_rng(0)
         sampler = LiftingSampler(4, 4, 2, 2)
         for _ in range(20):
-            g = as_vector(16, sampler.draw(rng))
-            assert len(g.entries) == 4
-            bricks = {i // 4 for i, _ in g.entries}
-            assert len(bricks) == 2
+            idx, _ = sampler.draw(rng)
+            assert len(idx) == 4
+            assert len({i // 4 for i in idx.tolist()}) == 2  # two bricks
 
     def test_coverage_3x3(self):
         rng = np.random.default_rng(2)
-        want = graver_assignment(3, 3).canonical_set()
+        want = dense_set(graver_assignment(3, 3))
         sampler = LiftingSampler(3, 3, 2, 3)
         seen = set()
         for _ in range(10_000):
-            seen.add(as_vector(9, sampler.draw(rng)).canonical().entries)
+            seen.add(tuple(canonical(as_dense(9, sampler.draw(rng)))))
         assert seen == want
 
     def test_empty_range_error(self):
@@ -332,8 +310,9 @@ def reference_assignment(n, k, top):
     for cycle in hilbert_basis_cycles(k, top):
         for bricks in permutations(range(n), len(cycle)):
             g = lift_cycle(cycle, bricks, n, k)
-            if g.entries[0][1] > 0:
-                rows.append(g.entries)
+            support = np.flatnonzero(g)
+            if g[support[0]] > 0:
+                rows.append(list(zip(support, g[support])))
     return padded(rows, 2 * top)
 
 
@@ -392,9 +371,7 @@ class TestBuildBasis:
     def test_matches_predicted_and_kernel(self, kind):
         basis = build_basis(kind)
         assert len(basis) == predicted_cardinality(kind)
-        A = realize_matrix(kind)
-        for g in basis:
-            assert not np.any(A @ g.to_dense())
+        assert not np.any(realize_matrix(kind) @ dense_rows(basis).T)
 
     def test_explicit_rejected(self):
         with pytest.raises(TypeError):
@@ -408,7 +385,8 @@ class TestBasisFile:
         save_basis(basis, path)
         back = load_basis(path)
         assert back.dim == basis.dim
-        assert [g.entries for g in back] == [g.entries for g in basis]
+        assert np.array_equal(back.idx, basis.idx)
+        assert np.array_equal(back.val, basis.val)
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "basis.txt"
@@ -441,7 +419,31 @@ class TestBasisFile:
         assert back.dim == basis.dim
         assert np.array_equal(back.idx, basis.idx)
         assert np.array_equal(back.val, basis.val)
-        assert back.canonical_set() == basis.canonical_set()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.integers(0, 2**32 - 1), rows=st.integers(1, 2), cols=st.integers(3, 5))
+    def test_round_trip_property(self, tmp_path, draw, rows, cols):
+        A = np.random.default_rng(draw).integers(-2, 3, size=(rows, cols))
+        assume(A.any())  # the completion oracle needs a nonzero matrix
+        basis = pottier_graver(A)
+        path = tmp_path / "basis.txt"
+        save_basis(basis, path)
+        back = load_basis(path)
+        assert back.dim == basis.dim
+        assert np.array_equal(back.idx, basis.idx)
+        assert np.array_equal(back.val, basis.val)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["dim 3\n0:1 1:0\n", "dim 3\n1:1 1:-1\n", "dim 3\n2:1 0:-1\n",
+         "dim 3\n0:1 3:-1\n", "dim 0\n0:1\n", "dim 3\n0:1 1\n"],
+        ids=["zero-value", "repeated-index", "decreasing-index", "index-at-dim", "dim-0", "no-colon"],
+    )
+    def test_invalid_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_basis(path)
 
     def test_loaded_basis_matches_oracle(self, tmp_path):
         # the text format is the exchange surface for oracle comparisons
@@ -451,7 +453,7 @@ class TestBasisFile:
         save_basis(graver_assignment(2, 3), path)
         loaded = load_basis(path)
         oracle = pottier_graver(realize_matrix(Assignment(2, 3)))
-        assert loaded.canonical_set() == oracle.canonical_set()
+        assert dense_set(loaded) == dense_set(oracle)
 
 
 class TestBasisInvariants:
@@ -461,9 +463,9 @@ class TestBasisInvariants:
         ids=["ones", "brick", "assignment"],
     )
     def test_no_element_stored_with_its_negation(self, basis):
-        assert len(basis.canonical_set()) == len(basis)
-        assert all(g.is_canonical for g in basis)
-        assert all(g.entries for g in basis)  # never the zero vector
+        assert np.all(basis.val[:, 0] > 0)  # sign-canonical, so never beside its negation
+        assert len(dense_set(basis)) == len(basis)
+        assert np.all(dense_rows(basis).any(axis=1))  # never the zero vector
 
 
 class TestBasisDraw:
@@ -472,13 +474,13 @@ class TestBasisDraw:
         basis = graver_ones(4)
         seen_negative = False
         for _ in range(50):
-            g = as_vector(4, basis.draw(rng))
-            assert abs(g.entries[0][1]) == 1
-            seen_negative |= g.entries[0][1] < 0
+            _, val = basis.draw(rng)
+            assert abs(val[0]) == 1
+            seen_negative |= val[0] < 0
         assert seen_negative
 
     def test_empty_without_sampler(self):
         rng = np.random.default_rng(0)
-        empty = GraverBasis.from_elements(2, ())
+        empty = basis_of(2, [])
         with pytest.raises(ValueError):
             empty.draw(rng)

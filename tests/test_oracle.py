@@ -18,6 +18,7 @@ from graveropt import (
     realize_matrix,
     solve,
 )
+from references import dense_rows, dense_set
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -75,15 +76,15 @@ class TestKernelBasis:
 
 class TestPottier:
     def test_all_ones_row(self):
-        got = {tuple(g.to_dense()) for g in pottier_graver([[1, 1, 1]])}
+        got = dense_set(pottier_graver([[1, 1, 1]]))
         assert got == {(1, -1, 0), (1, 0, -1), (0, 1, -1)}
 
     def test_assignment_2x2(self):
-        got = {tuple(g.to_dense()) for g in pottier_graver(realize_matrix(Assignment(2, 2)))}
+        got = dense_set(pottier_graver(realize_matrix(Assignment(2, 2))))
         assert got == {(1, -1, -1, 1)}
 
     def test_one_two_row(self):
-        got = {tuple(g.to_dense()) for g in pottier_graver([[1, 2]])}
+        got = dense_set(pottier_graver([[1, 2]]))
         assert got == {(2, -1)}
 
     def test_trivial_kernel(self):
@@ -92,9 +93,9 @@ class TestPottier:
     def test_output_closed_under_reduction(self):
         # every pairwise sum of signed output elements reduces to zero
         for A in ([[1, 1, 1, 1]], realize_matrix(Assignment(2, 3))):
-            out = pottier_graver(A)
-            signed = [g.to_dense() for g in out] + [-g.to_dense() for g in out]
-            window = np.array(signed)
+            rows = dense_rows(pottier_graver(A))
+            window = np.concatenate([rows, -rows])
+            signed = list(window)
 
             def reduce(vec):
                 vec = vec.copy()
@@ -124,17 +125,17 @@ class TestPottier:
     )
     def test_agrees_with_structured(self, kind):
         oracle = pottier_graver(realize_matrix(kind))
-        assert oracle.canonical_set() == build_basis(kind).canonical_set()
+        assert dense_set(oracle) == dense_set(build_basis(kind))
 
     def test_all_outputs_minimal(self):
         A = np.array([[1, 1, 1, 1]], dtype=np.int64)
-        for g in pottier_graver(A):
-            assert is_graver_minimal(g.to_dense(), A)
+        for g in dense_rows(pottier_graver(A)):
+            assert is_graver_minimal(g, A)
 
     def test_structured_assignment_elements_minimal(self):
         A = realize_matrix(Assignment(3, 3))
-        for g in build_basis(Assignment(3, 3)):
-            assert is_graver_minimal(g.to_dense(), A)
+        for g in dense_rows(build_basis(Assignment(3, 3))):
+            assert is_graver_minimal(g, A)
 
     def test_budget_error(self):
         with pytest.raises(ResourceBudgetError):
@@ -153,8 +154,8 @@ class TestPottier:
         # independent route: minimal nonzero kernel vectors inside a small box
         A = np.asarray(A, dtype=np.int64)
         n = A.shape[1]
-        out = pottier_graver(A)
-        got = {tuple(g.to_dense()) for g in out}
+        out = dense_rows(pottier_graver(A))
+        got = set(map(tuple, out.tolist()))
 
         from itertools import product
 
@@ -180,9 +181,7 @@ class TestPottier:
         got_in_box = {g for g in got if max(abs(v) for v in g) <= radius}
         assert got_in_box == box_minimal
         # and nothing the completion found should be dominated at all
-        for g in out:
-            dense = g.to_dense()
-            assert not np.any(A @ dense)
+        assert not np.any(A @ out.T)
 
 
 class TestMinimality:

@@ -7,10 +7,8 @@ import pytest
 from graveropt import (
     Assignment,
     Cardinality,
-    GraverBasis,
     InfeasibleError,
     QuadraticInstance,
-    SparseIntVector,
     check_feasible,
     enumerate_feasible,
     generate_instance,
@@ -22,6 +20,7 @@ from graveropt import (
     serialize_instance,
 )
 from graveropt.solver import _Lockstep, prepare_moves
+from references import basis_of
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -81,12 +80,12 @@ class TestObjectiveDelta:
         """The delta of +g from the engine's per-element terms, c.g + w.g +
         g'Qg (None when x+g leaves the box), and the deltas one round over
         the basis {g} reports, keyed by the sign of the move; a best-policy
-        tile over {g} must report the same improving deltas."""
-        basis = GraverBasis.from_elements(inst.size, [g])
+        tile over {g} must report the same improving deltas.  g is dense."""
+        basis = basis_of(inst.size, [g])
         prep = prepare_moves(inst, basis)
         engine = _Lockstep(inst, prep, [np.asarray(x)])
         idx, val = basis.idx[0], basis.val[0]
-        moved = engine.x[0] + g.to_dense()
+        moved = engine.x[0] + g
         plus = None
         if np.all((moved >= inst.lower) & (moved <= inst.upper)):
             plus = prep.cg[0] + (engine.w[0][idx] * val).sum() + prep.qgg[0]
@@ -99,7 +98,7 @@ class TestObjectiveDelta:
     def assert_engine_matches(self, inst, x, g, scale=1):
         plus, scanned = self.engine_deltas(inst, x, g)
         for sign in (1, -1):
-            y = np.asarray(x) + sign * g.to_dense()
+            y = np.asarray(x) + sign * g
             feasible = bool(np.all((y >= inst.lower) & (y <= inst.upper)))
             direct = (objective(inst, y) - objective(inst, x)) * scale if feasible else None
             if sign == 1:
@@ -108,13 +107,13 @@ class TestObjectiveDelta:
 
     def test_null_move(self):
         inst = binary_instance(Cardinality(3), [1], Q=np.eye(3, dtype=np.int64))
-        zero = SparseIntVector(3, ())
+        zero = np.zeros(3, dtype=np.int64)
         assert self.engine_deltas(inst, [1, 0, 0], zero) == (0, {})
         self.assert_engine_matches(inst, [1, 0, 0], zero)
 
     def test_symmetric_swap(self):
         inst = binary_instance(Cardinality(2), [1], Q=np.eye(2, dtype=np.int64))
-        g = SparseIntVector.from_dense([-1, 1])
+        g = np.array([-1, 1])
         assert self.engine_deltas(inst, [1, 0], g) == (0, {})  # -g leaves the box
 
     def test_matches_direct_difference_int(self):
@@ -128,7 +127,7 @@ class TestObjectiveDelta:
                 lower=np.zeros(6, dtype=np.int64), upper=np.full(6, 2, dtype=np.int64),
             )
             x = rng.integers(0, 2, size=6)
-            g = SparseIntVector.from_dense(rng.integers(-2, 3, size=6))
+            g = rng.integers(-2, 3, size=6)
             self.assert_engine_matches(inst, x, g)
 
     def test_matches_direct_difference_rational(self):
@@ -143,7 +142,7 @@ class TestObjectiveDelta:
         scale = math.lcm(*(v.denominator for v in [*c, *Q.ravel()]))
         for _ in range(100):
             x = rng.integers(0, 2, size=n)
-            g = SparseIntVector.from_dense(rng.integers(-1, 2, size=n))
+            g = rng.integers(-1, 2, size=n)
             self.assert_engine_matches(inst, x, g, scale)
 
 

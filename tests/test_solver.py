@@ -11,14 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graveropt import (
-    Assignment,
     Cardinality,
     Explicit,
     GraverBasis,
     InfeasibleError,
     LiftingSampler,
     QuadraticInstance,
-    SparseIntVector,
     augment,
     brute_force_solve,
     build_basis,
@@ -38,6 +36,7 @@ from graveropt import (
 from graveropt import problems, solver
 from graveropt.problems import _int64_safe, _objective_scalar
 from graveropt.solver import POLICIES, _Lockstep, prepare_moves
+from references import basis_of, dense_rows
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -82,7 +81,7 @@ class TestAugment:
             lower=[0, 0],
             upper=[1, 1],
         )
-        empty = GraverBasis.from_elements(2, (), kind)
+        empty = basis_of(2, [])
         res = augment(inst, empty, [1, 0])
         assert res.steps == 0
         assert list(res.terminal_x) == [1, 0]
@@ -527,19 +526,16 @@ class TestRoomPrefilter:
         if basis == "pottier":  # entries up to 3, placed across word boundaries
             from graveropt import pottier_graver
 
-            elements = pottier_graver([[1, 2, 3]]).elements
+            rows = dense_rows(pottier_graver([[1, 2, 3]]))
             offsets = rng.choice(n - 2, size=min(n - 2, 4), replace=False)
-            return [
-                SparseIntVector(n, tuple((int(i + o), v) for i, v in g.entries))
-                for o in offsets
-                for g in elements
-            ]
+            return [np.pad(g, (o, n - 3 - o)) for o in offsets for g in rows]
         top = 1 if basis == "unit" else 3
         elements = []
         for _ in range(int(rng.integers(1, 60))):
             idx = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False))
-            val = rng.integers(1, top + 1, size=len(idx)) * rng.choice([-1, 1], size=len(idx))
-            elements.append(SparseIntVector(n, tuple(zip(idx.tolist(), val.tolist()))))
+            g = np.zeros(n, dtype=np.int64)
+            g[idx] = rng.integers(1, top + 1, size=len(idx)) * rng.choice([-1, 1], size=len(idx))
+            elements.append(g)
         return elements
 
     @classmethod
@@ -553,7 +549,7 @@ class TestRoomPrefilter:
             c=rng.integers(-9, 10, size=n), Q=rng.integers(-9, 10, size=(n, n)),
             kind=Cardinality(n), b=[int(seeds[0].sum())], lower=lower, upper=upper,
         )
-        prep = prepare_moves(inst, GraverBasis.from_elements(n, cls.random_elements(rng, n, basis)))
+        prep = prepare_moves(inst, basis_of(n, cls.random_elements(rng, n, basis)))
         assert prep.unit == (basis == "unit")
         return rng, prep, _Lockstep(inst, prep, seeds)
 
@@ -664,11 +660,11 @@ def long_cycle_moves(basis):
 @functools.lru_cache(maxsize=None)
 def _long_cycle_moves(n, k, t_min, t_max):
     keyed = []
-    for g in graver_assignment(n, k).elements:
-        t = len(g) // 2
+    for g in dense_rows(graver_assignment(n, k)):
+        t = np.count_nonzero(g) // 2
         if t_min <= t <= t_max:
             for sign in (1, -1):
-                dense = sign * g.to_dense()
+                dense = sign * g
                 keyed.append(((t, cycle_key(dense, k)), dense))
     return [g for _, g in sorted(keyed, key=lambda pair: pair[0])]
 
@@ -684,7 +680,7 @@ def reference_descent(inst, basis, x, policy):
     and counted as examined, with every feasible one before it (all of
     them when none is taken); after a taken one the scan starts over from
     the first move."""
-    moves = [sign * g.to_dense() for g in basis.elements for sign in (1, -1)]
+    moves = [sign * g for g in dense_rows(basis) for sign in (1, -1)]
     cycles = long_cycle_moves(basis)
     x = np.asarray(x, dtype=np.int64)
     fx = objective(inst, x)
@@ -826,7 +822,7 @@ class TestLongCycles:
         t_full = min(n, k)
         # no stored elements: the sampler stands for every lifting
         empty = np.zeros((0, 2), dtype=np.int64)
-        basis = GraverBasis(inst.size, empty, empty, Assignment(n, k), LiftingSampler(n, k, 2, t_full))
+        basis = GraverBasis(inst.size, empty, empty, LiftingSampler(n, k, 2, t_full))
         engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
         scale, fx = rational_scale(inst), objective(inst, x)
         got = []
@@ -841,10 +837,10 @@ class TestLongCycles:
                 got.append(tuple(g))
                 assert d == scale * (objective(inst, x + g) - fx)
         want = {
-            tuple(sign * g.to_dense())
-            for g in graver_assignment(n, k).elements
+            tuple(sign * g)
+            for g in dense_rows(graver_assignment(n, k))
             for sign in (1, -1)
-            if np.all((x + sign * g.to_dense() >= inst.lower) & (x + sign * g.to_dense() <= inst.upper))
+            if np.all((x + sign * g >= inst.lower) & (x + sign * g <= inst.upper))
         }
         assert len(got) == len(set(got))
         assert set(got) == want
@@ -892,9 +888,11 @@ class TestLongCycles:
     def test_certificates_hold_against_the_full_basis(self):
         # truncated bases: a seed certified "full" has no improving element
         # of the whole closed form, not only of the stored lengths
+        qap44 = generate_instance(np.random.default_rng(3), "QAP", 4, 4)
+        qap55 = generate_instance(np.random.default_rng(16), "QAP", 5, 5)
         cases = [
-            (generate_instance(np.random.default_rng(3), "QAP", 4, 4), {"max_cycle_len": 2}, 3),
-            (generate_instance(np.random.default_rng(16), "QAP", 5, 5), {"max_cycle_len": 2}, 3),
+            (qap44, {"basis": build_basis(qap44.kind, max_cycle_len=2)}, 3),
+            (qap55, {"basis": build_basis(qap55.kind, max_cycle_len=2)}, 3),
             (TestGoldenOutputs.instance("QAP", 5, 5, 32, None, "int"), {"enumeration_cap": 200}, 13),
         ]
         for inst, kw, rng_seed in cases:
