@@ -16,8 +16,10 @@ cycle on the k slots into distinct bricks: brick b_s carries e_{j_s} - e_{j_s+1}
 so brick sums and slot sums both cancel.  Enumerating every cycle together
 with every injective brick placement produces the complete basis; when that
 enumeration is too large, a bounded prefix (small cycle lengths) is stored
-and a :class:`LiftingSampler` names the omitted lengths: the seed walk draws
-from it, and descent enumerates those lengths at the points where it stalls.
+and a :class:`LiftingSampler` names the omitted lengths.  The enumerated
+basis serves ``graveropt graver``, ``graveropt verify`` and the oracle
+checks; descent on an assignment instance needs none, as it finds the
+liftings that fit the box on its room graph (see :mod:`graveropt.solver`).
 
 A basis is its padded int64 (index, value) arrays, one row per element,
 built in numpy from index grids (``combinations`` for the swaps, cycles
@@ -177,10 +179,12 @@ def _lift(cycles: np.ndarray, bricks: np.ndarray, k: int) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class LiftingSampler:
-    """Draws uniform random cycle liftings with lengths in [t_min, t_max].
+    """The cycle lengths [t_min, t_max] that a truncated assignment basis
+    leaves out, with a uniform random draw of one of their liftings.
 
-    Holds no mutable state; callers supply their own random generator, so
-    independent workers can share one sampler.
+    Holds no mutable state; callers supply their own random generator.
+    Nothing in the package draws from it: descent finds the feasible
+    liftings of every length on its room graph.
     """
 
     n: int
@@ -227,9 +231,7 @@ class GraverBasis:
     increasing) and ``val`` (nonzero values), one row per {g, -g} pair with
     its first nonzero positive, in a deterministic order; short rows are
     padded with index 0 and value 0.  ``sampler``, present only for a
-    truncated assignment enumeration, stands for the omitted cycle
-    lengths: the seed walk draws from it, and descent searches those
-    lengths exactly.
+    truncated assignment enumeration, names the omitted cycle lengths.
     """
 
     dim: int
@@ -250,19 +252,6 @@ class GraverBasis:
 
     def __len__(self) -> int:
         return len(self.idx)
-
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Random signed element as unpadded (indices, values), mixing in sampler draws."""
-        use_sampler = self.sampler is not None and (not len(self) or rng.random() < 0.5)
-        if use_sampler:
-            idx, val = self.sampler.draw(rng)
-        elif len(self):
-            e = int(rng.integers(len(self)))
-            width = np.count_nonzero(self.val[e])  # the padding sits at the end of a row
-            idx, val = self.idx[e, :width], self.val[e, :width]
-        else:
-            raise ValueError("cannot draw from an empty basis without a sampler")
-        return (idx, val) if rng.integers(2) == 0 else (idx, -val)
 
 
 def _swap_basis(pairs: np.ndarray, dim: int) -> GraverBasis:
@@ -323,6 +312,10 @@ def graver_assignment(
 ) -> GraverBasis:
     """Graver basis of the generalized Lawrence configuration for (n, k).
 
+    This closed form serves ``graveropt graver``, ``graveropt verify`` and
+    the oracle checks; ``solve`` builds none, as an assignment instance
+    descends on its room graph.
+
     Enumerates, for each cycle length t up to min(n, k, max_cycle_len),
     every canonical directed cycle and every injective brick list, keeping
     the sign-canonical representative of each lifted pair.  Each {g, -g}
@@ -332,11 +325,10 @@ def graver_assignment(
 
     When the predicted full cardinality exceeds ``enumeration_cap`` and no
     explicit ``max_cycle_len`` was given, enumeration stops at the largest
-    length <= 4 that fits the cap (low-length liftings do most augmentation
-    work in practice) and a sampler covers the omitted lengths.  When even
-    the length-2 liftings exceed the cap, DimensionError is raised.  The
-    liftings of one length are built at once, cycle-major over the brick
-    permutations.
+    length <= 4 that fits the cap and a sampler names the omitted lengths.
+    When even the length-2 liftings exceed the cap, DimensionError is
+    raised.  The liftings of one length are built at once, cycle-major over
+    the brick permutations.
     """
     if n < 2 or k < 2:
         raise DimensionError(f"need n >= 2 and k >= 2, got n={n}, k={k}")

@@ -3,9 +3,9 @@
 The three cardinality-style classes admit direct uniform sampling of
 feasible supports.  The assignment class does not: its feasible set is the
 binary matrices with fixed row and column sums, so we build one matrix
-greedily (Gale-Ryser style) and random-walk along Graver moves, rejecting
-steps that leave the 0/1 box.  The walk stays feasible by construction;
-uniformity of the walk is not claimed.
+greedily (Gale-Ryser style) and walk from it by curveball trades (Strona
+et al. 2014), each of which keeps both margins, so every step is feasible.
+The trade chain's limit is uniform over the matrices (Carstens 2015).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .graver import GraverBasis
 from .problems import InfeasibleError
 
 
@@ -103,36 +102,31 @@ def initial_assignment(r: Sequence[int], c: Sequence[int]) -> np.ndarray:
 
 
 def seeds_qap(
-    rng: np.random.Generator,
-    n: int,
-    k: int,
-    b: Sequence[int],
-    count: int,
-    basis: GraverBasis,
+    rng: np.random.Generator, n: int, k: int, b: Sequence[int], count: int
 ) -> list[np.ndarray]:
-    """Feasible assignment vectors generated by a Graver random walk.
+    """Feasible assignment vectors spread by a curveball walk.
 
-    Starting from the greedy matrix for margins b = (row sums; column sums),
-    flattened column by column so that column j is brick j, each successor
-    attempts a uniform 1..min(|G|, 10nk) random signed basis moves (1..10nk
-    when G stores no element and its sampler draws them all), applying only
-    those that keep every coordinate in [0, 1]; attempts, not successes,
-    count toward the walk length, so seeding stays O(count * nk) even for
-    huge bases.  Every emitted vector is feasible.
+    Starts from the greedy matrix for margins b = (row sums; column sums),
+    flattened column by column so that column j is brick j, and makes 2n
+    curveball trades before each emitted vector.  A trade picks two
+    bricks, pools the slots where exactly one of them has a one, and deals
+    the pool back at random, each brick keeping its count: brick sums and
+    slot sums both hold, so every step is feasible.
     """
     b = np.asarray(b, dtype=np.int64)
     if b.shape != (k + n,):
         raise ValueError(f"b must stack k row sums and n column sums, got shape {b.shape}")
-    x = initial_assignment(b[:k], b[k:]).T.reshape(-1)
-    hi = max(1, min(len(basis), 10 * n * k) or 10 * n * k)
-
+    bricks = initial_assignment(b[:k], b[k:]).T.astype(bool)  # row j is brick j
     out: list[np.ndarray] = []
     for _ in range(count):
-        attempts = int(rng.integers(1, hi + 1))
-        for _ in range(attempts):
-            idx, val = basis.draw(rng)
-            moved = (x[idx] + val).tolist()  # a short list beats numpy reductions here
-            if min(moved) >= 0 and max(moved) <= 1:
-                x[idx] = moved
-        out.append(x.copy())
+        for _ in range(2 * n if n > 1 else 0):
+            p = int(rng.integers(n))
+            q = int(rng.integers(n - 1))
+            q += q >= p
+            pool = np.flatnonzero(bricks[p] ^ bricks[q])  # exactly one of the two has a one
+            kept = int(bricks[p, pool].sum())
+            dealt = rng.permutation(pool)
+            bricks[p, pool] = bricks[q, pool] = False
+            bricks[p, dealt[:kept]] = bricks[q, dealt[kept:]] = True
+        out.append(bricks.reshape(-1).astype(np.int64))
     return out

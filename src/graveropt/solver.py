@@ -37,13 +37,14 @@ directly instead of through the bitsets.  Each seed still takes exactly
 the moves, and draws exactly the random numbers, of a descent run on its
 own, so reports do not depend on which seeds share a round.
 
-A sampler-backed assignment basis stores the cycle liftings up to some
-length and stands for the longer ones too.  When a seed's pass over the
-stored elements finds nothing, its long-cycle phase enumerates the
-omitted lengths exactly: a lifting fits the box at x exactly when it is a
-directed alternating cycle in the brick/slot graph whose arcs are the up
-and down room bits (the cyclic exchanges of Thompson and Orlin, 1989), so
-the feasible liftings are found by growing such paths level by level.
+The instance's kind picks the moves.  Swap families and explicit
+matrices scan their stored basis as above.  An assignment instance stores
+no basis: its moves are the cycle liftings of the closed form, and a
+lifting fits the box at x exactly when it is a directed alternating cycle
+in the brick/slot graph whose arcs are the up and down room bits (the
+cyclic exchanges of Thompson and Orlin, 1989).  Each of its steps grows
+such paths level by level over lengths 2..min(n, k), the long-cycle
+phase, and takes an improving cycle.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .graver import (
     CoordinateCardinality,
     Explicit,
     GraverBasis,
-    LiftingSampler,
     build_basis,
 )
 from .problems import InfeasibleError, QuadraticInstance, _int64_safe, check_feasible, objective
@@ -80,14 +80,15 @@ MIN_BEST_SHARE = 0.5  # and the least share of seeds that reach the best one
 class AugmentationResult:
     """Terminal point of one seed's descent, with a path-length audit trail.
 
-    ``moves_scanned`` counts the stored signed moves examined plus the
-    cycles the long-cycle phase evaluated.  ``sampler_assisted`` says the
-    descent took at least one long-cycle move (the name predates the
-    phase and is kept so reports keep their fields).  ``certificate`` says
-    what the terminal point is locally optimal against: ``"full"``, every
-    signed element of the basis the solve was given, including all
-    liftings its sampler stands for; ``"stored"``, the stored elements
-    only, because the long-cycle phase thinned its paths.
+    ``moves_scanned`` counts the signed basis moves examined or, for an
+    assignment instance, the room-graph cycles evaluated.
+    ``sampler_assisted`` says the descent took a room-graph move (the name
+    predates the room graph and is kept so reports keep their fields).
+    ``certificate`` says what the terminal point is locally optimal
+    against: ``"full"``, every signed element of the basis, for an
+    assignment every lifting of the closed form; ``"thinned"``, only the
+    liftings of the lengths that the last long-cycle phase saw in full,
+    because it went on with a random subset of its paths.
     """
 
     seed_index: int
@@ -144,9 +145,10 @@ class MovePrep:
     words as the support has entries, and a word costs 12 bytes against 16
     per entry, so the masks stay smaller than ``idxm`` + ``valm``.
     ``unit`` says every entry is +-1, which makes the room test exact.
-    ``qsym`` is Q+Q'.  ``sampler`` is the basis's lifting sampler, for
-    the long-cycle phase; ``selfq`` then holds v'Qv per pair (see
-    :func:`_pair_selfq`).  ``scale``, ``has_fraction``: see :func:`_scan_data`.
+    ``qsym`` is Q+Q'.  ``selfq``, set for an assignment instance only,
+    holds v'Qv per pair for its long-cycle phase (see :func:`_pair_selfq`);
+    such an instance has no stored elements.  ``scale``, ``has_fraction``:
+    see :func:`_scan_data`.
     """
 
     idxm: np.ndarray
@@ -161,7 +163,6 @@ class MovePrep:
     unit: bool
     scale: Optional[int]
     has_fraction: Optional[np.ndarray]
-    sampler: Optional[LiftingSampler] = None
     selfq: Optional[np.ndarray] = None
 
 
@@ -175,14 +176,17 @@ def _pair_selfq(Q, n, k) -> np.ndarray:
     return (diag[:, :, None] + diag[:, None, :] - block - block.transpose(0, 2, 1)).reshape(-1)
 
 
-def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
-    """One pass over the basis arrays serving a whole multi-seed run."""
-    idxm, valm = basis.idx, basis.val
+def prepare_moves(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> MovePrep:
+    """One pass over the basis arrays serving a whole multi-seed run.  An
+    assignment instance takes no basis (``None``) and gets its pair terms."""
+    room = isinstance(inst.kind, Assignment)
+    if room:  # a t-cycle lifts to 2t entries of +-1, t <= min(n, k)
+        idxm = valm = np.zeros((0, 0), dtype=np.int64)
+        max_weight = 2 * min(inst.kind.n, inst.kind.k)
+    else:
+        idxm, valm = basis.idx, basis.val
+        max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
     count, width = idxm.shape
-    max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
-    sampler = basis.sampler
-    if sampler is not None:  # a lifting of a t-cycle has 2t entries of +-1
-        max_weight = max(max_weight, 2 * sampler.t_max)
     c, Q, scale, has_fraction = _scan_data(inst, max_weight)
     cg = (c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
     qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
@@ -195,7 +199,7 @@ def prepare_moves(inst: QuadraticInstance, basis: GraverBasis) -> MovePrep:
     return MovePrep(
         idxm=idxm, valm=valm, c=c, Q=Q, qsym=Q + Q.T, cg=cg, qgg=qgg, word=word, mask=mask,
         unit=bool(np.abs(valm).max(initial=0) <= 1), scale=scale, has_fraction=has_fraction,
-        sampler=sampler, selfq=None if sampler is None else _pair_selfq(Q, sampler.n, sampler.k),
+        selfq=_pair_selfq(Q, inst.kind.n, inst.kind.k) if room else None,
     )
 
 
@@ -308,6 +312,9 @@ class _Lockstep:
     bit.  Row 0 of a seed's ``full`` is the words of not-``up`` then
     not-``down``, which +g reads at its mask's word ids; row 1 has the two
     halves swapped, so -g reading the same ids meets the other bitset.
+
+    An assignment instance has no signed moves: each of its seeds runs
+    :meth:`cycle_descent` on the room graph instead.
     """
 
     BLOCK = 4096
@@ -329,8 +336,8 @@ class _Lockstep:
         self.mask = prep.mask
         self.unit = prep.unit
         self.qsym = prep.qsym
-        self.sampler = prep.sampler
         self.selfq = prep.selfq
+        self.kind = inst.kind
         self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), inst.size)
         self.w = np.stack([self.qsym @ x for x in self.x])
         self.full = np.zeros((len(self.x), 2, _room_span(inst.size) // 32), dtype="<u8")
@@ -471,7 +478,7 @@ class _Lockstep:
         return cycle, np.repeat([1, -1], len(cycle) // 2)
 
     def long_cycles(self, s, cap, rng):
-        """The feasible liftings of lengths ``t_min..t_max`` at seed ``s``:
+        """The feasible liftings of lengths 2..min(n, k) at seed ``s``:
         per length, in order, (cycles [count, 2t], deltas, thinned), where
         a cycle lists the t coordinates it goes up at, then the t it goes
         down at.
@@ -494,7 +501,7 @@ class _Lockstep:
         (b*k + j_up)*k + j_down) and v'(Q+Q')v'' over every two pairs, so a
         path's delta grows by one ``linear`` entry and four ``qsym``
         entries per pair already on it."""
-        n, k = self.sampler.n, self.sampler.k
+        n, k = self.kind.n, self.kind.k
         up = (self.x[s] < self.upper).reshape(n, k)
         down = (self.x[s] > self.lower).reshape(n, k)
         cw = (self.c + self.w[s]).reshape(n, k)
@@ -537,14 +544,13 @@ class _Lockstep:
                 grown,
             )
 
-        for level in range(1, self.sampler.t_max):  # paths hold `level` pairs
+        for level in range(1, min(n, k)):  # paths hold `level` pairs
             par, brick = np.nonzero(reach.take(open_s * n + first_b, axis=0) & free_b)
-            if level + 1 >= self.sampler.t_min:
-                close = down[brick, first_s.take(par)]
-                cp = par[close]
-                cycle_up, cycle_down, cycle_delta = extend(cp, brick[close], first_s.take(cp))
-                yield np.concatenate([cycle_up, cycle_down], axis=1), cycle_delta, thinned
-            if level + 2 > self.sampler.t_max:
+            close = down[brick, first_s.take(par)]
+            cp = par[close]
+            cycle_up, cycle_down, cycle_delta = extend(cp, brick[close], first_s.take(cp))
+            yield np.concatenate([cycle_up, cycle_down], axis=1), cycle_delta, thinned
+            if level + 2 > min(n, k):
                 return
             at, slot = np.nonzero(down.take(brick, axis=0) & free_s.take(par, axis=0))
             par, brick, slot = thin(par.take(at), brick.take(at), slot)
@@ -565,45 +571,40 @@ class _Lockstep:
             if policy == "first":
                 hit = np.flatnonzero(delta < 0)
                 if len(hit):
-                    return cycles[hit[0]], examined + int(hit[0]) + 1, "stored"
+                    taken, examined = cycles[hit[0]], examined + int(hit[0]) + 1
+                    break
             elif len(delta):
                 j = int(np.argmin(delta))
                 if delta[j] < 0 and (low is None or delta[j] < low):
                     taken, low = cycles[j], delta[j]
             examined += len(delta)
-        return taken, examined, "stored" if thinned else "full"
+        return taken, examined, "thinned" if thinned else "full"
+
+    def cycle_descent(self, s, policy, rng):
+        """Seed ``s`` of an assignment instance, run to its terminal point
+        by long-cycle phases: (steps, cycles evaluated, took a cycle,
+        certificate of the last phase)."""
+        steps = examined = 0
+        while True:
+            cycle, seen, certificate = self.long_cycle(s, policy, rng)
+            examined += seen
+            if cycle is None:
+                return steps, examined, steps > 0, certificate
+            self.apply_support(s, *self.lifting(cycle), 1)
+            steps += 1
 
     def descend(self, policy, rngs):
         """Run every seed to its terminal point: per seed (steps, moves
-        examined, long-cycle assisted, certificate)."""
+        examined, took a room-graph move, certificate)."""
         count = len(self.x)
+        if self.selfq is not None:
+            return [self.cycle_descent(s, policy, rngs[s]) for s in range(count)]
         steps = np.zeros(count, dtype=np.int64)
         scanned = np.zeros(count, dtype=np.int64)
-        assisted = [False] * count
-        certificate = ["full" if self.sampler is None else "stored"] * count
         pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
         left = np.full(count, self.n_moves, dtype=np.int64)  # moves left in its pass
         window = np.full(count, self.WINDOW, dtype=np.int64)
-        live = np.ones(count, dtype=bool)
-
-        def stalled(s):
-            """A pass of seed ``s`` found no improving move: its long-cycle
-            phase.  True when it took a cycle and rejoins the scan."""
-            while self.sampler is not None:
-                cycle, examined, certificate[s] = self.long_cycle(s, policy, rngs[s])
-                scanned[s] += examined
-                if cycle is None:
-                    return False
-                self.apply_support(s, *self.lifting(cycle), 1)
-                steps[s] += 1
-                assisted[s] = True
-                if self.n_moves:
-                    pointer[s], left[s], window[s] = 0, self.n_moves, self.WINDOW
-                    return True
-            return False
-
-        if not self.n_moves:
-            live[:] = [stalled(s) for s in range(count)]
+        live = np.full(count, self.n_moves > 0)
         while live.any():
             seeds = np.flatnonzero(live)
             if policy == "best":  # every live seed's whole pass
@@ -630,11 +631,8 @@ class _Lockstep:
                 steps[movers] += 1
                 left[movers] = self.n_moves
                 window[movers] = self.WINDOW
-            for s in seeds[left[seeds] == 0].tolist():
-                live[s] = stalled(s)
-        return [
-            (int(steps[s]), int(scanned[s]), assisted[s], certificate[s]) for s in range(count)
-        ]
+            live[seeds[left[seeds] == 0]] = False
+        return [(int(steps[s]), int(scanned[s]), False, "full") for s in range(count)]
 
 
 def _descend(
@@ -668,29 +666,49 @@ def _descend(
     ]
 
 
+def _stored_basis(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Optional[GraverBasis]:
+    """The basis a descent scans: ``basis`` when given, else the kind's own.
+    None for an assignment instance, which takes no basis."""
+    kind = inst.kind
+    if isinstance(kind, Assignment):
+        if basis is not None:
+            raise ValueError("an assignment instance takes no basis: its descent finds every "
+                             "cycle lifting that fits the box on the room graph")
+        return None
+    if basis is not None:
+        return basis
+    if isinstance(kind, Explicit):
+        from .oracle import pottier_graver
+
+        return pottier_graver(kind.rows)
+    return build_basis(kind)
+
+
 def augment(
     inst: QuadraticInstance,
-    basis: GraverBasis,
+    basis: Optional[GraverBasis],
     x0,
     policy: str = "first",
     rng: Optional[np.random.Generator] = None,
 ) -> AugmentationResult:
-    """Descend from a feasible point until no signed basis move improves.
+    """Descend from a feasible point until no move improves.
 
-    No feasible signed stored element strictly improves the returned
-    point.  When the basis is sampler-backed, each time a pass over the
-    stored elements finds nothing the long-cycle phase enumerates the
-    feasible liftings of the sampler's lengths at x and takes one that
-    improves (the first, lengths ascending, or under ``"best"`` the lowest),
-    or stops.  A level of that enumeration with more than ``_Lockstep.CAP``
-    open paths goes on with a uniform random subset of them, drawn from
-    ``rng``; the result's ``certificate`` is ``"full"`` when the last phase
-    saw every lifting and ``"stored"`` otherwise.
+    ``basis`` None means the kind's own basis; an assignment instance
+    takes None, and a basis for one is a ValueError.  With a basis, no
+    feasible signed element strictly improves the returned point.  An
+    assignment instance descends by long-cycle phases: each enumerates the
+    feasible liftings at x and takes one that improves (the first, lengths
+    ascending, or under ``"best"`` the lowest), or stops.  A level of that
+    enumeration with more than ``_Lockstep.CAP`` open paths goes on with a
+    uniform random subset of them, drawn from ``rng``; the result's
+    ``certificate`` is ``"full"`` when the last phase saw every lifting and
+    ``"thinned"`` otherwise.
 
     This is a one-seed run of the engine :func:`solve` runs all seeds in.
     """
     x0 = np.asarray(x0, dtype=np.int64)
-    (result,) = _descend(inst, prepare_moves(inst, basis), [x0], policy, [rng])
+    prep = prepare_moves(inst, _stored_basis(inst, basis))
+    (result,) = _descend(inst, prep, [x0], policy, [rng])
     return result
 
 
@@ -715,10 +733,7 @@ def verify_local_optimality(
 
 
 def generate_seeds(
-    inst: QuadraticInstance,
-    basis: GraverBasis,
-    count: int,
-    rng: np.random.Generator,
+    inst: QuadraticInstance, count: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Class-appropriate feasible starting points for an instance."""
     kind = inst.kind
@@ -729,7 +744,7 @@ def generate_seeds(
     if isinstance(kind, CoordinateCardinality):
         return seeds_qsap2(rng, kind.n, kind.k, inst.b, count)
     if isinstance(kind, Assignment):
-        return seeds_qap(rng, kind.n, kind.k, inst.b, count, basis)
+        return seeds_qap(rng, kind.n, kind.k, inst.b, count)
     raise ValueError(f"no seed sampler for constraint kind {kind!r}")
 
 
@@ -782,27 +797,23 @@ def solve(
     Deterministic for a fixed ``rng_seed`` and policy: each seed's random
     stream is spawned by its index.  All seeds run in one lockstep engine
     in this process, so ``parallelism`` must be 1; to use more processors,
-    run separate solves in separate processes.
+    run separate solves in separate processes.  ``basis`` replaces the
+    kind's own; an assignment instance builds none and takes none (see
+    :func:`augment`).  ``enumeration_cap`` is accepted and changes nothing.
     """
     if parallelism != 1:
         raise ValueError(
             f"parallelism={parallelism}: solve runs every seed in one lockstep engine "
             "in one process; run separate solves in separate processes instead"
         )
-    if basis is None:
-        if isinstance(inst.kind, Explicit):
-            from .oracle import pottier_graver
-
-            basis = pottier_graver(inst.kind.rows)
-        else:
-            basis = build_basis(inst.kind, enumeration_cap=enumeration_cap)
+    basis = _stored_basis(inst, basis)
 
     master = np.random.SeedSequence(rng_seed)
     if seeds is None:
         if seed_count is None:
             seed_count = default_seed_count(inst.kind)
         seed_rng = np.random.default_rng(master.spawn(1)[0])
-        seeds = generate_seeds(inst, basis, seed_count, seed_rng)
+        seeds = generate_seeds(inst, seed_count, seed_rng)
     seeds = [np.asarray(s, dtype=np.int64) for s in seeds]
     if not seeds:
         raise InfeasibleError("no seeds to augment")

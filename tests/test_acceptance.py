@@ -201,11 +201,10 @@ def test_05_convex_exactness():
             count = truth.feasible_count
             picks = sorted(rng.choice(count, size=min(5, count), replace=False))
             seeds = [truth.points[i] for i in picks]
-            basis = build_basis(inst.kind)
             instances += 1
             examined_seeds += len(seeds)
             for policy in stuck:
-                report = solve(inst, seeds=seeds, policy=policy, basis=basis)
+                report = solve(inst, seeds=seeds, policy=policy)
                 if any(r.terminal_f != truth.best_f for r in report.results):
                     stuck[policy] += 1
     elapsed = time.perf_counter() - started
@@ -286,7 +285,9 @@ def test_07_local_optimality_certificates():
             n, k = random_dims(rng, klass)
             inst = generate_instance(rng, klass, n, k)
             basis = build_basis(inst.kind)
-            report = solve(inst, seed_count=10, rng_seed=trial, basis=basis)
+            # an assignment instance stores no basis and takes none
+            report = solve(inst, seed_count=10, rng_seed=trial,
+                           basis=None if klass == "QAP" else basis)
             for r in report.results:
                 checked += 1
                 if verify_local_optimality(inst, basis, r.terminal_x):
@@ -341,16 +342,19 @@ def test_08_seed_feasibility_and_coverage():
     if stats.chisquare(list(counts.values())).pvalue < alpha:
         problems.append("qsap2 uniformity")
 
-    # QAP walk: feasibility and coverage only, uniformity deliberately unchecked
     rng = np.random.default_rng(34)
-    basis = graver_assignment(3, 3)
     b = np.ones(6, dtype=np.int64)
-    qap = seeds_qap(rng, 3, 3, b, draws, basis)
+    qap = seeds_qap(rng, 3, 3, b, draws)
     inst = binary_instance(Assignment(3, 3), b)
     if not all(check_feasible(inst, x) for x in qap):
         problems.append("qap feasibility")
-    if len({tuple(x) for x in qap}) != 6:
+    counts = {}
+    for x in qap:
+        counts[tuple(x)] = counts.get(tuple(x), 0) + 1
+    if len(counts) != 6:
         problems.append("qap permutation coverage")
+    if stats.chisquare(list(counts.values())).pvalue < alpha:
+        problems.append("qap uniformity")
 
     elapsed = time.perf_counter() - started
     ok = not problems and elapsed < 120.0

@@ -1,12 +1,10 @@
 import csv
-import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-import graveropt.cli
 from graveropt import Assignment, build_basis, graver_assignment, load_basis, load_instance
 from graveropt.cli import _bases_match, main
 from graveropt.problems import _objective_scalar
@@ -304,28 +302,6 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
-
-    def test_cap_below_length_two_does_not_stop_the_batch(self, tmp_path, monkeypatch):
-        # with a cap under the 225 length-2 liftings of a 6x6 QAP, that file
-        # fails with the count and the cap named, and the batch goes on
-        monkeypatch.setattr(
-            graveropt.cli, "solve", functools.partial(graveropt.cli.solve, enumeration_cap=100)
-        )
-        inputs = tmp_path / "in"
-        for klass, n, k in (("QAP", 6, 6), ("CBQP", 6, None)):
-            argv = ["generate", "--class", klass, "--n", str(n), "--out-dir", str(inputs)]
-            assert run(argv + (["--k", str(k)] if k else [])) == 0
-        paths = sorted(map(str, inputs.glob("*.json")), reverse=True)  # the QAP file first
-        out = tmp_path / "run"
-        assert run(["solve", *paths, "--seeds", "3", "--out", str(out)]) == 1
-        error = json.loads((out / "QAP_6x6_000.result.json").read_text())["error"]
-        assert "225" in error and "100" in error
-        assert "best_objective" in json.loads((out / "CBQP_6_000.result.json").read_text())
-        with open(out / "summary.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["instance"], r["best_f"] != "") for r in rows] == [
-            ("QAP_6x6_000", False), ("CBQP_6_000", True),
-        ]
 
     def test_rational_instance_result_serializes(self, tmp_path):
         doc = {

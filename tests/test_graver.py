@@ -26,7 +26,7 @@ from graveropt import (
     realize_matrix,
     save_basis,
 )
-from references import basis_of, dense_rows, dense_set, hilbert_cycle_count, lift_cycle
+from references import dense_rows, dense_set, hilbert_cycle_count, lift_cycle
 
 
 def as_dense(dim, drawn):
@@ -467,20 +467,3 @@ class TestBasisInvariants:
         assert len(dense_set(basis)) == len(basis)
         assert np.all(dense_rows(basis).any(axis=1))  # never the zero vector
 
-
-class TestBasisDraw:
-    def test_draw_signed_elements(self):
-        rng = np.random.default_rng(0)
-        basis = graver_ones(4)
-        seen_negative = False
-        for _ in range(50):
-            _, val = basis.draw(rng)
-            assert abs(val[0]) == 1
-            seen_negative |= val[0] < 0
-        assert seen_negative
-
-    def test_empty_without_sampler(self):
-        rng = np.random.default_rng(0)
-        empty = basis_of(2, [])
-        with pytest.raises(ValueError):
-            empty.draw(rng)

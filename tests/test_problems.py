@@ -12,7 +12,6 @@ from graveropt import (
     check_feasible,
     enumerate_feasible,
     generate_instance,
-    graver_assignment,
     initial_assignment,
     objective,
     parse_instance,
@@ -218,7 +217,7 @@ class TestAssignment2D:
             kind=Assignment(3, 2), b=b, lower=np.zeros(6), upper=np.ones(6),
         )
         rng = np.random.default_rng(0)
-        for x in seeds_qap(rng, 3, 2, b, 20, graver_assignment(3, 2)):
+        for x in seeds_qap(rng, 3, 2, b, 20):
             assert check_feasible(inst, x)
             assert np.array_equal(x.reshape(3, 2).T.sum(axis=1), b[:2])
 
@@ -226,7 +225,7 @@ class TestAssignment2D:
         # forced margins: every seed is the flattened greedy matrix
         b = np.array([3, 0, 1, 1, 1])
         assert initial_assignment(b[:2], b[2:]).tolist() == [[1, 1, 1], [0, 0, 0]]
-        for x in seeds_qap(np.random.default_rng(0), 3, 2, b, 5, graver_assignment(3, 2)):
+        for x in seeds_qap(np.random.default_rng(0), 3, 2, b, 5):
             assert list(x) == [1, 0, 1, 0, 1, 0]
 
     def test_margins(self):

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt import (
     Assignment,
@@ -11,7 +13,6 @@ from graveropt import (
     InfeasibleError,
     QuadraticInstance,
     check_feasible,
-    graver_assignment,
     initial_assignment,
     seeds_cbqp,
     seeds_qap,
@@ -159,43 +160,41 @@ class TestDegenerateCounts:
 
     def test_qap_single_point_margins(self):
         rng = np.random.default_rng(0)
-        basis = graver_assignment(2, 2)
         b = np.array([2, 0, 1, 1])  # row sums (2,0), column sums (1,1): forced matrix
-        for x in seeds_qap(rng, 2, 2, b, 5, basis):
+        for x in seeds_qap(rng, 2, 2, b, 5):
             assert list(x) == [1, 0, 1, 0]
 
 
 class TestSeedsQap:
     def test_margins_preserved(self):
         rng = np.random.default_rng(0)
-        basis = graver_assignment(3, 3)
         b = np.array([2, 1, 1, 1, 2, 1])
         inst = binary_instance(Assignment(3, 3), b)
-        for x in seeds_qap(rng, 3, 3, b, 100, basis):
+        for x in seeds_qap(rng, 3, 3, b, 100):
             assert check_feasible(inst, x)
 
     def test_two_permutations_reached(self):
         rng = np.random.default_rng(1)
-        basis = graver_assignment(2, 2)
-        seen = {tuple(x) for x in seeds_qap(rng, 2, 2, np.ones(4, dtype=np.int64), 200, basis)}
+        seen = {tuple(x) for x in seeds_qap(rng, 2, 2, np.ones(4, dtype=np.int64), 200)}
         assert seen == {(1, 0, 0, 1), (0, 1, 1, 0)}
 
     def test_all_six_permutations_reached(self):
         rng = np.random.default_rng(2)
-        basis = graver_assignment(3, 3)
-        seen = {tuple(x) for x in seeds_qap(rng, 3, 3, np.ones(6, dtype=np.int64), 6000, basis)}
+        seen = {tuple(x) for x in seeds_qap(rng, 3, 3, np.ones(6, dtype=np.int64), 6000)}
         assert len(seen) == 6
 
     def test_infeasible_margins(self):
         rng = np.random.default_rng(0)
-        basis = graver_assignment(2, 2)
         with pytest.raises(InfeasibleError):
-            seeds_qap(rng, 2, 2, np.array([2, 1, 1, 1]), 5, basis)
+            seeds_qap(rng, 2, 2, np.array([2, 1, 1, 1]), 5)
 
-    def test_sampler_backed_walk(self):
-        rng = np.random.default_rng(4)
-        basis = graver_assignment(4, 4, max_cycle_len=2)
-        b = np.ones(8, dtype=np.int64)
-        inst = binary_instance(Assignment(4, 4), b)
-        for x in seeds_qap(rng, 4, 4, b, 50, basis):
-            assert check_feasible(inst, x)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), k=st.integers(2, 6), draw=st.integers(0, 2**32 - 1))
+    def test_every_seed_feasible(self, n, k, draw):
+        # margins of a random 0/1 k x n matrix, so always realizable
+        rng = np.random.default_rng(draw)
+        witness = (rng.random((k, n)) < rng.random()).astype(np.int64)
+        b = np.concatenate([witness.sum(axis=1), witness.sum(axis=0)])
+        inst = binary_instance(Assignment(n, k), b)
+        seeds = seeds_qap(rng, n, k, b, int(rng.integers(1, 20)))
+        assert all(check_feasible(inst, x) for x in seeds)

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import hashlib
 import math
+import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -13,9 +14,7 @@ from hypothesis import strategies as st
 from graveropt import (
     Cardinality,
     Explicit,
-    GraverBasis,
     InfeasibleError,
-    LiftingSampler,
     QuadraticInstance,
     augment,
     brute_force_solve,
@@ -33,7 +32,7 @@ from graveropt import (
     solve,
     verify_local_optimality,
 )
-from graveropt import problems, solver
+from graveropt import graver, problems, solver
 from graveropt.problems import _int64_safe, _objective_scalar
 from graveropt.solver import POLICIES, _Lockstep, prepare_moves
 from references import basis_of, dense_rows
@@ -207,21 +206,18 @@ class TestSolve:
         assert sum(report.terminal_value_counts.values()) == report.seed_count
 
     def test_sampler_backed_basis(self):
-        # a truncated basis stores the 2-cycles; a seed whose pass finds
-        # nothing enumerates the liftings of lengths 3..n and takes the first
-        # improving one (the lowest under "best"), then scans again from the
-        # first move; brute force over the full basis finds the same moves
+        # an assignment instance stores no basis: every step enumerates the
+        # liftings of lengths 2..n that fit the box on the room graph and
+        # takes the first improving one (the lowest under "best"); brute
+        # force over the closed form finds the same moves
         assisted = set()
         for instance_seed, n, seed_count, rng_seed in ((16, 5, 10, 3), (3, 4, 6, 3)):
             inst = generate_instance(np.random.default_rng(instance_seed), "QAP", n, n)
-            basis = build_basis(inst.kind, max_cycle_len=2)
-            assert basis.sampler is not None
             full = graver_assignment(n, n)
             for policy in POLICIES:
-                report = solve(inst, seed_count=seed_count, rng_seed=rng_seed, basis=basis,
-                               policy=policy)
+                report = solve(inst, seed_count=seed_count, rng_seed=rng_seed, policy=policy)
                 for r, seed in zip(report.results, report.seeds):
-                    x, fx, steps, examined = reference_descent(inst, basis, seed, policy)
+                    x, fx, steps, examined = reference_descent(inst, None, seed, policy)
                     assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined)
                     assert np.array_equal(r.terminal_x, x)
                     assert r.certificate == "full"
@@ -229,6 +225,32 @@ class TestSolve:
                 if report.sampler_assisted:
                     assisted.add((n, policy))
         assert assisted == {(n, policy) for n in (4, 5) for policy in POLICIES}
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 4), k=st.integers(2, 4), cut=st.booleans(), draw=st.integers(0, 99))
+    def test_assignment_takes_no_basis(self, n, k, cut, draw):
+        # the room graph holds every lifting, so a basis passed in would be
+        # ignored; it is refused instead, truncated or whole
+        inst = generate_instance(np.random.default_rng(draw), "QAP", n, k)
+        seed = solve(inst, seed_count=1, rng_seed=draw).seeds[0]
+        basis = graver_assignment(n, k, max_cycle_len=2 if cut else None)
+        with pytest.raises(ValueError, match="takes no basis"):
+            solve(inst, basis=basis)
+        with pytest.raises(ValueError, match="takes no basis"):
+            augment(inst, basis, seed)
+        assert augment(inst, None, seed).terminal_f == solve(inst, seeds=[seed]).best.terminal_f
+
+    def test_assignment_builds_no_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an assignment basis was built")
+
+        monkeypatch.setattr(solver, "build_basis", refuse)
+        monkeypatch.setattr(graver, "graver_assignment", refuse)
+        inst = generate_instance(np.random.default_rng(5), "QAP", 5, 4)
+        for policy in POLICIES:
+            report = solve(inst, seed_count=4, rng_seed=1, policy=policy)
+            assert augment(inst, None, report.seeds[0], policy=policy).terminal_f == (
+                report.results[0].terminal_f)
 
     def test_float_instance_runs_in_double(self):
         rng = np.random.default_rng(17)
@@ -368,16 +390,15 @@ class TestTerminalValues:
         n, k = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         if klass == "CBQP":
             n, k = 2 * n + 2, None
-        elif klass == "QAP":  # cut at length 2: the long-cycle phase takes the rest
+        elif klass == "QAP":  # lengths 2..4 on the room graph
             n, k = n + 1, k + 1
         base = generate_instance(rng, klass, n, k)
         lower, upper = base.lower, base.upper
         if box:
             lower, upper = -rng.integers(0, 2, size=base.size), rng.integers(1, 4, size=base.size)
         inst = self.variant(base, data, rng, lower, upper)
-        basis = build_basis(inst.kind, max_cycle_len=2 if klass == "QAP" else None)
         report = solve(inst, seed_count=int(rng.integers(1, 7)), rng_seed=draw % 89,
-                       policy=policy, basis=basis)
+                       policy=policy)
         for r in report.results:
             assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
 
@@ -405,10 +426,10 @@ class TestTerminalValues:
 
     @pytest.mark.parametrize("data", ["int", "fraction"])
     def test_long_cycle_steps_keep_values_exact(self, data):
-        # the golden sampler-backed QAP, whose long-cycle steps update the
-        # engine's (Q+Q')x through apply_support
+        # a golden QAP, whose long-cycle steps update the engine's (Q+Q')x
+        # through apply_support
         inst = TestGoldenOutputs.instance("QAP", 5, 5, 32, None, data)
-        report = solve(inst, rng_seed=13, enumeration_cap=200)
+        report = solve(inst, rng_seed=13)
         assert report.sampler_assisted
         for r in report.results:
             assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
@@ -649,41 +670,37 @@ def cycle_key(g, k):
     return tuple(key)
 
 
-def long_cycle_moves(basis):
-    """The liftings a sampler-backed basis stands for, both signs, from the
-    full closed form, in the long-cycle phase's order: length ascending,
-    then ``cycle_key`` ascending.  None without a sampler."""
-    sampler = basis.sampler
-    if sampler is None:
-        return []
-    return _long_cycle_moves(sampler.n, sampler.k, sampler.t_min, sampler.t_max)
+@functools.lru_cache(maxsize=None)
+def closed_form(n, k):
+    return graver_assignment(n, k)
 
 
 @functools.lru_cache(maxsize=None)
-def _long_cycle_moves(n, k, t_min, t_max):
+def long_cycle_moves(n, k):
+    """Every lifting of the n x k closed form, both signs, in the long-cycle
+    phase's order: length ascending, then ``cycle_key`` ascending."""
     keyed = []
-    for g in dense_rows(graver_assignment(n, k)):
+    for g in dense_rows(closed_form(n, k)):
         t = np.count_nonzero(g) // 2
-        if t_min <= t <= t_max:
-            for sign in (1, -1):
-                dense = sign * g
-                keyed.append(((t, cycle_key(dense, k)), dense))
+        for sign in (1, -1):
+            dense = sign * g
+            keyed.append(((t, cycle_key(dense, k)), dense))
     return [g for _, g in sorted(keyed, key=lambda pair: pair[0])]
 
 
 def reference_descent(inst, basis, x, policy):
     """One seed's descent, move by move, on direct objective values:
-    (terminal x, terminal f, steps, moves examined).  Under "first" the
-    cyclic scan resumes just past the last accepted move; under "best"
-    every pass scans all moves from the first and the first best wins.
-    When a pass finds nothing and the basis is sampler-backed, the
-    feasible liftings it stands for are tried in ``long_cycle_moves``
-    order, the first improving one taken (the first best under "best")
-    and counted as examined, with every feasible one before it (all of
-    them when none is taken); after a taken one the scan starts over from
-    the first move."""
-    moves = [sign * g for g in dense_rows(basis) for sign in (1, -1)]
-    cycles = long_cycle_moves(basis)
+    (terminal x, terminal f, steps, moves examined).  With a basis, under
+    "first" the cyclic scan resumes just past the last accepted move and
+    every move scanned is examined; under "best" every pass scans all moves
+    from the first and the first best wins.  For an assignment instance
+    (``basis`` None) every pass tries the liftings in ``long_cycle_moves``
+    order from the first, and only the feasible ones count as examined."""
+    room = basis is None
+    if room:
+        moves = long_cycle_moves(inst.kind.n, inst.kind.k)
+    else:
+        moves = [sign * g for g in dense_rows(basis) for sign in (1, -1)]
     x = np.asarray(x, dtype=np.int64)
     fx = objective(inst, x)
     steps = examined = pointer = 0
@@ -694,35 +711,22 @@ def reference_descent(inst, basis, x, policy):
     while True:
         found = None
         for t in range(len(moves)):
-            j = t if policy == "best" else (pointer + t) % len(moves)
+            j = t if policy == "best" or room else (pointer + t) % len(moves)
             y = x + moves[j]
             if fits(y):
+                examined += room
                 fy = objective(inst, y)
                 if fy < (fx if found is None else found[1]):
                     found = (y, fy, j)
                     if policy == "first":
                         break
-        if moves:
+        if moves and not room:
             examined += t + 1
-        if found is not None:
-            x, fx, j = found
-            steps += 1
-            pointer = (j + 1) % len(moves)
-            continue
-        for g in cycles:
-            y = x + g
-            if fits(y):
-                examined += 1
-                fy = objective(inst, y)
-                if fy < (fx if found is None else found[1]):
-                    found = (y, fy)
-                    if policy == "first":
-                        break
         if found is None:
             return x, fx, steps, examined
-        x, fx = found
+        x, fx, j = found
         steps += 1
-        pointer = 0
+        pointer = (j + 1) % len(moves)
 
 
 class TestLockstep:
@@ -738,9 +742,8 @@ class TestLockstep:
         k=st.integers(2, 3),
         data=st.sampled_from(["int", "fraction", "object"]),
         tiny=st.booleans(),
-        truncate=st.booleans(),
     )
-    def test_seeds_match_reference_descent(self, policy, klass, draw, n, k, data, tiny, truncate):
+    def test_seeds_match_reference_descent(self, policy, klass, draw, n, k, data, tiny):
         rng = np.random.default_rng(draw)
         if klass == "CBQP":
             n, k = 2 * n + 2, None
@@ -757,9 +760,7 @@ class TestLockstep:
         lower = -rng.integers(0, 2, size=base.size)
         upper = rng.integers(1, 4, size=base.size)
         inst = QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=lower, upper=upper)
-        # a 3x3 assignment basis cut at length 2 leaves the 3-cycles to the long-cycle phase
-        sampled = klass == "QAP" and truncate and n == k == 3
-        basis = build_basis(inst.kind, max_cycle_len=2 if sampled else None)
+        basis = None if klass == "QAP" else build_basis(inst.kind)
         # tiny rounds split seeds and windows at odd offsets, and best
         # passes of more than 3 elements over several element blocks
         cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
@@ -822,10 +823,7 @@ class TestLongCycles:
         )
         x = rng.integers(0, top + 1, size=inst.size)  # any point of the box
         t_full = min(n, k)
-        # no stored elements: the sampler stands for every lifting
-        empty = np.zeros((0, 2), dtype=np.int64)
-        basis = GraverBasis(inst.size, empty, empty, LiftingSampler(n, k, 2, t_full))
-        engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
+        engine = _Lockstep(inst, prepare_moves(inst, None), [x])
         scale, fx = rational_scale(inst), objective(inst, x)
         got = []
         levels = list(engine.long_cycles(0, 10**9, None))
@@ -850,9 +848,8 @@ class TestLongCycles:
     def test_cycles_come_in_the_documented_order(self):
         rng = np.random.default_rng(5)
         inst = generate_instance(rng, "QAP", 5, 6)
-        basis = build_basis(inst.kind, max_cycle_len=2)
         x = rng.integers(0, 2, size=inst.size)  # a random 0/1 point has more cycles than a seed
-        engine = _Lockstep(inst, prepare_moves(inst, basis), [x])
+        engine = _Lockstep(inst, prepare_moves(inst, None), [x])
         keys = []
         for cycles, _, _ in engine.long_cycles(0, 10**9, None):
             for row in cycles:
@@ -865,10 +862,9 @@ class TestLongCycles:
 
     def test_thinned_enumeration_is_a_feasible_subset(self):
         inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
-        basis = build_basis(inst.kind, max_cycle_len=2)
-        seed = solve(inst, seed_count=1, rng_seed=2, basis=basis).seeds[0]
-        engine = _Lockstep(inst, prepare_moves(inst, basis), [seed])
-        full = {tuple(g) for g in long_cycle_moves(basis) if np.all(seed + g <= 1) and np.all(seed + g >= 0)}
+        seed = solve(inst, seed_count=1, rng_seed=2).seeds[0]
+        engine = _Lockstep(inst, prepare_moves(inst, None), [seed])
+        full = {tuple(g) for g in long_cycle_moves(5, 5) if np.all(seed + g <= 1) and np.all(seed + g >= 0)}
 
         def cycles(cap, rng):
             out, flags = [], []
@@ -887,37 +883,88 @@ class TestLongCycles:
         assert flags[-1] and set(thin) < full
         assert cycles(4, np.random.default_rng(0))[0] == thin
 
-    def test_certificates_hold_against_the_full_basis(self):
-        # truncated bases: a seed certified "full" has no improving element
-        # of the whole closed form, not only of the stored lengths
-        qap44 = generate_instance(np.random.default_rng(3), "QAP", 4, 4)
-        qap55 = generate_instance(np.random.default_rng(16), "QAP", 5, 5)
-        cases = [
-            (qap44, {"basis": build_basis(qap44.kind, max_cycle_len=2)}, 3),
-            (qap55, {"basis": build_basis(qap55.kind, max_cycle_len=2)}, 3),
-            (TestGoldenOutputs.instance("QAP", 5, 5, 32, None, "int"), {"enumeration_cap": 200}, 13),
-        ]
-        for inst, kw, rng_seed in cases:
-            n, k = inst.kind.n, inst.kind.k
-            full = graver_assignment(n, k)
-            report = solve(inst, rng_seed=rng_seed, **kw)
-            assert [r.certificate for r in report.results] == ["full"] * report.seed_count
-            for r in report.results:
-                assert verify_local_optimality(inst, full, r.terminal_x) == []
+    @settings(max_examples=12, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        k=st.integers(2, 5),
+        top=st.integers(1, 2),
+        policy=st.sampled_from(POLICIES),
+    )
+    def test_certificates_hold_against_the_full_basis(self, draw, n, k, top, policy):
+        # a seed certified "full" has no improving element of the whole
+        # closed form, whatever the box 0..u with u <= 2
+        rng = np.random.default_rng(draw)
+        base = generate_instance(rng, "QAP", n, k)
+        inst = QuadraticInstance(c=base.c, Q=base.Q, kind=base.kind, b=base.b, lower=base.lower,
+                                 upper=rng.integers(1, top + 1, size=base.size))
+        report = solve(inst, seed_count=int(rng.integers(1, 4)), rng_seed=draw % 89, policy=policy)
+        full = closed_form(n, k)
+        for r in report.results:
+            assert r.certificate == "full"
+            assert verify_local_optimality(inst, full, r.terminal_x) == []
 
     def test_cap_thins_the_phase(self, monkeypatch):
         monkeypatch.setattr(_Lockstep, "CAP", 3)
         inst = generate_instance(np.random.default_rng(16), "QAP", 5, 5)
-        basis = build_basis(inst.kind, max_cycle_len=2)
-        capped = solve(inst, seed_count=8, rng_seed=3, basis=basis)
-        assert "stored" in {r.certificate for r in capped.results}
-        again = solve(inst, seed_count=8, rng_seed=3, basis=basis)
+        capped = solve(inst, seed_count=8, rng_seed=3)
+        assert "thinned" in {r.certificate for r in capped.results}
+        again = solve(inst, seed_count=8, rng_seed=3)
         assert report_signature(again) == report_signature(capped)
 
     def test_stored_bases_certify_in_full(self):
         inst = generate_instance(np.random.default_rng(7), "QSAP1", 4, 3)
         report = solve(inst, seed_count=5, rng_seed=1)
         assert {r.certificate for r in report.results} == {"full"}
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the enclosed block, instead of hanging, once it runs ``seconds``."""
+    def stop(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFloatTermination:
+    """Float data is evaluated in double precision with a strict <, and
+    rounding could in principle let a descent cycle.  On badly scaled data
+    every descent must still end, at a point that direct evaluation
+    certifies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        klass=st.sampled_from(["CBQP", "QSAP1", "QSAP2"]),
+        top=st.integers(1, 3),
+        policy=st.sampled_from(POLICIES),
+    )
+    def test_badly_scaled_descent_terminates_and_certifies(self, draw, klass, top, policy):
+        rng = np.random.default_rng(draw)
+        if klass == "CBQP":
+            n, k = int(rng.integers(4, 31)), None
+        else:
+            k = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 30 // k + 1))
+        base = generate_instance(rng, klass, n, k)
+        # every entry scaled by its own factor in 1e-3..1e12
+        c = base.c * 10.0 ** rng.uniform(-3, 12, size=base.c.shape)
+        Q = base.Q * 10.0 ** rng.uniform(-3, 12, size=base.Q.shape)
+        inst = QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=base.lower,
+                                 upper=np.full(base.size, top, dtype=np.int64))
+        with time_limit(30):
+            report = solve(inst, seed_count=int(rng.integers(1, 9)), rng_seed=draw % 89,
+                           policy=policy)
+        basis = build_basis(inst.kind)
+        for r in report.results:
+            assert verify_local_optimality(inst, basis, r.terminal_x) == []
 
 
 class TestSeparableConvexExactness:
@@ -986,47 +1033,51 @@ class TestGoldenOutputs:
     stored or scanned must keep the move order and the random stream, so
     these digests only move when the descent itself is meant to change."""
 
-    # (class, n, k, instance seed, solve keywords, box, policy, data, digest);
+    # (class, n, k, instance seed, box, policy, data, digest);
     # data "fraction" divides c and Q by ten primes above 100, whose LCM
     # trips the int64 bound (exact object arithmetic after scaling), and
     # "float" divides them by 4.0
     CASES = {
-        "qap_4x3_full": ("QAP", 4, 3, 39, {}, None, "first", "int",
-                            "06b316f9a36fd6041a3ba708849dbb17c2cf8de78aa194e8826bac5842257ffe"),
-        # re-pinned when the long-cycle phase replaced blind sampler draws:
-        # 13 of the 25 old terminal points had an improving 3..5-cycle
-        "qap_5x5_sampler": ("QAP", 5, 5, 32, {"enumeration_cap": 200}, None, "first", "int",
-                            "187117ace4aa4b6c900d3beb065a2a8e1a0d302fc479609ca5b234f62800b523"),
-        "qsap1_5x3": ("QSAP1", 5, 3, 32, {}, None, "first", "int",
+        # the three QAP digests were re-pinned when assignment instances
+        # stopped storing a basis: their seeds now come from curveball
+        # trades and every step is a room-graph move; each terminal point
+        # is checked against the closed form below
+        "qap_4x3_full": ("QAP", 4, 3, 39, None, "first", "int",
+                            "ce4e05b0b6fd25266991bc0d3db6561515bd943ba96a31bb2a80cebbc3a579f4"),
+        # "sampler" names the truncated basis this case once had; an
+        # assignment instance now stores none (see test_per_seed_digest)
+        "qap_5x5_sampler": ("QAP", 5, 5, 32, None, "first", "int",
+                            "4f7cdb2d67828d248c47160166b877bd07143598208d95cb1f196a5427efdb81"),
+        "qsap1_5x3": ("QSAP1", 5, 3, 32, None, "first", "int",
                             "4b75db176f9b59617017b7ead060f68e9b63579d97f8d0e053e90d0f0c8ddb02"),
         # n = 70 spans two 64-bit words of the room bitsets
-        "cbqp_70": ("CBQP", 70, None, 41, {}, None, "first", "int",
+        "cbqp_70": ("CBQP", 70, None, 41, None, "first", "int",
                             "1a3d3d104349d7b897c6c2fff294b8f7ac980ccb1739cd18ae865a1a98b66c04"),
         # a -1..2 box: seeds are binary, descent moves to both ends
-        "cbqp_12_box": ("CBQP", 12, None, 43, {}, (-1, 2), "first", "int",
+        "cbqp_12_box": ("CBQP", 12, None, 43, (-1, 2), "first", "int",
                             "1a06b72d62c5c71805db0d4a0579a532a2ac1881f0f27693451edde2898e46a1"),
-        "qsap2_6x4_best": ("QSAP2", 6, 4, 44, {}, None, "best", "int",
+        "qsap2_6x4_best": ("QSAP2", 6, 4, 44, None, "best", "int",
                             "70ccbec7fc3253cf3cb3f30ef05049e5e95a592621f31b1f1fb7a235ccf4ebe4"),
-        "qsap1_5x3_fraction": ("QSAP1", 5, 3, 45, {}, None, "first", "fraction",
+        "qsap1_5x3_fraction": ("QSAP1", 5, 3, 45, None, "first", "fraction",
                             "64f4b324b88536ab2a70f681b3069bac86053190d7275c221a1b795f9f2f0ee0"),
-        "cbqp_20_float": ("CBQP", 20, None, 46, {}, None, "first", "float",
+        "cbqp_20_float": ("CBQP", 20, None, 46, None, "first", "float",
                             "521c45a8b9237b02a9669ae7682392fc7ad77f948d042c012690a7822405edbe"),
         # default seed count 72, more seeds than bits in a word
-        "qsap1_9x8": ("QSAP1", 9, 8, 47, {}, None, "first", "int",
+        "qsap1_9x8": ("QSAP1", 9, 8, 47, None, "first", "int",
                             "ee54abef5fe6b28e14ad41c9aac33a42da7772d34baf429a26ee8ae7cc5a773d"),
         # the best policy on the paths above: float data, exact objects past
         # the int64 guard, a -1..2 box (its swap basis is still all +-1), the
         # long-cycle phase, and n = 70; test_pottier_basis_digest pins a
         # basis with larger entries
-        "cbqp_20_float_best": ("CBQP", 20, None, 46, {}, None, "best", "float",
+        "cbqp_20_float_best": ("CBQP", 20, None, 46, None, "best", "float",
                             "1c42651bf02593b5d514d3ccecc543564ee8255a89c4a6e9218c689a4e742805"),
-        "qsap1_5x3_fraction_best": ("QSAP1", 5, 3, 45, {}, None, "best", "fraction",
+        "qsap1_5x3_fraction_best": ("QSAP1", 5, 3, 45, None, "best", "fraction",
                             "6718546ada0c7a9c9b61c85cb1abf356b44def46844666148521a673faab4306"),
-        "cbqp_12_box_best": ("CBQP", 12, None, 43, {}, (-1, 2), "best", "int",
+        "cbqp_12_box_best": ("CBQP", 12, None, 43, (-1, 2), "best", "int",
                             "d5911a607ed6e3139e2ddba0f55df37bf70c9fc2a06b1cc13713adcb2c3da0f4"),
-        "qap_5x5_sampler_best": ("QAP", 5, 5, 32, {"enumeration_cap": 200}, None, "best", "int",
-                            "07cad2775a0609848148542fa8c47657e42c25d37c5e97ecaf6325f67a7b9b2a"),
-        "cbqp_70_best": ("CBQP", 70, None, 41, {}, None, "best", "int",
+        "qap_5x5_sampler_best": ("QAP", 5, 5, 32, None, "best", "int",
+                            "c92da86998e867fb724f036fca48760efd2557a2c18046998231966b4dc6e1a6"),
+        "cbqp_70_best": ("CBQP", 70, None, 41, None, "best", "int",
                             "21c9d6dbf3268788d6792fb1cf2af237537648d62faa3321d50b83ea6cec6159"),
     }
 
@@ -1050,12 +1101,14 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_per_seed_digest(self, case):
-        klass, n, k, instance_seed, kw, box, policy, data, want = self.CASES[case]
+        klass, n, k, instance_seed, box, policy, data, want = self.CASES[case]
         inst = self.instance(klass, n, k, instance_seed, box, data)
-        if kw:  # the capped QAP basis is truncated and sampler-backed
-            assert build_basis(inst.kind, **kw).sampler is not None
-        report = solve(inst, rng_seed=13, policy=policy, **kw)
-        assert report.sampler_assisted == bool(kw)
+        report = solve(inst, rng_seed=13, policy=policy)
+        assert report.sampler_assisted == (klass == "QAP")  # every QAP step is a room-graph move
+        if klass == "QAP":
+            for r in report.results:
+                assert r.certificate == "full"
+                assert verify_local_optimality(inst, closed_form(n, k), r.terminal_x) == []
         assert _per_seed_digest(report) == want
 
     @pytest.mark.parametrize("policy, want", [
