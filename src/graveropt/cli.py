@@ -220,12 +220,12 @@ def cmd_solve(args) -> int:
                 writer = csv.writer(fh)
                 writer.writerow(("seed_index", "terminal_f", "steps"))
                 for r in report.results:
-                    writer.writerow((r.seed_index, repr(r.terminal_f), r.steps))
+                    writer.writerow((r.seed_index, _encode_number(r.terminal_f), r.steps))
         rows.append(
             [
                 inst.name,
                 inst.size,
-                repr(report.best.terminal_f),
+                _encode_number(report.best.terminal_f),
                 report.distinct_terminal_values,
                 f"{report.best_share:.6f}",
                 wall_ms,

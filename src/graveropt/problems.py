@@ -269,10 +269,13 @@ def _decode_number(v):
     return v
 
 
-def _decode_array(data, shape):
-    flat = [_decode_number(v) for row in data for v in row] if shape == 2 else [
-        _decode_number(v) for v in data
-    ]
+def _decode_array(label, data, shape):
+    try:
+        flat = [_decode_number(v) for row in data for v in row] if shape == 2 else [
+            _decode_number(v) for v in data
+        ]
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("x"), Fraction("1/0")
+        raise ValueError(f"{label} has an entry that is not a number: {exc}") from None
     if any(isinstance(v, Fraction) for v in flat):
         arr = np.array(flat, dtype=object)
     elif any(isinstance(v, float) for v in flat):
@@ -314,20 +317,32 @@ def parse_instance(text: str) -> QuadraticInstance:
         if klass == "explicit":
             kind: ConstraintKind = Explicit.from_matrix(doc["A"])
         else:
-            kind = kind_for_class(klass, int(doc["n"]), doc.get("k") and int(doc["k"]))
+            k = doc.get("k")
+            kind = kind_for_class(klass, _whole("n", doc["n"]), k if k is None else _whole("k", k))
+        name = doc.get("name", "")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
         return QuadraticInstance(
-            c=_decode_array(doc["c"], 1),
-            Q=_decode_array(doc["Q"], 2),
+            c=_decode_array("c", doc["c"], 1),
+            Q=_decode_array("Q", doc["Q"], 2),
             kind=kind,
             b=doc["b"],
             lower=doc["l"],
             upper=doc["u"],
-            name=doc.get("name", ""),
+            name=name,
         )
     except KeyError as exc:
         raise ValueError(f"instance file lacks the field {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"malformed instance file: {exc}") from None
+
+
+def _whole(label: str, value) -> int:
+    """One integer of an instance file, or a ValueError naming ``label``."""
+    whole = _integer_field(label, value)
+    if whole.ndim:
+        raise ValueError(f"{label} must be one integer, got {value!r}")
+    return int(whole)
 
 
 def save_instance(inst: QuadraticInstance, path) -> None:

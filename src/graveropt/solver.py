@@ -17,14 +17,15 @@ intermediate provably fits, else in exact Python ints on object arrays;
 float data is computed in double precision.  Terminal values of rational
 data are read off the same scaled integers.
 
-The first-improvement scan tests bounds first, with word operations on
-bitsets.  Each seed keeps two room bitsets, ``up`` (x_i < u_i) and
-``down`` (x_i > l_i), and every basis element carries, per 64-bit word,
-the coordinates where it goes up and where it goes down.  +g passes when
-its up bits lie in ``up`` and its down bits in ``down``; for -g the two
-swap roles.  Only moves that pass are evaluated.  For elements whose
-entries are all +-1 the test is exact on any box; larger entries still
-get the full bounds check, on the moves that pass.
+The first-improvement scan tests bounds first, a byte per coordinate.
+Each round builds, for its own seeds only, the room of every coordinate
+from x: ``up`` (x_i < u_i) and ``down`` (x_i > l_i).  Every entry of a
+basis element carries one room id, the ``up`` byte of its coordinate
+when the entry is positive and the ``down`` byte when it is negative, so
++g passes when every byte it names is set; for -g the two swap roles.
+Only moves that pass are evaluated.  For elements whose entries are all
++-1 the test is exact on any box; larger entries still get the full
+bounds check, on the moves that pass.
 
 All seeds of a run descend in lockstep: their points are rows of one
 array, and each round evaluates every active seed's next window of moves
@@ -33,7 +34,7 @@ seeds.  Under best-improvement every pass covers all moves from the first,
 so a round is every live seed's whole pass, evaluated as dense tiles of
 [seeds x elements] straight from the per-element arrays.  A tile computes
 every move's delta anyway, so it checks each move against the box
-directly instead of through the bitsets.  Each seed still takes exactly
+directly instead of through the room bytes.  Each seed still takes exactly
 the moves, and draws exactly the random numbers, of a descent run on its
 own, so reports do not depend on which seeds share a round.
 
@@ -41,7 +42,7 @@ The instance's kind picks the moves.  Swap families and explicit
 matrices scan their stored basis as above.  An assignment instance stores
 no basis: its moves are the cycle liftings of the closed form, and a
 lifting fits the box at x exactly when it is a directed alternating cycle
-in the brick/slot graph whose arcs are the up and down room bits (the
+in the brick/slot graph whose arcs are the up and down room of x (the
 cyclic exchanges of Thompson and Orlin, 1989).  Each of its steps grows
 such paths level by level over lengths 2..min(n, k), the long-cycle
 phase, and takes an improving cycle.
@@ -137,13 +138,11 @@ class MovePrep:
     across signs ((-g)'Q(-g) = g'Qg, and c.(-g) just flips in the delta
     formula).
 
-    ``word``/``mask`` hold each element's room requirement for +g, stored
-    like the basis: a padded row per element of the room words its support
-    touches (padding has mask 0).  Room words are numbered as laid out by
-    :class:`_Lockstep`: the ``up`` words first, then the ``down`` words,
-    so one id and one mask cover either side.  A row has at most as many
-    words as the support has entries, and a word costs 12 bytes against 16
-    per entry, so the masks stay smaller than ``idxm`` + ``valm``.
+    ``room_id`` holds each entry's room id for +g, stored like the basis:
+    ``i`` for a positive entry at coordinate i (it needs x_i < u_i),
+    ``n + i`` for a negative one (x_i > l_i) and ``2n`` for padding,
+    which always has room.  As int32 it takes a quarter of ``idxm`` +
+    ``valm``.
     ``unit`` says every entry is +-1, which makes the room test exact.
     ``qsym`` is Q+Q'.  ``selfq``, set for an assignment instance only,
     holds v'Qv per pair for its long-cycle phase (see :func:`_pair_selfq`);
@@ -158,8 +157,7 @@ class MovePrep:
     qsym: np.ndarray
     cg: np.ndarray
     qgg: np.ndarray
-    word: np.ndarray
-    mask: np.ndarray
+    room_id: np.ndarray
     unit: bool
     scale: Optional[int]
     has_fraction: Optional[np.ndarray]
@@ -195,44 +193,13 @@ def prepare_moves(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Move
         rows = slice(start, min(count, start + block))
         gathered = Q[idxm[rows, :, None], idxm[rows, None, :]]
         qgg[rows] = np.einsum("ea,eab,eb->e", valm[rows], gathered, valm[rows])
-    word, mask = _room_masks(idxm, valm, _room_span(inst.size))
+    n = inst.size
+    room_id = np.where(valm > 0, idxm, np.where(valm < 0, n + idxm, 2 * n)).astype(np.int32)
     return MovePrep(
-        idxm=idxm, valm=valm, c=c, Q=Q, qsym=Q + Q.T, cg=cg, qgg=qgg, word=word, mask=mask,
+        idxm=idxm, valm=valm, c=c, Q=Q, qsym=Q + Q.T, cg=cg, qgg=qgg, room_id=room_id,
         unit=bool(np.abs(valm).max(initial=0) <= 1), scale=scale, has_fraction=has_fraction,
         selfq=_pair_selfq(Q, inst.kind.n, inst.kind.k) if room else None,
     )
-
-
-def _room_span(size: int) -> int:
-    """Bits per room bitset: the coordinates rounded up to whole words."""
-    return 64 * -(-size // 64)
-
-
-def _room_masks(idxm, valm, span) -> tuple[np.ndarray, np.ndarray]:
-    """Per element, the room words its support touches and the bits it
-    needs in them for +g: up bits at i, down bits at ``span`` + i.  Rows
-    list their words in increasing order; padding has mask 0."""
-    count, width = idxm.shape
-    word = np.zeros((count, min(width, 2 * span // 64)), dtype=np.int32)
-    mask = np.zeros(word.shape, dtype="<u8")
-    used = 0
-    block = max(1, 4096 // max(1, width))  # keeps the transients small
-    for start in range(0, count, block):
-        idx, val = idxm[start : start + block], valm[start : start + block]
-        key = np.sort(np.where(val != 0, idx + span * (val < 0), 2 * span), axis=1)
-        cell = key >> 6
-        real = key < 2 * span  # padding sorts last and opens no word
-        new = real.copy()
-        new[:, 1:] &= cell[:, 1:] != cell[:, :-1]
-        slot = np.cumsum(new, axis=1) - 1
-        bits = real.astype(np.uint64) << (key & 63).astype(np.uint64)
-        # a word's entries follow its first one, in the row-major ravel too
-        firsts = np.flatnonzero(new)
-        at = (start + firsts // width, slot.ravel()[firsts])
-        word[at] = cell.ravel()[firsts]
-        mask[at] = np.bitwise_or.reduceat(bits.ravel(), firsts) if len(firsts) else 0
-        used = max(used, int(slot.max(initial=-1)) + 1)
-    return np.ascontiguousarray(word[:, :used]), np.ascontiguousarray(mask[:, :used])
 
 
 def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
@@ -307,11 +274,8 @@ class _Lockstep:
     :meth:`best_moves` as dense tiles of [seeds x elements] read straight
     from the per-element arrays, with no per-move window indices.
 
-    The room bitsets are kept complemented, as ``full`` (bit set where
-    x_i sits at that bound), so a move passes when its mask meets no set
-    bit.  Row 0 of a seed's ``full`` is the words of not-``up`` then
-    not-``down``, which +g reads at its mask's word ids; row 1 has the two
-    halves swapped, so -g reading the same ids meets the other bitset.
+    The engine's only state is ``x`` and ``w``: a round reads room from x
+    as it scans (see :meth:`_scan`), so taking a move rewrites nothing else.
 
     An assignment instance has no signed moves: each of its seeds runs
     :meth:`cycle_descent` on the room graph instead.
@@ -332,30 +296,17 @@ class _Lockstep:
         self.valm = prep.valm
         self.cg = prep.cg
         self.qgg = prep.qgg
-        self.word = prep.word
-        self.mask = prep.mask
+        self.room_id = prep.room_id
         self.unit = prep.unit
         self.qsym = prep.qsym
         self.selfq = prep.selfq
         self.kind = inst.kind
         self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), inst.size)
         self.w = np.stack([self.qsym @ x for x in self.x])
-        self.full = np.zeros((len(self.x), 2, _room_span(inst.size) // 32), dtype="<u8")
-        self._mark_room(np.arange(len(self.x)))
-
-    def _mark_room(self, seeds):
-        """Rewrite the room words of ``seeds`` from their x."""
-        x = self.x[seeds]
-        bits = np.zeros((len(seeds), 4, 32 * self.full.shape[2]), dtype=bool)
-        bits[:, ::3, : x.shape[1]] = (x >= self.upper)[:, None]  # rows 0 and 3: not up
-        bits[:, 1:3, : x.shape[1]] = (x <= self.lower)[:, None]  # rows 1 and 2: not down
-        packed = np.packbits(bits, axis=-1, bitorder="little")
-        self.full[seeds] = packed.view("<u8").reshape(len(seeds), 2, -1)
 
     def apply_support(self, s, idx, val, sign):
         self.x[s, idx] += sign * val
         self.w[s] += sign * (self.Q[:, idx] @ val + val @ self.Q[idx, :])
-        self._mark_room(np.array([s]))
 
     def apply_moves(self, seeds, moves):
         """Seed ``seeds[i]`` takes signed move ``moves[i]``; seeds are distinct."""
@@ -375,7 +326,6 @@ class _Lockstep:
         val = self.valm[e] * sign[:, None]
         np.add.at(self.x, (seeds[:, None], idx), val)  # unbuffered, so padding adds 0
         self.w[seeds] += np.einsum("hk,hkn->hn", val, self.qsym[idx])
-        self._mark_room(seeds)
 
     def _scan(self, seeds, start, count):
         """Improving signed moves of one round, in which seed ``seeds[i]``
@@ -384,26 +334,32 @@ class _Lockstep:
         index, its delta).
 
         The room test runs on whole elements, +g and -g side by side, so
-        one gather of an element's masks serves both signs; a window that
-        starts or ends halfway through an element drops the other move."""
+        one gather of an element's room ids serves both signs; a window that
+        starts or ends halfway through an element drops the other move.
+        Row 0 of a seed's room is ``up``, ``down`` and a padding byte that
+        is always set, which +g reads at its ids; row 1 has the two halves
+        swapped, so -g reading the same ids meets the other side."""
         n_elements = self.n_moves >> 1
         lo = start >> 1
         span = ((start + count + 1) >> 1) - lo  # elements the window touches
         first = np.cumsum(span) - span
         e = np.arange(int(first[-1] + span[-1])) + np.repeat(lo - first, span)
         np.subtract(e, n_elements, out=e, where=e >= n_elements)
-        words = self.full.shape[2]
-        plus = np.repeat(2 * words * seeds, span)  # the seed's +g row; its -g row follows
-        full = self.full.reshape(-1)
-        hit = np.zeros((2, len(e)), dtype="<u8")
-        for k in range(self.word.shape[1]):  # a column at a time keeps the loops long
-            at, mask = plus + self.word[:, k][e], self.mask[:, k][e]
-            hit[0] |= full[at] & mask
-            hit[1] |= full[at + words] & mask
-        hit = hit.T.ravel()
-        hit[2 * first[start & 1 == 1]] = 1  # +g lies before the window
-        hit[2 * (first + span)[(start + count) & 1 == 1] - 1] = 1  # -g lies after it
-        at = np.flatnonzero(hit == 0)
+        x = self.x[seeds]
+        up, down = x < self.upper, x > self.lower
+        pad = np.ones((len(seeds), 1), dtype=bool)
+        room = np.concatenate([up, down, pad, down, up, pad], axis=1).reshape(-1)
+        row = 2 * x.shape[1] + 1
+        plus = np.repeat(2 * row * np.arange(len(seeds)), span)  # the seed's +g row; -g follows
+        ok = np.ones((2, len(e)), dtype=bool)
+        for k in range(self.room_id.shape[1]):  # a column at a time keeps the loops long
+            at = plus + self.room_id[:, k][e]
+            ok[0] &= room[at]
+            ok[1] &= room[at + row]
+        ok = ok.T.ravel()
+        ok[2 * first[start & 1 == 1]] = False  # +g lies before the window
+        ok[2 * (first + span)[(start + count) & 1 == 1] - 1] = False  # -g lies after it
+        at = np.flatnonzero(ok)
         slot = np.searchsorted(first, at >> 1, side="right") - 1
         e, odd = e[at >> 1], at & 1
         sign = 1 - 2 * odd
@@ -412,7 +368,7 @@ class _Lockstep:
         wg = (self.w.reshape(-1)[at_x] * val).sum(axis=1)
         delta = sign * (self.cg[e] + wg) + self.qgg[e]
         improving = delta < 0
-        if not self.unit:  # a room bit promises room for one unit step only
+        if not self.unit:  # a room byte promises room for one unit step only
             idx = np.take(self.idxm, e, axis=0)
             moved = self.x.reshape(-1)[at_x] + sign[:, None] * val
             improving &= np.all((moved >= self.lower[idx]) & (moved <= self.upper[idx]), axis=1)

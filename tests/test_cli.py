@@ -248,17 +248,34 @@ class TestSolve:
         lacking = tmp_path / "lacking.json"
         lacking.write_text(json.dumps({"name": "lacking", "class": "CBQP", "n": 3}))
         missing = tmp_path / "missing.json"
-        paths = [broken, lacking, missing, next(good.glob("*.json"))]
+        source = next(good.glob("*.json"))
+        base = json.loads(source.read_text())
+        # stem: (the field its error names, the spoiled fields); each once
+        # escaped as a traceback or was truncated to an integer
+        spoiled = {
+            "c_zero": ("c", {"c": ["1/0", *base["c"][1:]]}),
+            "q_zero": ("Q", {"Q": [["1/0", *base["Q"][0][1:]], *base["Q"][1:]]}),
+            "named": ("name", {"name": 5}),
+            "n_half": ("n", {"n": 3.5}),
+            "k_half": ("k", {"class": "QSAP1", "k": 3.5}),
+        }
+        for stem, (_, fields) in spoiled.items():
+            (tmp_path / f"{stem}.json").write_text(json.dumps({**base, **fields}))
+        bad = ["broken", "lacking", "missing", *spoiled]
+        paths = [broken, lacking, missing, *(tmp_path / f"{s}.json" for s in spoiled), source]
         out = tmp_path / "run"
         assert run(["solve", *map(str, paths), "--seeds", "3", "--out", str(out)]) == 1
-        for name in ("broken", "lacking", "missing"):
+        for name in bad:
             doc = json.loads((out / f"{name}.result.json").read_text())
             assert doc["name"] == name and doc["error"]
         assert "field 'c'" in json.loads((out / "lacking.result.json").read_text())["error"]
+        for stem, (field, _) in spoiled.items():
+            error = json.loads((out / f"{stem}.result.json").read_text())["error"]
+            assert error.startswith(f"{field} ")
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["instance"] for r in rows] == ["broken", "lacking", "missing", "CBQP_6_000"]
-        assert [r["best_f"] == "" for r in rows] == [True, True, True, False]
+        assert [r["instance"] for r in rows] == [*bad, "CBQP_6_000"]
+        assert [r["best_f"] == "" for r in rows] == [True] * len(bad) + [False]
 
     def test_bad_file_under_two_threads(self, tmp_path):
         # a malformed and a missing file between good ones: the same
@@ -302,6 +319,32 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_rational_csv_values_parse(self, tmp_path):
+        # CSV numbers are written as in the result file: an integral
+        # Fraction as an int, any other as "p/q", never a Python repr
+        doc = {
+            "name": "frac", "class": "CBQP", "n": 4, "k": None,
+            "c": ["1/3", "-2/7", "1/2", "3"],
+            "Q": [["0", "1/5", "0", "2/3"], ["0"] * 4, ["1/5", "0", "-1/3", "0"], ["0"] * 4],
+            "b": [2], "l": [0] * 4, "u": [1] * 4,
+        }
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert run(["solve", str(path), "--seeds", "6", "--per-seed-csv", "--out", str(out)]) == 0
+        from fractions import Fraction
+
+        result = json.loads((out / "frac.result.json").read_text())
+        with open(out / "summary.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert Fraction(row["best_f"]) == Fraction(str(result["best_objective"]))
+        with open(out / "frac.seeds.csv") as fh:
+            seeds = list(csv.DictReader(fh))
+        assert len(seeds) == 6
+        for cell in [*row.values(), *(v for r in seeds for v in r.values())]:
+            if cell != "frac":
+                Fraction(cell)
 
     def test_rational_instance_result_serializes(self, tmp_path):
         doc = {

@@ -519,9 +519,10 @@ class TestInt64Guard:
 
 
 class TestRoomPrefilter:
-    """The bitset room test lets a round evaluate only the moves that stay
-    in the box, and a best-policy tile checks the box itself; both must
-    report exactly what a full bounds check does."""
+    """The room test, one byte per coordinate read at each entry's room
+    id, lets a round evaluate only the moves that stay in the box, and a
+    best-policy tile checks the box itself; both must report exactly what
+    a full bounds check does."""
 
     @staticmethod
     def reference_deltas(engine, prep, s, seq):
@@ -586,7 +587,7 @@ class TestRoomPrefilter:
         rng, prep, engine = self.random_engine(n, basis, draw)
         n_moves = engine.n_moves
         every = np.arange(len(engine.x))
-        for _ in range(4):  # scan, then take a move per seed, so the room bits change
+        for _ in range(4):  # scan, then take a move per seed, so the room changes
             # one round: seeds in random order, random windows, some of a full
             # pass (which wraps), each from a random start
             order = rng.permutation(every)
@@ -647,12 +648,12 @@ class TestRoomPrefilter:
                 break
             engine.apply_moves(seeds[best >= 0], best[best >= 0])
 
-    def test_masks_fit_in_the_basis_memory(self):
-        inst = binary_instance(Cardinality(200), [100])  # four words per bitset
+    def test_room_ids_take_a_quarter_of_the_basis_memory(self):
+        inst = binary_instance(Cardinality(200), [100])
         basis = build_basis(inst.kind)
         prep = prepare_moves(inst, basis)
-        assert prep.word.shape == (len(basis), 2)
-        assert prep.word.nbytes + prep.mask.nbytes <= basis.idx.nbytes + basis.val.nbytes
+        assert prep.room_id.shape == basis.idx.shape
+        assert 4 * prep.room_id.nbytes == basis.idx.nbytes + basis.val.nbytes
 
 
 def cycle_key(g, k):
@@ -1050,7 +1051,7 @@ class TestGoldenOutputs:
                             "4f7cdb2d67828d248c47160166b877bd07143598208d95cb1f196a5427efdb81"),
         "qsap1_5x3": ("QSAP1", 5, 3, 32, None, "first", "int",
                             "4b75db176f9b59617017b7ead060f68e9b63579d97f8d0e053e90d0f0c8ddb02"),
-        # n = 70 spans two 64-bit words of the room bitsets
+        # n = 70, the largest CBQP case
         "cbqp_70": ("CBQP", 70, None, 41, None, "first", "int",
                             "1a3d3d104349d7b897c6c2fff294b8f7ac980ccb1739cd18ae865a1a98b66c04"),
         # a -1..2 box: seeds are binary, descent moves to both ends
@@ -1062,7 +1063,7 @@ class TestGoldenOutputs:
                             "64f4b324b88536ab2a70f681b3069bac86053190d7275c221a1b795f9f2f0ee0"),
         "cbqp_20_float": ("CBQP", 20, None, 46, None, "first", "float",
                             "521c45a8b9237b02a9669ae7682392fc7ad77f948d042c012690a7822405edbe"),
-        # default seed count 72, more seeds than bits in a word
+        # default seed count 72, the most seeds sharing a round here
         "qsap1_9x8": ("QSAP1", 9, 8, 47, None, "first", "int",
                             "ee54abef5fe6b28e14ad41c9aac33a42da7772d34baf429a26ee8ae7cc5a773d"),
         # the best policy on the paths above: float data, exact objects past
