@@ -263,19 +263,29 @@ def _encode_number(v):
     return v
 
 
-def _decode_number(v):
-    if isinstance(v, str):
+def _decode_number(label, v):
+    """A JSON number as it is, or a string such as "3/2" as a Fraction."""
+    if isinstance(v, (int, float)):  # bool is an int
+        return v
+    if not isinstance(v, str):
+        raise ValueError(f"{label} has an entry that is not a number: {v!r}")
+    try:
         return Fraction(v)
-    return v
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("x"), Fraction("1/0")
+        raise ValueError(f"{label} has an entry that is not a number: {exc}") from None
 
 
 def _decode_array(label, data, shape):
-    try:
-        flat = [_decode_number(v) for row in data for v in row] if shape == 2 else [
-            _decode_number(v) for v in data
-        ]
-    except (ValueError, ZeroDivisionError) as exc:  # Fraction("x"), Fraction("1/0")
-        raise ValueError(f"{label} has an entry that is not a number: {exc}") from None
+    """A JSON list (``shape`` 1) or a list of equal-length lists (2) as an
+    array; anything else is a ValueError naming ``label``."""
+    rows = data if shape == 2 else [data]
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"{label} must be a list" + " of lists" * (shape == 2))
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{label} has rows of unequal length")
+    # most entries are plain numbers, and skipping the call keeps loading fast
+    flat = [v if type(v) in (int, float) else _decode_number(label, v)
+            for row in rows for v in row]
     if any(isinstance(v, Fraction) for v in flat):
         arr = np.array(flat, dtype=object)
     elif any(isinstance(v, float) for v in flat):
@@ -285,10 +295,7 @@ def _decode_array(label, data, shape):
             arr = np.array(flat, dtype=np.int64)
         except OverflowError:  # integers beyond int64 stay exact Python ints
             arr = np.array(flat, dtype=object)
-    if shape == 2:
-        rows = len(data)
-        return arr.reshape(rows, -1)
-    return arr
+    return arr.reshape(len(data), len(data[0]) if data else 0) if shape == 2 else arr
 
 
 def serialize_instance(inst: QuadraticInstance) -> str:
@@ -315,7 +322,7 @@ def parse_instance(text: str) -> QuadraticInstance:
     try:
         klass = doc["class"]
         if klass == "explicit":
-            kind: ConstraintKind = Explicit.from_matrix(doc["A"])
+            kind: ConstraintKind = Explicit.from_matrix(_integer_field("A", doc["A"]))
         else:
             k = doc.get("k")
             kind = kind_for_class(klass, _whole("n", doc["n"]), k if k is None else _whole("k", k))

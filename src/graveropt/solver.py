@@ -82,7 +82,8 @@ class AugmentationResult:
     """Terminal point of one seed's descent, with a path-length audit trail.
 
     ``moves_scanned`` counts the signed basis moves examined or, for an
-    assignment instance, the room-graph cycles evaluated.
+    assignment instance, the room-graph cycles evaluated, a replayed
+    long-cycle phase counting as if run: the seed's count, not work done.
     ``sampler_assisted`` says the descent took a room-graph move (the name
     predates the room graph and is kept so reports keep their fields).
     ``certificate`` says what the terminal point is locally optimal
@@ -278,7 +279,9 @@ class _Lockstep:
     as it scans (see :meth:`_scan`), so taking a move rewrites nothing else.
 
     An assignment instance has no signed moves: each of its seeds runs
-    :meth:`cycle_descent` on the room graph instead.
+    :meth:`cycle_descent` on the room graph instead, one seed after the
+    other, and a seed replays the long-cycle phases that an earlier seed
+    ran in full at the same point.
     """
 
     BLOCK = 4096
@@ -301,6 +304,7 @@ class _Lockstep:
         self.qsym = prep.qsym
         self.selfq = prep.selfq
         self.kind = inst.kind
+        self.exact = prep.scale is not None
         self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), inst.size)
         self.w = np.stack([self.qsym @ x for x in self.x])
 
@@ -518,7 +522,8 @@ class _Lockstep:
 
     def long_cycle(self, s, policy, rng):
         """The long-cycle phase of seed ``s``: (the cycle to take or None,
-        cycles evaluated, certificate).  Under ``"first"`` the first
+        cycles evaluated, certificate).  The cycle is a copy, so a stored
+        phase keeps no level's array alive.  Under ``"first"`` the first
         improving cycle, lengths ascending; under ``"best"`` the lowest
         delta, first wins ties.  Cycles evaluated counts up to the taken
         one under ``"first"``, all of them otherwise."""
@@ -527,22 +532,43 @@ class _Lockstep:
             if policy == "first":
                 hit = np.flatnonzero(delta < 0)
                 if len(hit):
-                    taken, examined = cycles[hit[0]], examined + int(hit[0]) + 1
+                    taken, examined = cycles[hit[0]].copy(), examined + int(hit[0]) + 1
                     break
             elif len(delta):
                 j = int(np.argmin(delta))
                 if delta[j] < 0 and (low is None or delta[j] < low):
-                    taken, low = cycles[j], delta[j]
+                    taken, low = cycles[j].copy(), delta[j]
             examined += len(delta)
         return taken, examined, "thinned" if thinned else "full"
 
-    def cycle_descent(self, s, policy, rng):
+    def phase_key(self, s):
+        """What seed ``s``'s long-cycle phase reads besides its rng: x, and
+        w unless w = (Q+Q')x exactly, as for rational data (float w is
+        accumulated per step).  Object w keys on its values, not pointers."""
+        x = self.x[s].tobytes()
+        if self.exact:
+            return x
+        w = self.w[s]
+        return x, tuple(w.tolist()) if w.dtype == object else w.tobytes()
+
+    def cycle_descent(self, s, policy, rng, phases):
         """Seed ``s`` of an assignment instance, run to its terminal point
         by long-cycle phases: (steps, cycles evaluated, took a cycle,
-        certificate of the last phase)."""
+        certificate of the last phase).
+
+        ``phases``, shared by the seeds of one run, maps :meth:`phase_key`
+        to the result of a phase that thinned no level.  Such a phase drew
+        nothing from its rng, so any seed at that key replays it exactly.
+        A thinned phase depends on its seed's own stream: never stored."""
         steps = examined = 0
         while True:
-            cycle, seen, certificate = self.long_cycle(s, policy, rng)
+            key = self.phase_key(s)
+            phase = phases.get(key)
+            if phase is None:
+                phase = self.long_cycle(s, policy, rng)
+                if phase[2] == "full":
+                    phases[key] = phase
+            cycle, seen, certificate = phase
             examined += seen
             if cycle is None:
                 return steps, examined, steps > 0, certificate
@@ -554,7 +580,8 @@ class _Lockstep:
         examined, took a room-graph move, certificate)."""
         count = len(self.x)
         if self.selfq is not None:
-            return [self.cycle_descent(s, policy, rngs[s]) for s in range(count)]
+            phases = {}
+            return [self.cycle_descent(s, policy, rngs[s], phases) for s in range(count)]
         steps = np.zeros(count, dtype=np.int64)
         scanned = np.zeros(count, dtype=np.int64)
         pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts

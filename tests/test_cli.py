@@ -251,13 +251,19 @@ class TestSolve:
         source = next(good.glob("*.json"))
         base = json.loads(source.read_text())
         # stem: (the field its error names, the spoiled fields); each once
-        # escaped as a traceback or was truncated to an integer
+        # escaped as a traceback or loaded silently, truncated to integers,
+        # re-chunked into equal rows or split into characters
         spoiled = {
             "c_zero": ("c", {"c": ["1/0", *base["c"][1:]]}),
             "q_zero": ("Q", {"Q": [["1/0", *base["Q"][0][1:]], *base["Q"][1:]]}),
             "named": ("name", {"name": 5}),
             "n_half": ("n", {"n": 3.5}),
             "k_half": ("k", {"class": "QSAP1", "k": 3.5}),
+            "q_ragged": ("Q", {"Q": [base["Q"][0][:5], base["Q"][0][5:] + base["Q"][1],
+                                     *base["Q"][2:]]}),
+            "q_strings": ("Q", {"Q": ["123456"] * 6}),
+            "c_string": ("c", {"c": "123456"}),
+            "a_half": ("A", {"class": "explicit", "A": [[1, 0.5, 1.9, 1, 1, 1]]}),
         }
         for stem, (_, fields) in spoiled.items():
             (tmp_path / f"{stem}.json").write_text(json.dumps({**base, **fields}))

@@ -913,6 +913,87 @@ class TestLongCycles:
         again = solve(inst, seed_count=8, rng_seed=3)
         assert report_signature(again) == report_signature(capped)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        k=st.integers(2, 5),
+        data=st.sampled_from(["int", "fraction", "float", "mixed"]),
+        policy=st.sampled_from(POLICIES),
+        cap=st.integers(2, 24),
+    )
+    def test_replayed_phases_match_lone_seeds(self, draw, n, k, data, policy, cap):
+        # seeds of one run share full phases; each result must still be
+        # the one augment gives its seed alone on the same stream, so a
+        # replayed thinned phase, or one keyed on too little, shows
+        rng = np.random.default_rng(draw)
+        base = generate_instance(rng, "QAP", n, k)
+        c, Q = base.c, base.Q
+        if data == "fraction":
+            c, Q = (np.array([Fraction(int(v), 3) for v in a.flat], dtype=object).reshape(a.shape)
+                    for a in (c, Q))
+        elif data == "float":
+            c, Q = c / 7.0, Q / 3.0
+        elif data == "mixed":  # object arrays of ints and floats
+            c, Q = (np.array([v / 7.0 if v % 2 else int(v) for v in a.flat], dtype=object)
+                    .reshape(a.shape) for a in (c, Q))
+        inst = QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=base.lower,
+                                 upper=base.upper)
+        pool = solve(base, seed_count=3, rng_seed=draw % 97).seeds
+        seeds = [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(2, 6)))]
+        rng_seed = draw % 89
+        streams = np.random.SeedSequence(rng_seed).spawn(len(seeds) + 1)[1:]
+        with mock.patch.object(_Lockstep, "CAP", cap):
+            report = solve(inst, seeds=seeds, policy=policy, rng_seed=rng_seed)
+            for r, seed, stream in zip(report.results, seeds, streams):
+                alone = augment(inst, None, seed, policy, np.random.default_rng(stream))
+                assert np.array_equal(r.terminal_x, alone.terminal_x)
+                assert (r.terminal_f, r.steps, r.moves_scanned, r.sampler_assisted, r.certificate) == (
+                    alone.terminal_f, alone.steps, alone.moves_scanned, alone.sampler_assisted,
+                    alone.certificate,
+                )
+
+    def test_a_repeated_seed_replays_every_phase(self):
+        inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
+        seed = solve(inst, seed_count=1, rng_seed=2).seeds[0]
+        phases = []
+        run = _Lockstep.long_cycles
+
+        def counted(self, s, cap, rng):
+            phases.append(s)
+            return run(self, s, cap, rng)
+
+        with mock.patch.object(_Lockstep, "long_cycles", counted):
+            one = solve(inst, seeds=[seed])
+            alone = len(phases)
+            two = solve(inst, seeds=[seed, seed])
+        assert alone > 1 and len(phases) == 2 * alone  # the second solve ran as many
+        assert set(phases[alone:]) == {0}  # all of them for seed 0
+        first, second = two.results
+        assert first.certificate == second.certificate == "full"
+        for r in (second, one.best):
+            assert np.array_equal(r.terminal_x, first.terminal_x)
+            assert (r.steps, r.moves_scanned) == (first.steps, first.moves_scanned)
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_float_phases_key_on_w(self, dtype):
+        # float w is accumulated per step, so seeds at one x may hold
+        # different w; here seed 1's differs by far more than a rounding
+        rng = np.random.default_rng(3)
+        base = generate_instance(rng, "QAP", 4, 4)
+        inst = QuadraticInstance(c=(base.c / 7.0).astype(dtype), Q=(base.Q / 3.0).astype(dtype),
+                                 kind=base.kind, b=base.b, lower=base.lower, upper=base.upper)
+        seed = solve(base, seed_count=1, rng_seed=1).seeds[0]
+        shift = rng.normal(0, 20, size=inst.size)
+        prep = prepare_moves(inst, None)
+        both, lone = _Lockstep(inst, prep, [seed, seed]), _Lockstep(inst, prep, [seed])
+        both.w[1] += shift
+        lone.w[0] += shift
+        runs = both.descend("first", [np.random.default_rng(0)] * 2)
+        assert runs[1] != runs[0]
+        assert runs[1] == lone.descend("first", [np.random.default_rng(0)])[0]
+        assert np.array_equal(both.x[1], lone.x[0])
+
     def test_stored_bases_certify_in_full(self):
         inst = generate_instance(np.random.default_rng(7), "QSAP1", 4, 3)
         report = solve(inst, seed_count=5, rng_seed=1)
