@@ -30,6 +30,7 @@ as they are, and the text format reads and writes them row by row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby, permutations
@@ -100,7 +101,13 @@ class Explicit:
 
     @classmethod
     def from_matrix(cls, mat) -> "Explicit":
-        arr = np.asarray(mat, dtype=np.int64)
+        """Integer entries only; integral floats such as 2.0 pass."""
+        arr = np.asarray(mat)
+        for v in arr.ravel().tolist() if arr.dtype.kind not in "biu" else ():
+            if not (isinstance(v, numbers.Rational) and v.denominator == 1
+                    or isinstance(v, float) and v.is_integer()):
+                raise DimensionError(f"Explicit matrix has an entry that is not an integer: {v!r}")
+        arr = arr.astype(np.int64)
         if arr.ndim != 2:
             raise DimensionError("Explicit matrix must be 2-dimensional")
         return cls(tuple(tuple(int(v) for v in row) for row in arr))

@@ -108,7 +108,10 @@ class QuadraticInstance:
 def _integer_field(label: str, values) -> np.ndarray:
     """``values`` as int64, or a ValueError naming ``label`` for an entry
     that is not an integer in int64 range (integral floats such as 2.0 pass)."""
-    raw = np.asarray(values)
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape", which names no field
+        raise ValueError(f"{label} is ragged: its lists differ in length") from None
     if raw.dtype.kind != "i":
         flat = raw.ravel().tolist()
         for v in flat:

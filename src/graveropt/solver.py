@@ -35,8 +35,9 @@ so a round is every live seed's whole pass, evaluated as dense tiles of
 [seeds x elements] straight from the per-element arrays.  A tile computes
 every move's delta anyway, so it checks each move against the box
 directly instead of through the room bytes.  Each seed still takes exactly
-the moves, and draws exactly the random numbers, of a descent run on its
-own, so reports do not depend on which seeds share a round.
+the moves of a descent run on its own, so reports do not depend on which
+seeds share a round.  Descent draws no random numbers: randomness is in
+seeding only.
 
 The instance's kind picks the moves.  Swap families and explicit
 matrices scan their stored basis as above.  An assignment instance stores
@@ -90,7 +91,7 @@ class AugmentationResult:
     against: ``"full"``, every signed element of the basis, for an
     assignment every lifting of the closed form; ``"thinned"``, only the
     liftings of the lengths that the last long-cycle phase saw in full,
-    because it went on with a random subset of its paths.
+    because it went on with an evenly spaced subset of its paths.
     """
 
     seed_index: int
@@ -258,8 +259,8 @@ class _Lockstep:
     odd j.  The seeds' points ``x`` and ``w`` = (Q+Q')x are [seeds, n]
     arrays, ``w`` in the arithmetic chosen by :func:`_scan_data`.  Each
     round evaluates moves of many seeds in one pass, then every seed with
-    a hit takes its move at once.  Each seed's moves, examined counts and
-    random draws are those of a descent run on its own.
+    a hit takes its move at once.  Each seed's moves and examined counts
+    are those of a descent run on its own.
 
     Under ``"first"`` a round lays each active seed's window of signed
     moves (cyclic, from that seed's own pointer) end to end: one room
@@ -281,7 +282,7 @@ class _Lockstep:
     An assignment instance has no signed moves: each of its seeds runs
     :meth:`cycle_descent` on the room graph instead, one seed after the
     other, and a seed replays the long-cycle phases that an earlier seed
-    ran in full at the same point.
+    ran at the same point.
     """
 
     BLOCK = 4096
@@ -437,7 +438,7 @@ class _Lockstep:
         as unpadded (indices, values)."""
         return cycle, np.repeat([1, -1], len(cycle) // 2)
 
-    def long_cycles(self, s, cap, rng):
+    def long_cycles(self, s, cap):
         """The feasible liftings of lengths 2..min(n, k) at seed ``s``:
         per length, in order, (cycles [count, 2t], deltas, thinned), where
         a cycle lists the t coordinates it goes up at, then the t it goes
@@ -449,9 +450,9 @@ class _Lockstep:
         closes when it leaves at j_1.  Each signed lifting is one such
         cycle with its smallest brick first, so each is found once.  Within
         a length the order is lexicographic in (b_1, j_1, j_2, b_2, j_3,
-        ..., j_t, b_t).  When a level has more than ``cap`` open paths, a
-        uniform random ``cap`` of them, drawn from ``rng``, go on, in
-        order, and every later yield says ``thinned``.  Every length
+        ..., j_t, b_t).  When a level has more than ``cap`` open paths, an
+        evenly spaced ``cap`` of them go on, in order, so every first brick
+        keeps its share, and every later yield says ``thinned``.  Every length
         yields, so the last yield tells whether the enumeration was
         complete.
 
@@ -478,8 +479,7 @@ class _Lockstep:
             if len(paths[0]) <= cap:
                 return paths
             thinned = True
-            keep = np.sort(rng.choice(len(paths[0]), cap, replace=False))
-            return tuple(a[keep] for a in paths)
+            return tuple(a[np.arange(cap) * len(a) // cap] for a in paths)
 
         first_b, first_s, open_s = thin(first_b, first_s, open_s)
         ups = (first_b * k + first_s)[:, None]  # per path, where its pairs go up
@@ -520,7 +520,7 @@ class _Lockstep:
             rows = np.arange(len(par))
             free_b[rows, brick] = free_s[rows, slot] = False
 
-    def long_cycle(self, s, policy, rng):
+    def long_cycle(self, s, policy):
         """The long-cycle phase of seed ``s``: (the cycle to take or None,
         cycles evaluated, certificate).  The cycle is a copy, so a stored
         phase keeps no level's array alive.  Under ``"first"`` the first
@@ -528,7 +528,7 @@ class _Lockstep:
         delta, first wins ties.  Cycles evaluated counts up to the taken
         one under ``"first"``, all of them otherwise."""
         taken, low, examined, thinned = None, None, 0, False
-        for cycles, delta, thinned in self.long_cycles(s, self.CAP, rng):
+        for cycles, delta, thinned in self.long_cycles(s, self.CAP):
             if policy == "first":
                 hit = np.flatnonzero(delta < 0)
                 if len(hit):
@@ -542,46 +542,42 @@ class _Lockstep:
         return taken, examined, "thinned" if thinned else "full"
 
     def phase_key(self, s):
-        """What seed ``s``'s long-cycle phase reads besides its rng: x, and
-        w unless w = (Q+Q')x exactly, as for rational data (float w is
-        accumulated per step).  Object w keys on its values, not pointers."""
+        """What seed ``s``'s long-cycle phase reads: x, and w unless
+        w = (Q+Q')x exactly, as for rational data (float w is accumulated
+        per step).  Object w keys on its values, not pointers."""
         x = self.x[s].tobytes()
         if self.exact:
             return x
         w = self.w[s]
         return x, tuple(w.tolist()) if w.dtype == object else w.tobytes()
 
-    def cycle_descent(self, s, policy, rng, phases):
+    def cycle_descent(self, s, policy, phases):
         """Seed ``s`` of an assignment instance, run to its terminal point
         by long-cycle phases: (steps, cycles evaluated, took a cycle,
         certificate of the last phase).
 
         ``phases``, shared by the seeds of one run, maps :meth:`phase_key`
-        to the result of a phase that thinned no level.  Such a phase drew
-        nothing from its rng, so any seed at that key replays it exactly.
-        A thinned phase depends on its seed's own stream: never stored."""
+        to the result of the phase run there, thinned or not; a phase reads
+        nothing else, so any seed at that key replays it exactly."""
         steps = examined = 0
         while True:
             key = self.phase_key(s)
-            phase = phases.get(key)
-            if phase is None:
-                phase = self.long_cycle(s, policy, rng)
-                if phase[2] == "full":
-                    phases[key] = phase
-            cycle, seen, certificate = phase
+            if key not in phases:
+                phases[key] = self.long_cycle(s, policy)
+            cycle, seen, certificate = phases[key]
             examined += seen
             if cycle is None:
                 return steps, examined, steps > 0, certificate
             self.apply_support(s, *self.lifting(cycle), 1)
             steps += 1
 
-    def descend(self, policy, rngs):
+    def descend(self, policy):
         """Run every seed to its terminal point: per seed (steps, moves
         examined, took a room-graph move, certificate)."""
         count = len(self.x)
         if self.selfq is not None:
             phases = {}
-            return [self.cycle_descent(s, policy, rngs[s], phases) for s in range(count)]
+            return [self.cycle_descent(s, policy, phases) for s in range(count)]
         steps = np.zeros(count, dtype=np.int64)
         scanned = np.zeros(count, dtype=np.int64)
         pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
@@ -619,11 +615,7 @@ class _Lockstep:
 
 
 def _descend(
-    inst: QuadraticInstance,
-    prep: MovePrep,
-    seeds: Sequence[np.ndarray],
-    policy: str,
-    rngs: Sequence[Optional[np.random.Generator]],
+    inst: QuadraticInstance, prep: MovePrep, seeds: Sequence[np.ndarray], policy: str
 ) -> list[AugmentationResult]:
     """Descend every seed in one lockstep engine; results in seed order."""
     if policy not in POLICIES:
@@ -631,9 +623,8 @@ def _descend(
     for x in seeds:
         if not check_feasible(inst, x):
             raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
-    rngs = [np.random.default_rng(0) if rng is None else rng for rng in rngs]
     engine = _Lockstep(inst, prep, seeds)
-    runs = engine.descend(policy, rngs)
+    runs = engine.descend(policy)
     values = _terminal_values(inst, prep, engine.x, engine.w)
     return [
         AugmentationResult(
@@ -668,11 +659,7 @@ def _stored_basis(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Opti
 
 
 def augment(
-    inst: QuadraticInstance,
-    basis: Optional[GraverBasis],
-    x0,
-    policy: str = "first",
-    rng: Optional[np.random.Generator] = None,
+    inst: QuadraticInstance, basis: Optional[GraverBasis], x0, policy: str = "first"
 ) -> AugmentationResult:
     """Descend from a feasible point until no move improves.
 
@@ -682,16 +669,16 @@ def augment(
     assignment instance descends by long-cycle phases: each enumerates the
     feasible liftings at x and takes one that improves (the first, lengths
     ascending, or under ``"best"`` the lowest), or stops.  A level of that
-    enumeration with more than ``_Lockstep.CAP`` open paths goes on with a
-    uniform random subset of them, drawn from ``rng``; the result's
-    ``certificate`` is ``"full"`` when the last phase saw every lifting and
-    ``"thinned"`` otherwise.
+    enumeration with more than ``_Lockstep.CAP`` open paths goes on with an
+    evenly spaced ``CAP`` of them; the result's ``certificate`` is
+    ``"full"`` when the last phase saw every lifting and ``"thinned"``
+    otherwise.  No random numbers are drawn.
 
     This is a one-seed run of the engine :func:`solve` runs all seeds in.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     prep = prepare_moves(inst, _stored_basis(inst, basis))
-    (result,) = _descend(inst, prep, [x0], policy, [rng])
+    (result,) = _descend(inst, prep, [x0], policy)
     return result
 
 
@@ -777,10 +764,11 @@ def solve(
 ) -> SolveReport:
     """Build the basis, seed, augment every seed, and report.
 
-    Deterministic for a fixed ``rng_seed`` and policy: each seed's random
-    stream is spawned by its index.  All seeds run in one lockstep engine
-    in this process, so ``parallelism`` must be 1; to use more processors,
-    run separate solves in separate processes.  ``basis`` replaces the
+    Deterministic for a fixed ``rng_seed`` and policy: ``rng_seed`` draws
+    the seeds and descent draws nothing, so with ``seeds`` given it
+    changes nothing but the report's field.  All seeds run in one lockstep
+    engine in this process, so ``parallelism`` must be 1; to use more
+    processors, run separate solves in separate processes.  ``basis`` replaces the
     kind's own; an assignment instance builds none and takes none (see
     :func:`augment`).  ``enumeration_cap`` is accepted and changes nothing.
     """
@@ -791,19 +779,16 @@ def solve(
         )
     basis = _stored_basis(inst, basis)
 
-    master = np.random.SeedSequence(rng_seed)
     if seeds is None:
         if seed_count is None:
             seed_count = default_seed_count(inst.kind)
-        seed_rng = np.random.default_rng(master.spawn(1)[0])
+        seed_rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
         seeds = generate_seeds(inst, seed_count, seed_rng)
     seeds = [np.asarray(s, dtype=np.int64) for s in seeds]
     if not seeds:
         raise InfeasibleError("no seeds to augment")
-    streams = master.spawn(len(seeds) + 1)[1:]
-    rngs = [np.random.default_rng(stream) for stream in streams]
     prep = prepare_moves(inst, basis)
-    results = _descend(inst, prep, seeds, policy, rngs)
+    results = _descend(inst, prep, seeds, policy)
 
     best = min(results, key=lambda r: (r.terminal_f, r.seed_index))
     counts = dict(Counter(r.terminal_f for r in results))

@@ -252,7 +252,8 @@ class TestSolve:
         base = json.loads(source.read_text())
         # stem: (the field its error names, the spoiled fields); each once
         # escaped as a traceback or loaded silently, truncated to integers,
-        # re-chunked into equal rows or split into characters
+        # re-chunked into equal rows or split into characters, or failed
+        # with numpy's "inhomogeneous shape", which names no field
         spoiled = {
             "c_zero": ("c", {"c": ["1/0", *base["c"][1:]]}),
             "q_zero": ("Q", {"Q": [["1/0", *base["Q"][0][1:]], *base["Q"][1:]]}),
@@ -264,6 +265,10 @@ class TestSolve:
             "q_strings": ("Q", {"Q": ["123456"] * 6}),
             "c_string": ("c", {"c": "123456"}),
             "a_half": ("A", {"class": "explicit", "A": [[1, 0.5, 1.9, 1, 1, 1]]}),
+            "a_ragged": ("A", {"class": "explicit", "A": [[1] * 6, [1] * 3]}),
+            "b_ragged": ("b", {"b": [base["b"], [1, 1]]}),
+            "l_ragged": ("lower", {"l": [*base["l"][:5], [0, 0]]}),
+            "u_ragged": ("upper", {"u": [*base["u"][:5], [1, 1]]}),
         }
         for stem, (_, fields) in spoiled.items():
             (tmp_path / f"{stem}.json").write_text(json.dumps({**base, **fields}))

@@ -82,6 +82,15 @@ class TestRealizeMatrix:
         kind = Explicit.from_matrix([[1, 2], [0, 1]])
         assert realize_matrix(kind).tolist() == [[1, 2], [0, 1]]
 
+    def test_explicit_keeps_integral_floats(self):
+        assert Explicit.from_matrix([[1, 2.0, -3.0]]).rows == ((1, 2, -3),)
+
+    @pytest.mark.parametrize("entry", [0.5, 1.9, float("nan")], ids=["half", "1.9", "nan"])
+    def test_explicit_rejects_non_integers(self, entry):
+        # a cast to int64 used to truncate these: [1, 0.5, 1.9] became (1, 0, 1)
+        with pytest.raises(DimensionError, match=f"not an integer: {entry}$"):
+            Explicit.from_matrix([[1, entry, 1]])
+
 
 class TestGraverOnes:
     def test_k3_exact(self):

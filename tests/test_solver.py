@@ -827,7 +827,7 @@ class TestLongCycles:
         engine = _Lockstep(inst, prepare_moves(inst, None), [x])
         scale, fx = rational_scale(inst), objective(inst, x)
         got = []
-        levels = list(engine.long_cycles(0, 10**9, None))
+        levels = list(engine.long_cycles(0, 10**9))
         assert len(levels) == t_full - 1
         for t, (cycles, delta, thinned) in enumerate(levels, start=2):
             assert not thinned and cycles.shape == (len(delta), 2 * t)
@@ -852,7 +852,7 @@ class TestLongCycles:
         x = rng.integers(0, 2, size=inst.size)  # a random 0/1 point has more cycles than a seed
         engine = _Lockstep(inst, prepare_moves(inst, None), [x])
         keys = []
-        for cycles, _, _ in engine.long_cycles(0, 10**9, None):
+        for cycles, _, _ in engine.long_cycles(0, 10**9):
             for row in cycles:
                 idx, val = engine.lifting(row)
                 g = np.zeros(inst.size, dtype=np.int64)
@@ -861,28 +861,66 @@ class TestLongCycles:
         assert len(keys) > 100
         assert keys == sorted(keys)
 
+    @staticmethod
+    def strided_cycles(x, n, k, cap):
+        """Per length, the cycles that ``long_cycles(cap)`` yields at 0/1
+        point ``x``, found path by path in plain Python: each level's open
+        paths, in lexicographic order, are cut to paths[i * len // cap]
+        for i < cap when there are more than ``cap``."""
+        up = x.reshape(n, k) == 0
+        down = ~up
+
+        def thin(paths):
+            return paths if len(paths) <= cap else [paths[i * len(paths) // cap] for i in range(cap)]
+
+        # a path lists its pairs (brick, slot up, slot down)
+        paths = thin([[(b, j, d)] for b in range(n) for j in range(k) for d in range(k)
+                      if j != d and up[b, j] and down[b, d]])
+        levels = []
+        for _ in range(1, min(n, k)):
+            cycles, grown = [], []
+            for path in paths:
+                (b1, j1, _), (_, _, open_slot) = path[0], path[-1]
+                used_b, used_s = {p[0] for p in path}, {p[1] for p in path} | {open_slot}
+                for b in range(b1 + 1, n):
+                    if b in used_b or not up[b, open_slot]:
+                        continue
+                    if down[b, j1]:
+                        cycles.append(path + [(b, open_slot, j1)])
+                    grown += [path + [(b, open_slot, d)] for d in range(k)
+                              if down[b, d] and d not in used_s]
+            levels.append([[b * k + j for b, j, _ in c] + [b * k + d for b, _, d in c] for c in cycles])
+            paths = thin(grown)
+        return levels
+
     def test_thinned_enumeration_is_a_feasible_subset(self):
         inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
         seed = solve(inst, seed_count=1, rng_seed=2).seeds[0]
         engine = _Lockstep(inst, prepare_moves(inst, None), [seed])
         full = {tuple(g) for g in long_cycle_moves(5, 5) if np.all(seed + g <= 1) and np.all(seed + g >= 0)}
+        fx = objective(inst, seed)
 
-        def cycles(cap, rng):
-            out, flags = [], []
-            for found, _, thinned in engine.long_cycles(0, cap, rng):
+        def cycles(cap):
+            out, flags, rows = [], [], []
+            for found, delta, thinned in engine.long_cycles(0, cap):
                 flags.append(thinned)
-                for row in found:
+                rows.append(found.tolist())
+                for row, d in zip(found, delta):
                     idx, val = engine.lifting(row)
                     g = np.zeros(inst.size, dtype=np.int64)
                     g[idx] = val
                     out.append(tuple(g))
-            return out, flags
+                    assert d == objective(inst, seed + g) - fx
+            return out, flags, rows
 
-        everything, flags = cycles(10**9, None)
+        everything, flags, rows = cycles(10**9)
         assert set(everything) == full and not any(flags)
-        thin, flags = cycles(4, np.random.default_rng(0))
-        assert flags[-1] and set(thin) < full
-        assert cycles(4, np.random.default_rng(0))[0] == thin
+        assert rows == self.strided_cycles(seed, 5, 5, 10**9)
+        for cap in (4, 7, 19):
+            thin, flags, rows = cycles(cap)
+            assert flags[-1] and set(thin) < full and len(set(thin)) == len(thin)
+            assert rows == self.strided_cycles(seed, 5, 5, cap)  # the evenly spaced subset
+            assert cycles(cap) == (thin, flags, rows)  # and again the same
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -923,9 +961,9 @@ class TestLongCycles:
         cap=st.integers(2, 24),
     )
     def test_replayed_phases_match_lone_seeds(self, draw, n, k, data, policy, cap):
-        # seeds of one run share full phases; each result must still be
-        # the one augment gives its seed alone on the same stream, so a
-        # replayed thinned phase, or one keyed on too little, shows
+        # seeds of one run share every phase, thinned or not; each result
+        # must still be the one augment gives its seed alone, so a phase
+        # keyed on too little shows
         rng = np.random.default_rng(draw)
         base = generate_instance(rng, "QAP", n, k)
         c, Q = base.c, base.Q
@@ -941,12 +979,10 @@ class TestLongCycles:
                                  upper=base.upper)
         pool = solve(base, seed_count=3, rng_seed=draw % 97).seeds
         seeds = [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(2, 6)))]
-        rng_seed = draw % 89
-        streams = np.random.SeedSequence(rng_seed).spawn(len(seeds) + 1)[1:]
         with mock.patch.object(_Lockstep, "CAP", cap):
-            report = solve(inst, seeds=seeds, policy=policy, rng_seed=rng_seed)
-            for r, seed, stream in zip(report.results, seeds, streams):
-                alone = augment(inst, None, seed, policy, np.random.default_rng(stream))
+            report = solve(inst, seeds=seeds, policy=policy, rng_seed=draw % 89)
+            for r, seed in zip(report.results, seeds):
+                alone = augment(inst, None, seed, policy)
                 assert np.array_equal(r.terminal_x, alone.terminal_x)
                 assert (r.terminal_f, r.steps, r.moves_scanned, r.sampler_assisted, r.certificate) == (
                     alone.terminal_f, alone.steps, alone.moves_scanned, alone.sampler_assisted,
@@ -954,26 +990,56 @@ class TestLongCycles:
                 )
 
     def test_a_repeated_seed_replays_every_phase(self):
+        # at CAP 10 every phase of this seed thins, and is replayed all the same
         inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
         seed = solve(inst, seed_count=1, rng_seed=2).seeds[0]
         phases = []
         run = _Lockstep.long_cycles
 
-        def counted(self, s, cap, rng):
+        def counted(self, s, cap):
             phases.append(s)
-            return run(self, s, cap, rng)
+            return run(self, s, cap)
 
-        with mock.patch.object(_Lockstep, "long_cycles", counted):
-            one = solve(inst, seeds=[seed])
-            alone = len(phases)
-            two = solve(inst, seeds=[seed, seed])
-        assert alone > 1 and len(phases) == 2 * alone  # the second solve ran as many
-        assert set(phases[alone:]) == {0}  # all of them for seed 0
-        first, second = two.results
-        assert first.certificate == second.certificate == "full"
-        for r in (second, one.best):
-            assert np.array_equal(r.terminal_x, first.terminal_x)
-            assert (r.steps, r.moves_scanned) == (first.steps, first.moves_scanned)
+        for cap, certificate in ((_Lockstep.CAP, "full"), (10, "thinned")):
+            phases.clear()
+            with mock.patch.object(_Lockstep, "long_cycles", counted), \
+                    mock.patch.object(_Lockstep, "CAP", cap):
+                one = solve(inst, seeds=[seed])
+                alone = len(phases)
+                two = solve(inst, seeds=[seed, seed])
+            assert alone > 1 and len(phases) == 2 * alone  # the second solve ran as many
+            assert set(phases[alone:]) == {0}  # all of them for seed 0
+            first, second = two.results
+            assert first.certificate == second.certificate == certificate
+            for r in (second, one.best):
+                assert np.array_equal(r.terminal_x, first.terminal_x)
+                assert (r.steps, r.moves_scanned) == (first.steps, first.moves_scanned)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        k=st.integers(2, 5),
+        data=st.sampled_from(["int", "float"]),
+        policy=st.sampled_from(POLICIES),
+        cap=st.integers(2, 24),
+        rng_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+    )
+    def test_given_seeds_ignore_the_rng_seed(self, draw, n, k, data, policy, cap, rng_seeds):
+        # descent draws nothing, thinned phases included: with the seeds
+        # given, rng_seed changes the report's own field and nothing else
+        base = generate_instance(np.random.default_rng(draw), "QAP", n, k)
+        inst = base if data == "int" else QuadraticInstance(
+            c=base.c / 7.0, Q=base.Q / 3.0, kind=base.kind, b=base.b, lower=base.lower,
+            upper=base.upper)
+        seeds = solve(base, seed_count=4, rng_seed=draw % 97).seeds
+        with mock.patch.object(_Lockstep, "CAP", cap):
+            a, b = (solve(inst, seeds=seeds, policy=policy, rng_seed=r) for r in rng_seeds)
+        assert [(r.seed_index, r.terminal_f, r.steps, r.moves_scanned, r.certificate)
+                for r in a.results] == [(r.seed_index, r.terminal_f, r.steps, r.moves_scanned,
+                                         r.certificate) for r in b.results]
+        assert all(np.array_equal(p.terminal_x, q.terminal_x) for p, q in zip(a.results, b.results))
+        assert (a.terminal_value_counts, a.landscape) == (b.terminal_value_counts, b.landscape)
 
     @pytest.mark.parametrize("dtype", [np.float64, object])
     def test_float_phases_key_on_w(self, dtype):
@@ -989,9 +1055,9 @@ class TestLongCycles:
         both, lone = _Lockstep(inst, prep, [seed, seed]), _Lockstep(inst, prep, [seed])
         both.w[1] += shift
         lone.w[0] += shift
-        runs = both.descend("first", [np.random.default_rng(0)] * 2)
+        runs = both.descend("first")
         assert runs[1] != runs[0]
-        assert runs[1] == lone.descend("first", [np.random.default_rng(0)])[0]
+        assert runs[1] == lone.descend("first")[0]
         assert np.array_equal(both.x[1], lone.x[0])
 
     def test_stored_bases_certify_in_full(self):
