@@ -102,7 +102,10 @@ class Explicit:
     @classmethod
     def from_matrix(cls, mat) -> "Explicit":
         """Integer entries only; integral floats such as 2.0 pass."""
-        arr = np.asarray(mat)
+        try:
+            arr = np.asarray(mat)
+        except ValueError:  # numpy's "inhomogeneous shape": ragged rows
+            raise DimensionError("Explicit matrix rows must have equal length") from None
         for v in arr.ravel().tolist() if arr.dtype.kind not in "biu" else ():
             if not (isinstance(v, numbers.Rational) and v.denominator == 1
                     or isinstance(v, float) and v.is_integer()):

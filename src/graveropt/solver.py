@@ -15,7 +15,9 @@ per run: rational data (ints and Fractions) is scaled to integers, which
 keeps the sign of every move delta, and computed in int64 when every
 intermediate provably fits, else in exact Python ints on object arrays;
 float data is computed in double precision.  Terminal values of rational
-data are read off the same scaled integers.
+data are read off the same scaled integers.  Every move, a basis element
+or a room-graph cycle, updates w = (Q+Q')x by the one formula w starts
+from, in every arithmetic.
 
 The first-improvement scan tests bounds first, a byte per coordinate.
 Each round builds, for its own seeds only, the room of every coordinate
@@ -129,43 +131,6 @@ class SolveReport:
         return self.terminal_value_counts[self.best.terminal_f] / len(self.results)
 
 
-@dataclass
-class MovePrep:
-    """State-independent per-element data shared by every seed of a run.
-
-    ``idxm``/``valm`` are the basis's own padded (index, value) arrays
-    (padding has index 0 and value 0).  ``c`` and ``Q`` are the data
-    moves are evaluated with (see :func:`_scan_data`), and ``cg``/``qgg``
-    hold c.g and g'Qg per element in that arithmetic; both are reused
-    across signs ((-g)'Q(-g) = g'Qg, and c.(-g) just flips in the delta
-    formula).
-
-    ``room_id`` holds each entry's room id for +g, stored like the basis:
-    ``i`` for a positive entry at coordinate i (it needs x_i < u_i),
-    ``n + i`` for a negative one (x_i > l_i) and ``2n`` for padding,
-    which always has room.  As int32 it takes a quarter of ``idxm`` +
-    ``valm``.
-    ``unit`` says every entry is +-1, which makes the room test exact.
-    ``qsym`` is Q+Q'.  ``selfq``, set for an assignment instance only,
-    holds v'Qv per pair for its long-cycle phase (see :func:`_pair_selfq`);
-    such an instance has no stored elements.  ``scale``, ``has_fraction``:
-    see :func:`_scan_data`.
-    """
-
-    idxm: np.ndarray
-    valm: np.ndarray
-    c: np.ndarray
-    Q: np.ndarray
-    qsym: np.ndarray
-    cg: np.ndarray
-    qgg: np.ndarray
-    room_id: np.ndarray
-    unit: bool
-    scale: Optional[int]
-    has_fraction: Optional[np.ndarray]
-    selfq: Optional[np.ndarray] = None
-
-
 def _pair_selfq(Q, n, k) -> np.ndarray:
     """v'Qv per pair v = e_(b, j_up) - e_(b, j_down) of an n x k
     assignment, where coordinate (b, j) is b*k + j, by pair id
@@ -176,32 +141,13 @@ def _pair_selfq(Q, n, k) -> np.ndarray:
     return (diag[:, :, None] + diag[:, None, :] - block - block.transpose(0, 2, 1)).reshape(-1)
 
 
-def prepare_moves(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> MovePrep:
-    """One pass over the basis arrays serving a whole multi-seed run.  An
-    assignment instance takes no basis (``None``) and gets its pair terms."""
-    room = isinstance(inst.kind, Assignment)
-    if room:  # a t-cycle lifts to 2t entries of +-1, t <= min(n, k)
-        idxm = valm = np.zeros((0, 0), dtype=np.int64)
-        max_weight = 2 * min(inst.kind.n, inst.kind.k)
-    else:
-        idxm, valm = basis.idx, basis.val
-        max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
-    count, width = idxm.shape
-    c, Q, scale, has_fraction = _scan_data(inst, max_weight)
-    cg = (c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
-    qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
-    block = max(1, 250_000 // max(1, width * width))
-    for start in range(0, count, block):
-        rows = slice(start, min(count, start + block))
-        gathered = Q[idxm[rows, :, None], idxm[rows, None, :]]
-        qgg[rows] = np.einsum("ea,eab,eb->e", valm[rows], gathered, valm[rows])
-    n = inst.size
-    room_id = np.where(valm > 0, idxm, np.where(valm < 0, n + idxm, 2 * n)).astype(np.int32)
-    return MovePrep(
-        idxm=idxm, valm=valm, c=c, Q=Q, qsym=Q + Q.T, cg=cg, qgg=qgg, room_id=room_id,
-        unit=bool(np.abs(valm).max(initial=0) <= 1), scale=scale, has_fraction=has_fraction,
-        selfq=_pair_selfq(Q, inst.kind.n, inst.kind.k) if room else None,
-    )
+def prepare_moves(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> _Lockstep:
+    """The engine of a whole multi-seed run, its per-element data built in
+    one pass over the basis arrays.  An assignment instance takes no basis
+    (``None``) and gets its pair terms.  A function of its own, so that
+    building the engine is timed apart from descent (``solver.prep_s`` in
+    the benchmark)."""
+    return _Lockstep(inst, basis)
 
 
 def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
@@ -235,21 +181,21 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
     return c.astype(dtype), Q.astype(dtype), scale, has_fraction
 
 
-def _terminal_values(inst: QuadraticInstance, prep: MovePrep, x, w) -> list:
-    """f at each row of ``x``, given ``w`` = (Q+Q')x in the engine's arithmetic.
+def _terminal_values(inst: QuadraticInstance, engine: _Lockstep) -> list:
+    """f at each of the engine's points, read off its x and w = (Q+Q')x.
 
-    For rational data, with c and Q scaled by ``prep.scale``, scale * f =
+    For rational data, with c and Q scaled by ``engine.scale``, scale * f =
     c.x + x.w/2, as x'(Q+Q')x = 2x'Qx; the int64 guard covers it, so it is
     exact in the engine's arithmetic.  f is a Fraction exactly when
     ``objective`` gives one (c, or a row i of Q with x_i != 0, holds a
     Fraction).  Float data goes through ``objective``.
     """
-    if prep.scale is None:
-        return [objective(inst, row) for row in x]
-    xs = x.astype(prep.c.dtype)
-    scaled = (xs @ prep.c + (xs * w).sum(axis=1) // 2).tolist()
-    typed = (x != 0) @ prep.has_fraction[:-1] | prep.has_fraction[-1]
-    return [Fraction(v, prep.scale) if t else v // prep.scale for v, t in zip(scaled, typed)]
+    if engine.scale is None:
+        return [objective(inst, row) for row in engine.x]
+    xs = engine.x.astype(engine.c.dtype)
+    scaled = (xs @ engine.c + (xs * engine.w).sum(axis=1) // 2).tolist()
+    typed = (engine.x != 0) @ engine.has_fraction[:-1] | engine.has_fraction[-1]
+    return [Fraction(v, engine.scale) if t else v // engine.scale for v, t in zip(scaled, typed)]
 
 
 class _Lockstep:
@@ -276,8 +222,26 @@ class _Lockstep:
     :meth:`best_moves` as dense tiles of [seeds x elements] read straight
     from the per-element arrays, with no per-move window indices.
 
-    The engine's only state is ``x`` and ``w``: a round reads room from x
-    as it scans (see :meth:`_scan`), so taking a move rewrites nothing else.
+    The engine is built once per run (see :func:`prepare_moves`) from data
+    that no point changes, shared by every seed.  ``idxm``/``valm`` are the
+    basis's own padded (index, value) arrays (padding has index 0 and
+    value 0).  ``c`` is the data moves are evaluated with (see
+    :func:`_scan_data`) and ``qsym`` is Q+Q' in that arithmetic; ``cg`` and
+    ``qgg`` hold c.g and g'Qg per element, reused across signs
+    ((-g)'Q(-g) = g'Qg, and c.(-g) just flips in the delta formula).
+    ``room_id`` holds each entry's room id for +g, stored like the basis:
+    ``i`` for a positive entry at coordinate i (it needs x_i < u_i),
+    ``n + i`` for a negative one (x_i > l_i) and ``2n`` for padding, which
+    always has room.  As int32 it takes a quarter of ``idxm`` + ``valm``.
+    ``unit`` says every entry is +-1, which makes the room test exact.
+    ``selfq``, set for an assignment instance only, holds v'Qv per pair for
+    its long-cycle phase (see :func:`_pair_selfq`); such an instance has no
+    stored elements.  ``scale``, ``has_fraction``: see :func:`_scan_data`.
+
+    :meth:`start` puts the seeds in: ``x`` and ``w``, the engine's only
+    state.  A round reads room from x as it scans (see :meth:`_scan`), and
+    every move, a signed element or a room-graph cycle, updates w by the
+    formula it starts with (see :meth:`apply_support`).
 
     An assignment instance has no signed moves: each of its seeds runs
     :meth:`cycle_descent` on the room graph instead, one seed after the
@@ -290,47 +254,51 @@ class _Lockstep:
     ROUND = 4 * BLOCK
     CAP = 16_384  # open paths per level of a long-cycle phase (see long_cycles)
 
-    def __init__(self, inst: QuadraticInstance, prep: MovePrep, seeds: Sequence[np.ndarray]):
-        self.n_moves = 2 * len(prep.idxm)
-        self.c = prep.c
-        self.Q = prep.Q
-        self.lower = inst.lower
-        self.upper = inst.upper
-        self.idxm = prep.idxm
-        self.valm = prep.valm
-        self.cg = prep.cg
-        self.qgg = prep.qgg
-        self.room_id = prep.room_id
-        self.unit = prep.unit
-        self.qsym = prep.qsym
-        self.selfq = prep.selfq
-        self.kind = inst.kind
-        self.exact = prep.scale is not None
-        self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), inst.size)
-        self.w = np.stack([self.qsym @ x for x in self.x])
+    def __init__(self, inst: QuadraticInstance, basis: Optional[GraverBasis]):
+        self.kind, self.lower, self.upper = inst.kind, inst.lower, inst.upper
+        room = isinstance(inst.kind, Assignment)
+        if room:  # a t-cycle lifts to 2t entries of +-1, t <= min(n, k)
+            idxm = valm = np.zeros((0, 0), dtype=np.int64)
+            max_weight = 2 * min(inst.kind.n, inst.kind.k)
+        else:
+            idxm, valm = basis.idx, basis.val
+            max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
+        count, width = idxm.shape
+        self.idxm, self.valm, self.n_moves = idxm, valm, 2 * count
+        self.c, Q, self.scale, self.has_fraction = _scan_data(inst, max_weight)
+        self.qsym = Q + Q.T
+        self.cg = (self.c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
+        self.qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
+        block = max(1, 250_000 // max(1, width * width))
+        for start in range(0, count, block):
+            rows = slice(start, min(count, start + block))
+            gathered = Q[idxm[rows, :, None], idxm[rows, None, :]]
+            self.qgg[rows] = np.einsum("ea,eab,eb->e", valm[rows], gathered, valm[rows])
+        n = inst.size
+        self.room_id = np.where(valm > 0, idxm, np.where(valm < 0, n + idxm, 2 * n)).astype(np.int32)
+        self.unit = bool(np.abs(valm).max(initial=0) <= 1)
+        self.selfq = _pair_selfq(Q, inst.kind.n, inst.kind.k) if room else None
 
-    def apply_support(self, s, idx, val, sign):
-        self.x[s, idx] += sign * val
-        self.w[s] += sign * (self.Q[:, idx] @ val + val @ self.Q[idx, :])
+    def start(self, seeds: Sequence[np.ndarray]) -> _Lockstep:
+        """Put one seed per row in ``x``, with ``w`` = (Q+Q')x; returns the engine."""
+        self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), len(self.lower))
+        self.w = np.stack([self.qsym @ x for x in self.x])
+        return self
+
+    def apply_support(self, seeds, idx, val):
+        """Seed ``seeds[i]`` moves by ``val[i]`` at ``idx[i]``; seeds are distinct.
+
+        Row i of w takes val[i] @ qsym[idx[i]] in every arithmetic, a sum
+        over that row's entries alone, so a seed's w does not depend on
+        which seeds share its round.  Padding (index 0, value 0) moves
+        nothing: ``np.add.at`` is unbuffered, and it adds 0 to w."""
+        np.add.at(self.x, (seeds[:, None], idx), val)
+        self.w[seeds] += np.einsum("hk,hkn->hn", val, self.qsym[idx])
 
     def apply_moves(self, seeds, moves):
         """Seed ``seeds[i]`` takes signed move ``moves[i]``; seeds are distinct."""
-        e = moves >> 1
-        sign = 1 - 2 * (moves & 1)
-        # int64 rows of w are updated for all movers at once, which is
-        # exact; float and object rows one at a time, as a lone seed's are
-        if self.w.dtype != np.int64:
-            for s, g, sg in zip(seeds.tolist(), e.tolist(), sign.tolist()):
-                val = self.valm[g]
-                # padding repeats index 0, and a buffered x[idx] += ... would
-                # let a padded 0 overwrite the real update of x[0]
-                real = val != 0
-                self.apply_support(s, self.idxm[g][real], val[real], sg)
-            return
-        idx = self.idxm[e]
-        val = self.valm[e] * sign[:, None]
-        np.add.at(self.x, (seeds[:, None], idx), val)  # unbuffered, so padding adds 0
-        self.w[seeds] += np.einsum("hk,hkn->hn", val, self.qsym[idx])
+        e, sign = moves >> 1, 1 - 2 * (moves & 1)
+        self.apply_support(seeds, self.idxm[e], self.valm[e] * sign[:, None])
 
     def _scan(self, seeds, start, count):
         """Improving signed moves of one round, in which seed ``seeds[i]``
@@ -390,18 +358,16 @@ class _Lockstep:
         x, w = self.x[seeds], self.w[seeds]
         plus = np.zeros((len(seeds), hi - lo), dtype=bool)  # +g leaves the box
         minus = np.zeros_like(plus)
-        for i, v in zip(idx.T, val.T):  # padding adds 0 to an x inside its box
+        wg = np.zeros((len(seeds), hi - lo), dtype=w.dtype)
+        # an entry column at a time skips a 3-d gather; padding adds 0 to an
+        # x inside its box, and 0 to w.g
+        for i, v in zip(idx.T, val.T):
             xi, low, high = np.take(x, i, axis=1), self.lower[i], self.upper[i]
             plus |= xi < low - v
             plus |= xi > high - v
             minus |= xi < low + v
             minus |= xi > high + v
-        if w.dtype == np.int64:  # exact in any order; an entry at a time skips a 3-d gather
-            wg = np.zeros((len(seeds), hi - lo), dtype=np.int64)
-            for i, v in zip(idx.T, val.T):
-                wg += np.take(w, i, axis=1) * v
-        else:  # summed as the windowed scan sums, for the same rounding
-            wg = (np.take(w, idx, axis=1) * val).sum(axis=2)
+            wg += np.take(w, i, axis=1) * v
         a = self.cg[lo:hi] + wg
         delta = np.stack([a + self.qgg[lo:hi], -a + self.qgg[lo:hi]], axis=2)
         return np.where(np.stack([plus, minus], axis=2), 0, delta).reshape(len(seeds), -1)
@@ -432,13 +398,7 @@ class _Lockstep:
                 moves[at : at + chunk][better] = 2 * lo + j[better]
         return moves
 
-    @staticmethod
-    def lifting(cycle):
-        """A cycle, given as its up coordinates then its down coordinates,
-        as unpadded (indices, values)."""
-        return cycle, np.repeat([1, -1], len(cycle) // 2)
-
-    def long_cycles(self, s, cap):
+    def long_cycles(self, s):
         """The feasible liftings of lengths 2..min(n, k) at seed ``s``:
         per length, in order, (cycles [count, 2t], deltas, thinned), where
         a cycle lists the t coordinates it goes up at, then the t it goes
@@ -450,8 +410,8 @@ class _Lockstep:
         closes when it leaves at j_1.  Each signed lifting is one such
         cycle with its smallest brick first, so each is found once.  Within
         a length the order is lexicographic in (b_1, j_1, j_2, b_2, j_3,
-        ..., j_t, b_t).  When a level has more than ``cap`` open paths, an
-        evenly spaced ``cap`` of them go on, in order, so every first brick
+        ..., j_t, b_t).  When a level has more than ``CAP`` open paths, an
+        evenly spaced ``CAP`` of them go on, in order, so every first brick
         keeps its share, and every later yield says ``thinned``.  Every length
         yields, so the last yield tells whether the enumeration was
         complete.
@@ -462,7 +422,7 @@ class _Lockstep:
         (b*k + j_up)*k + j_down) and v'(Q+Q')v'' over every two pairs, so a
         path's delta grows by one ``linear`` entry and four ``qsym``
         entries per pair already on it."""
-        n, k = self.kind.n, self.kind.k
+        n, k, cap = self.kind.n, self.kind.k, self.CAP
         up = (self.x[s] < self.upper).reshape(n, k)
         down = (self.x[s] > self.lower).reshape(n, k)
         cw = (self.c + self.w[s]).reshape(n, k)
@@ -528,7 +488,7 @@ class _Lockstep:
         delta, first wins ties.  Cycles evaluated counts up to the taken
         one under ``"first"``, all of them otherwise."""
         taken, low, examined, thinned = None, None, 0, False
-        for cycles, delta, thinned in self.long_cycles(s, self.CAP):
+        for cycles, delta, thinned in self.long_cycles(s):
             if policy == "first":
                 hit = np.flatnonzero(delta < 0)
                 if len(hit):
@@ -546,7 +506,7 @@ class _Lockstep:
         w = (Q+Q')x exactly, as for rational data (float w is accumulated
         per step).  Object w keys on its values, not pointers."""
         x = self.x[s].tobytes()
-        if self.exact:
+        if self.scale is not None:
             return x
         w = self.w[s]
         return x, tuple(w.tolist()) if w.dtype == object else w.tobytes()
@@ -568,7 +528,8 @@ class _Lockstep:
             examined += seen
             if cycle is None:
                 return steps, examined, steps > 0, certificate
-            self.apply_support(s, *self.lifting(cycle), 1)
+            t = len(cycle) // 2  # the t coordinates it goes up at, then the t it goes down at
+            self.apply_support(np.array([s]), cycle[None], np.repeat([[1, -1]], t, axis=1))
             steps += 1
 
     def descend(self, policy):
@@ -615,17 +576,16 @@ class _Lockstep:
 
 
 def _descend(
-    inst: QuadraticInstance, prep: MovePrep, seeds: Sequence[np.ndarray], policy: str
+    inst: QuadraticInstance, engine: _Lockstep, seeds: Sequence[np.ndarray], policy: str
 ) -> list[AugmentationResult]:
-    """Descend every seed in one lockstep engine; results in seed order."""
+    """Descend every seed in ``engine``, in lockstep; results in seed order."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     for x in seeds:
         if not check_feasible(inst, x):
             raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
-    engine = _Lockstep(inst, prep, seeds)
-    runs = engine.descend(policy)
-    values = _terminal_values(inst, prep, engine.x, engine.w)
+    runs = engine.start(seeds).descend(policy)
+    values = _terminal_values(inst, engine)
     return [
         AugmentationResult(
             seed_index=i,
@@ -677,8 +637,8 @@ def augment(
     This is a one-seed run of the engine :func:`solve` runs all seeds in.
     """
     x0 = np.asarray(x0, dtype=np.int64)
-    prep = prepare_moves(inst, _stored_basis(inst, basis))
-    (result,) = _descend(inst, prep, [x0], policy)
+    engine = prepare_moves(inst, _stored_basis(inst, basis))
+    (result,) = _descend(inst, engine, [x0], policy)
     return result
 
 
@@ -787,8 +747,7 @@ def solve(
     seeds = [np.asarray(s, dtype=np.int64) for s in seeds]
     if not seeds:
         raise InfeasibleError("no seeds to augment")
-    prep = prepare_moves(inst, basis)
-    results = _descend(inst, prep, seeds, policy)
+    results = _descend(inst, prepare_moves(inst, basis), seeds, policy)
 
     best = min(results, key=lambda r: (r.terminal_f, r.seed_index))
     counts = dict(Counter(r.terminal_f for r in results))

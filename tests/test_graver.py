@@ -91,6 +91,11 @@ class TestRealizeMatrix:
         with pytest.raises(DimensionError, match=f"not an integer: {entry}$"):
             Explicit.from_matrix([[1, entry, 1]])
 
+    @pytest.mark.parametrize("mat", [[[1, 1], [1]], [[1], [1, 1]]], ids=["short", "long"])
+    def test_explicit_rejects_ragged_rows(self, mat):
+        with pytest.raises(DimensionError, match="^Explicit matrix rows must have equal length$"):
+            Explicit.from_matrix(mat)
+
 
 class TestGraverOnes:
     def test_k3_exact(self):

@@ -18,7 +18,7 @@ from graveropt import (
     seeds_qap,
     serialize_instance,
 )
-from graveropt.solver import _Lockstep, prepare_moves
+from graveropt.solver import prepare_moves
 from references import basis_of
 
 
@@ -81,13 +81,12 @@ class TestObjectiveDelta:
         the basis {g} reports, keyed by the sign of the move; a best-policy
         tile over {g} must report the same improving deltas.  g is dense."""
         basis = basis_of(inst.size, [g])
-        prep = prepare_moves(inst, basis)
-        engine = _Lockstep(inst, prep, [np.asarray(x)])
+        engine = prepare_moves(inst, basis).start([np.asarray(x)])
         idx, val = basis.idx[0], basis.val[0]
         moved = engine.x[0] + g
         plus = None
         if np.all((moved >= inst.lower) & (moved <= inst.upper)):
-            plus = prep.cg[0] + (engine.w[0][idx] * val).sum() + prep.qgg[0]
+            plus = engine.cg[0] + (engine.w[0][idx] * val).sum() + engine.qgg[0]
         _, _, moves, deltas = engine._scan(np.array([0]), np.array([0]), np.array([2]))
         scanned = {1 - 2 * j: d for j, d in zip(moves.tolist(), deltas.tolist())}
         tile = engine._tile(np.array([0]), 0, 1)[0].tolist()  # best-policy tiles agree

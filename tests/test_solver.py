@@ -343,8 +343,8 @@ class TestScannerEquivalence:
             upper=np.ones(25, dtype=np.int64),
         )
         basis = build_basis(inst.kind)
-        prep = prepare_moves(inst, basis)
-        assert prep.cg.dtype == object and prep.qgg.dtype == object
+        engine = prepare_moves(inst, basis)
+        assert engine.cg.dtype == object and engine.qgg.dtype == object
         x0 = np.zeros(25, dtype=np.int64)
         x0[:2] = 1
         res = augment(inst, basis, x0)
@@ -525,21 +525,21 @@ class TestRoomPrefilter:
     a full bounds check does."""
 
     @staticmethod
-    def reference_deltas(engine, prep, s, seq):
+    def reference_deltas(engine, s, seq):
         """Signed moves ``seq`` of seed ``s`` gathered and checked against
         the box: (their deltas, whether each stays in the box)."""
         e, sign = seq >> 1, 1 - 2 * (seq & 1)
-        idx, val = prep.idxm[e], prep.valm[e]
+        idx, val = engine.idxm[e], engine.valm[e]
         moved = engine.x[s][idx] + sign[:, None] * val
         feasible = np.all((moved >= engine.lower[idx]) & (moved <= engine.upper[idx]), axis=1)
-        delta = sign * (prep.cg[e] + (engine.w[s][idx] * val).sum(axis=1)) + prep.qgg[e]
+        delta = sign * (engine.cg[e] + (engine.w[s][idx] * val).sum(axis=1)) + engine.qgg[e]
         return delta, feasible
 
     @classmethod
-    def reference_scan(cls, engine, prep, s, start, count):
+    def reference_scan(cls, engine, s, start, count):
         """Every move of seed ``s``'s window gathered and checked against the box."""
         seq = (start + np.arange(count, dtype=np.int64)) % engine.n_moves
-        delta, feasible = cls.reference_deltas(engine, prep, s, seq)
+        delta, feasible = cls.reference_deltas(engine, s, seq)
         keep = feasible & (delta < 0)
         return np.flatnonzero(keep), seq[keep], delta[keep]
 
@@ -564,7 +564,7 @@ class TestRoomPrefilter:
 
     @classmethod
     def random_engine(cls, n, basis, draw):
-        """(rng, prep, engine) for one to four random seeds in a random box."""
+        """(rng, engine) for one to four random seeds in a random box."""
         rng = np.random.default_rng(draw)
         lower = rng.integers(-2, 2, size=n)
         upper = lower + rng.integers(0, 4, size=n)  # widths 0..3
@@ -573,9 +573,9 @@ class TestRoomPrefilter:
             c=rng.integers(-9, 10, size=n), Q=rng.integers(-9, 10, size=(n, n)),
             kind=Cardinality(n), b=[int(seeds[0].sum())], lower=lower, upper=upper,
         )
-        prep = prepare_moves(inst, basis_of(n, cls.random_elements(rng, n, basis)))
-        assert prep.unit == (basis == "unit")
-        return rng, prep, _Lockstep(inst, prep, seeds)
+        engine = prepare_moves(inst, basis_of(n, cls.random_elements(rng, n, basis)))
+        assert engine.unit == (basis == "unit")
+        return rng, engine.start(seeds)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -584,7 +584,7 @@ class TestRoomPrefilter:
         draw=st.integers(0, 2**32 - 1),
     )
     def test_matches_full_bounds_check(self, n, basis, draw):
-        rng, prep, engine = self.random_engine(n, basis, draw)
+        rng, engine = self.random_engine(n, basis, draw)
         n_moves = engine.n_moves
         every = np.arange(len(engine.x))
         for _ in range(4):  # scan, then take a move per seed, so the room changes
@@ -597,7 +597,7 @@ class TestRoomPrefilter:
             slot, offset, moves, delta = engine._scan(order, start, count)
             movers, taken = [], []
             for i, s in enumerate(order):
-                offs, seq, want = self.reference_scan(engine, prep, s, start[i], count[i])
+                offs, seq, want = self.reference_scan(engine, s, start[i], count[i])
                 mine = slot == i
                 assert np.array_equal(offset[mine], offs)
                 assert np.array_equal(moves[mine], seq)
@@ -619,7 +619,7 @@ class TestRoomPrefilter:
     def test_best_tiles_match_full_bounds_check(self, n, basis, draw, round_):
         # a tile holds every move's delta, 0 where it leaves the box, and
         # at most ROUND moves; small rounds split a pass over several blocks
-        rng, prep, engine = self.random_engine(n, basis, draw)
+        rng, engine = self.random_engine(n, basis, draw)
         n_elements = engine.n_moves >> 1
         sizes, tile = [], engine._tile
 
@@ -638,9 +638,9 @@ class TestRoomPrefilter:
                 best = engine.best_moves(seeds)
             assert max(sizes) <= round_
             for i, s in enumerate(seeds):
-                delta, feasible = self.reference_deltas(engine, prep, s, np.arange(2 * lo, 2 * hi))
+                delta, feasible = self.reference_deltas(engine, s, np.arange(2 * lo, 2 * hi))
                 assert np.array_equal(deltas[i], np.where(feasible, delta, 0))
-                delta, feasible = self.reference_deltas(engine, prep, s, np.arange(engine.n_moves))
+                delta, feasible = self.reference_deltas(engine, s, np.arange(engine.n_moves))
                 pass_ = np.where(feasible, delta, 0)
                 j = int(np.argmin(pass_))  # the first lowest
                 assert best[i] == (j if pass_[j] < 0 else -1)
@@ -651,9 +651,18 @@ class TestRoomPrefilter:
     def test_room_ids_take_a_quarter_of_the_basis_memory(self):
         inst = binary_instance(Cardinality(200), [100])
         basis = build_basis(inst.kind)
-        prep = prepare_moves(inst, basis)
-        assert prep.room_id.shape == basis.idx.shape
-        assert 4 * prep.room_id.nbytes == basis.idx.nbytes + basis.val.nbytes
+        engine = prepare_moves(inst, basis)
+        assert engine.room_id.shape == basis.idx.shape
+        assert 4 * engine.room_id.nbytes == basis.idx.nbytes + basis.val.nbytes
+
+
+def lifting(cycle, size):
+    """A cycle of the long-cycle phase, its t up coordinates then its t
+    down coordinates, as a dense move of length ``size``."""
+    g = np.zeros(size, dtype=np.int64)
+    t = len(cycle) // 2
+    g[cycle[:t]], g[cycle[t:]] = 1, -1
+    return g
 
 
 def cycle_key(g, k):
@@ -773,6 +782,58 @@ class TestLockstep:
             assert (r.terminal_f, r.steps, r.moves_scanned) == (fx, steps, examined)
             assert np.array_equal(r.terminal_x, x)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("klass", ["CBQP", "QSAP1", "QSAP2", "QAP", "explicit"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3),
+        k=st.integers(2, 3),
+        top=st.integers(1, 3),
+        tiny=st.booleans(),
+    )
+    def test_float_seeds_match_lone_seeds(self, policy, klass, draw, n, k, top, tiny):
+        # the float goldens hold quarters, which sum exactly in any order;
+        # here every w update and delta rounds, and a seed's rounding must
+        # not depend on the seeds that share its rounds: its w too ends
+        # bit for bit where a lone seed's does.  The closed forms' moves
+        # have two entries of +-1, which round alike in any form; the
+        # explicit matrix's completion basis has 3 to 5 entries, up to 3
+        rng = np.random.default_rng(draw)
+        seeds = None
+        if klass == "explicit":
+            A = np.array([[1, 1, 1, 1, 1, 1], [1, 2, 0, 1, 3, 0]])
+            points = np.indices((top + 1,) * 6).reshape(6, -1).T
+            b = points[rng.integers(len(points))] @ A.T
+            pool = points[np.all(points @ A.T == b, axis=1)]
+            seeds = list(pool[rng.integers(len(pool), size=int(rng.integers(2, 7)))])
+            base = QuadraticInstance(c=rng.integers(-10, 11, size=6),
+                                     Q=rng.integers(-10, 11, size=(6, 6)),
+                                     kind=Explicit.from_matrix(A), b=b, lower=np.zeros(6),
+                                     upper=np.full(6, top))
+        else:
+            base = generate_instance(rng, klass, 2 * n + 2 if klass == "CBQP" else n,
+                                     None if klass == "CBQP" else k)
+        inst = QuadraticInstance(
+            c=base.c / 7.3 + rng.normal(0, 1e-3, size=base.size),
+            Q=base.Q / 3.1 + rng.normal(0, 1e-3, size=base.Q.shape),
+            kind=base.kind, b=base.b, lower=base.lower, upper=np.full(base.size, top),
+        )
+        basis = solver._stored_basis(inst, None)
+        cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
+        with cut if tiny else contextlib.nullcontext():
+            report = solve(inst, seed_count=int(rng.integers(2, 7)), rng_seed=draw % 89,
+                           policy=policy, seeds=seeds, basis=basis)
+            engine = prepare_moves(inst, basis).start(report.seeds)
+            engine.descend(policy)
+            for i, (r, seed) in enumerate(zip(report.results, report.seeds)):
+                alone = augment(inst, basis, seed, policy)
+                assert (r.steps, r.moves_scanned, repr(r.terminal_f)) == (
+                    alone.steps, alone.moves_scanned, repr(alone.terminal_f))
+                assert np.array_equal(r.terminal_x, alone.terminal_x)
+                lone = prepare_moves(inst, basis).start([seed])
+                lone.descend(policy)
+                assert lone.w[0].tobytes() == engine.w[i].tobytes()
 
     @pytest.mark.parametrize("tiny", [False, True])
     def test_best_ties_go_to_the_first_move(self, tiny):
@@ -824,17 +885,16 @@ class TestLongCycles:
         )
         x = rng.integers(0, top + 1, size=inst.size)  # any point of the box
         t_full = min(n, k)
-        engine = _Lockstep(inst, prepare_moves(inst, None), [x])
+        engine = prepare_moves(inst, None).start([x])
         scale, fx = rational_scale(inst), objective(inst, x)
         got = []
-        levels = list(engine.long_cycles(0, 10**9))
+        with mock.patch.object(_Lockstep, "CAP", 10**9):
+            levels = list(engine.long_cycles(0))
         assert len(levels) == t_full - 1
         for t, (cycles, delta, thinned) in enumerate(levels, start=2):
             assert not thinned and cycles.shape == (len(delta), 2 * t)
             for row, d in zip(cycles, delta):
-                idx, val = engine.lifting(row)
-                g = np.zeros(inst.size, dtype=np.int64)
-                g[idx] = val
+                g = lifting(row, inst.size)
                 got.append(tuple(g))
                 assert d == scale * (objective(inst, x + g) - fx)
         want = {
@@ -850,23 +910,22 @@ class TestLongCycles:
         rng = np.random.default_rng(5)
         inst = generate_instance(rng, "QAP", 5, 6)
         x = rng.integers(0, 2, size=inst.size)  # a random 0/1 point has more cycles than a seed
-        engine = _Lockstep(inst, prepare_moves(inst, None), [x])
+        engine = prepare_moves(inst, None).start([x])
         keys = []
-        for cycles, _, _ in engine.long_cycles(0, 10**9):
+        with mock.patch.object(_Lockstep, "CAP", 10**9):
+            levels = list(engine.long_cycles(0))
+        for cycles, _, _ in levels:
             for row in cycles:
-                idx, val = engine.lifting(row)
-                g = np.zeros(inst.size, dtype=np.int64)
-                g[idx] = val
-                keys.append((len(row), cycle_key(g, 6)))
+                keys.append((len(row), cycle_key(lifting(row, inst.size), 6)))
         assert len(keys) > 100
         assert keys == sorted(keys)
 
     @staticmethod
     def strided_cycles(x, n, k, cap):
-        """Per length, the cycles that ``long_cycles(cap)`` yields at 0/1
-        point ``x``, found path by path in plain Python: each level's open
-        paths, in lexicographic order, are cut to paths[i * len // cap]
-        for i < cap when there are more than ``cap``."""
+        """Per length, the cycles that ``long_cycles`` yields at 0/1 point
+        ``x`` with ``CAP`` = ``cap``, found path by path in plain Python:
+        each level's open paths, in lexicographic order, are cut to
+        paths[i * len // cap] for i < cap when there are more than ``cap``."""
         up = x.reshape(n, k) == 0
         down = ~up
 
@@ -896,19 +955,19 @@ class TestLongCycles:
     def test_thinned_enumeration_is_a_feasible_subset(self):
         inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
         seed = solve(inst, seed_count=1, rng_seed=2).seeds[0]
-        engine = _Lockstep(inst, prepare_moves(inst, None), [seed])
+        engine = prepare_moves(inst, None).start([seed])
         full = {tuple(g) for g in long_cycle_moves(5, 5) if np.all(seed + g <= 1) and np.all(seed + g >= 0)}
         fx = objective(inst, seed)
 
         def cycles(cap):
             out, flags, rows = [], [], []
-            for found, delta, thinned in engine.long_cycles(0, cap):
+            with mock.patch.object(_Lockstep, "CAP", cap):
+                levels = list(engine.long_cycles(0))
+            for found, delta, thinned in levels:
                 flags.append(thinned)
                 rows.append(found.tolist())
                 for row, d in zip(found, delta):
-                    idx, val = engine.lifting(row)
-                    g = np.zeros(inst.size, dtype=np.int64)
-                    g[idx] = val
+                    g = lifting(row, inst.size)
                     out.append(tuple(g))
                     assert d == objective(inst, seed + g) - fx
             return out, flags, rows
@@ -996,9 +1055,9 @@ class TestLongCycles:
         phases = []
         run = _Lockstep.long_cycles
 
-        def counted(self, s, cap):
+        def counted(self, s):
             phases.append(s)
-            return run(self, s, cap)
+            return run(self, s)
 
         for cap, certificate in ((_Lockstep.CAP, "full"), (10, "thinned")):
             phases.clear()
@@ -1051,8 +1110,7 @@ class TestLongCycles:
                                  kind=base.kind, b=base.b, lower=base.lower, upper=base.upper)
         seed = solve(base, seed_count=1, rng_seed=1).seeds[0]
         shift = rng.normal(0, 20, size=inst.size)
-        prep = prepare_moves(inst, None)
-        both, lone = _Lockstep(inst, prep, [seed, seed]), _Lockstep(inst, prep, [seed])
+        both, lone = (prepare_moves(inst, None).start(seeds) for seeds in ([seed, seed], [seed]))
         both.w[1] += shift
         lone.w[0] += shift
         runs = both.descend("first")
