@@ -289,9 +289,12 @@ def _decode_array(label, data, shape):
     # most entries are plain numbers, and skipping the call keeps loading fast
     flat = [v if type(v) in (int, float) else _decode_number(label, v)
             for row in rows for v in row]
-    if any(isinstance(v, Fraction) for v in flat):
+    # json.loads makes exact int, float and bool, never a subclass, and a bool
+    # stays with the ints; one pass over the types is far faster than isinstance
+    kinds = set(map(type, flat))
+    if Fraction in kinds:
         arr = np.array(flat, dtype=object)
-    elif any(isinstance(v, float) for v in flat):
+    elif float in kinds:
         arr = np.array(flat, dtype=np.float64)
     else:
         try:

@@ -563,16 +563,19 @@ class TestRoomPrefilter:
         return elements
 
     @classmethod
-    def random_engine(cls, n, basis, draw):
-        """(rng, engine) for one to four random seeds in a random box."""
+    def random_engine(cls, n, basis, draw, data="int"):
+        """(rng, engine) for one to four random seeds in a random box; float
+        ``data`` is non-dyadic, so every w.g sum rounds."""
         rng = np.random.default_rng(draw)
         lower = rng.integers(-2, 2, size=n)
         upper = lower + rng.integers(0, 4, size=n)  # widths 0..3
         seeds = [rng.integers(lower, upper + 1) for _ in range(int(rng.integers(1, 5)))]
-        inst = QuadraticInstance(
-            c=rng.integers(-9, 10, size=n), Q=rng.integers(-9, 10, size=(n, n)),
-            kind=Cardinality(n), b=[int(seeds[0].sum())], lower=lower, upper=upper,
-        )
+        c, Q = rng.integers(-9, 10, size=n), rng.integers(-9, 10, size=(n, n))
+        if data == "float":
+            c = c / 7.3 + rng.normal(0, 1e-3, size=n)
+            Q = Q / 3.1 + rng.normal(0, 1e-3, size=(n, n))
+        inst = QuadraticInstance(c=c, Q=Q, kind=Cardinality(n), b=[int(seeds[0].sum())],
+                                 lower=lower, upper=upper)
         engine = prepare_moves(inst, basis_of(n, cls.random_elements(rng, n, basis)))
         assert engine.unit == (basis == "unit")
         return rng, engine.start(seeds)
@@ -582,9 +585,13 @@ class TestRoomPrefilter:
         n=st.sampled_from([5, 63, 64, 65, 129]),
         basis=st.sampled_from(["unit", "wide", "pottier"]),
         draw=st.integers(0, 2**32 - 1),
+        data=st.sampled_from(["int", "float"]),
     )
-    def test_matches_full_bounds_check(self, n, basis, draw):
-        rng, engine = self.random_engine(n, basis, draw)
+    def test_matches_full_bounds_check(self, n, basis, draw, data):
+        # float deltas too must equal the reference's bit for bit: its
+        # row sum adds a row of up to 6 entries from 0, left to right
+        rng, engine = self.random_engine(n, basis, draw, data)
+        assert 1 <= engine.idxm.shape[1] <= 6
         n_moves = engine.n_moves
         every = np.arange(len(engine.x))
         for _ in range(4):  # scan, then take a move per seed, so the room changes
@@ -615,11 +622,12 @@ class TestRoomPrefilter:
         basis=st.sampled_from(["unit", "wide", "pottier"]),
         draw=st.integers(0, 2**32 - 1),
         round_=st.sampled_from([3, 8, _Lockstep.ROUND]),
+        data=st.sampled_from(["int", "float"]),
     )
-    def test_best_tiles_match_full_bounds_check(self, n, basis, draw, round_):
+    def test_best_tiles_match_full_bounds_check(self, n, basis, draw, round_, data):
         # a tile holds every move's delta, 0 where it leaves the box, and
         # at most ROUND moves; small rounds split a pass over several blocks
-        rng, engine = self.random_engine(n, basis, draw)
+        rng, engine = self.random_engine(n, basis, draw, data)
         n_elements = engine.n_moves >> 1
         sizes, tile = [], engine._tile
 
@@ -739,6 +747,44 @@ def reference_descent(inst, basis, x, policy):
         pointer = (j + 1) % len(moves)
 
 
+def lockstep_instance(rng, klass, n, k, top, data):
+    """(instance, its seeds or None) for a lockstep test, in a 0..top box.
+
+    ``klass`` "explicit" is a 2 x 6 matrix whose completion basis has 3 to 5
+    entries, up to 3, with two to six seeds drawn from its feasible points.
+    ``data`` "int" keeps the generated c and Q, "fraction" divides each
+    entry by a denominator up to 7, and "float" is non-dyadic (c/7.3,
+    Q/3.1, plus noise, so Q is not symmetric), so every w update and delta
+    rounds."""
+    seeds = None
+    if klass == "explicit":
+        A = np.array([[1, 1, 1, 1, 1, 1], [1, 2, 0, 1, 3, 0]])
+        points = np.indices((top + 1,) * 6).reshape(6, -1).T
+        b = points[rng.integers(len(points))] @ A.T
+        pool = points[np.all(points @ A.T == b, axis=1)]
+        seeds = list(pool[rng.integers(len(pool), size=int(rng.integers(2, 7)))])
+        base = QuadraticInstance(c=rng.integers(-10, 11, size=6),
+                                 Q=rng.integers(-10, 11, size=(6, 6)),
+                                 kind=Explicit.from_matrix(A), b=b, lower=np.zeros(6),
+                                 upper=np.full(6, top))
+    else:
+        base = generate_instance(rng, klass, 2 * n + 2 if klass == "CBQP" else n,
+                                 None if klass == "CBQP" else k)
+    c, Q = base.c, base.Q
+    if data == "float":
+        c = c / 7.3 + rng.normal(0, 1e-3, size=base.size)
+        Q = Q / 3.1 + rng.normal(0, 1e-3, size=Q.shape)
+    elif data == "fraction":
+        c, Q = (
+            np.array([Fraction(int(v), int(d)) for v, d in zip(a.flat, rng.integers(1, 8, a.size))],
+                     dtype=object).reshape(a.shape)
+            for a in (c, Q)
+        )
+    inst = QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=base.lower,
+                             upper=np.full(base.size, top))
+    return inst, seeds
+
+
 class TestLockstep:
     """Every seed of a lockstep run takes the moves of its own descent,
     whatever seeds share its rounds and however windows are cut."""
@@ -800,25 +846,7 @@ class TestLockstep:
         # have two entries of +-1, which round alike in any form; the
         # explicit matrix's completion basis has 3 to 5 entries, up to 3
         rng = np.random.default_rng(draw)
-        seeds = None
-        if klass == "explicit":
-            A = np.array([[1, 1, 1, 1, 1, 1], [1, 2, 0, 1, 3, 0]])
-            points = np.indices((top + 1,) * 6).reshape(6, -1).T
-            b = points[rng.integers(len(points))] @ A.T
-            pool = points[np.all(points @ A.T == b, axis=1)]
-            seeds = list(pool[rng.integers(len(pool), size=int(rng.integers(2, 7)))])
-            base = QuadraticInstance(c=rng.integers(-10, 11, size=6),
-                                     Q=rng.integers(-10, 11, size=(6, 6)),
-                                     kind=Explicit.from_matrix(A), b=b, lower=np.zeros(6),
-                                     upper=np.full(6, top))
-        else:
-            base = generate_instance(rng, klass, 2 * n + 2 if klass == "CBQP" else n,
-                                     None if klass == "CBQP" else k)
-        inst = QuadraticInstance(
-            c=base.c / 7.3 + rng.normal(0, 1e-3, size=base.size),
-            Q=base.Q / 3.1 + rng.normal(0, 1e-3, size=base.Q.shape),
-            kind=base.kind, b=base.b, lower=base.lower, upper=np.full(base.size, top),
-        )
+        inst, seeds = lockstep_instance(rng, klass, n, k, top, "float")
         basis = solver._stored_basis(inst, None)
         cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
         with cut if tiny else contextlib.nullcontext():
@@ -834,6 +862,44 @@ class TestLockstep:
                 lone = prepare_moves(inst, basis).start([seed])
                 lone.descend(policy)
                 assert lone.w[0].tobytes() == engine.w[i].tobytes()
+
+    @pytest.mark.parametrize("klass", ["CBQP", "QSAP1", "QSAP2", "explicit"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        k=st.integers(2, 3),
+        top=st.integers(1, 3),
+        data=st.sampled_from(["int", "fraction", "float"]),
+        window=st.sampled_from([1, 3, 32, 256]),
+        block=st.sampled_from(["window", 4096]),
+        round_=st.sampled_from([7, 16_384]),
+    )
+    def test_window_shape_never_changes_outputs(self, klass, draw, n, k, top, data, window,
+                                                block, round_):
+        # under "first" the window after an accept, the block it doubles up
+        # to and the round that holds the windows only batch the moves:
+        # every seed's result, and its w bit for bit, is that of the
+        # default shape
+        rng = np.random.default_rng(draw)
+        inst, seeds = lockstep_instance(rng, klass, n, k, top, data)
+        basis = solver._stored_basis(inst, None)
+        if seeds is None:
+            seeds = solve(inst, seed_count=int(rng.integers(2, 7)), rng_seed=draw % 89,
+                          basis=basis).seeds
+
+        def run():
+            engine = prepare_moves(inst, basis)
+            results = solver._descend(inst, engine, seeds, "first")
+            w = engine.w.tolist() if engine.w.dtype == object else engine.w.tobytes()
+            return [(r.steps, r.moves_scanned, r.terminal_x.tobytes(), repr(r.terminal_f))
+                    for r in results], w
+
+        want = run()
+        shape = mock.patch.multiple(_Lockstep, WINDOW=window, ROUND=round_,
+                                    BLOCK=window if block == "window" else block)
+        with shape:
+            assert run() == want
 
     @pytest.mark.parametrize("tiny", [False, True])
     def test_best_ties_go_to_the_first_move(self, tiny):
