@@ -116,17 +116,22 @@ def seeds_qap(
     b = np.asarray(b, dtype=np.int64)
     if b.shape != (k + n,):
         raise ValueError(f"b must stack k row sums and n column sums, got shape {b.shape}")
-    bricks = initial_assignment(b[:k], b[k:]).T.astype(bool)  # row j is brick j
+    # row j is brick j, a list of 0/1 ints: on a few slots a trade costs less in
+    # plain Python than in numpy calls
+    bricks = initial_assignment(b[:k], b[k:]).T.tolist()
     out: list[np.ndarray] = []
     for _ in range(count):
         for _ in range(2 * n if n > 1 else 0):
             p = int(rng.integers(n))
             q = int(rng.integers(n - 1))
             q += q >= p
-            pool = np.flatnonzero(bricks[p] ^ bricks[q])  # exactly one of the two has a one
-            kept = int(bricks[p, pool].sum())
-            dealt = rng.permutation(pool)
-            bricks[p, pool] = bricks[q, pool] = False
-            bricks[p, dealt[:kept]] = bricks[q, dealt[kept:]] = True
-        out.append(bricks.reshape(-1).astype(np.int64))
+            one, other = bricks[p], bricks[q]
+            pool = [j for j in range(k) if one[j] != other[j]]  # exactly one of the two has a one
+            kept = sum(one[j] for j in pool)
+            dealt = rng.permutation(np.array(pool, dtype=np.int64)).tolist()
+            for j in dealt[:kept]:
+                one[j], other[j] = 1, 0
+            for j in dealt[kept:]:
+                one[j], other[j] = 0, 1
+        out.append(np.array(bricks, dtype=np.int64).reshape(-1))
     return out

@@ -48,7 +48,10 @@ lifting fits the box at x exactly when it is a directed alternating cycle
 in the brick/slot graph whose arcs are the up and down room of x (the
 cyclic exchanges of Thompson and Orlin, 1989).  Each of its steps grows
 such paths level by level over lengths 2..min(n, k), the long-cycle
-phase, and takes an improving cycle.
+phase, and takes an improving cycle.  Its seeds run in lockstep rounds
+as well: a round runs one batched phase for the distinct points that no
+seed has met yet, within ``CAP`` open paths per level across its seeds,
+and every seed takes its stored cycle, one update per cycle length.
 """
 
 from __future__ import annotations
@@ -244,16 +247,18 @@ class _Lockstep:
     every move, a signed element or a room-graph cycle, updates w by the
     formula it starts with (see :meth:`apply_support`).
 
-    An assignment instance has no signed moves: each of its seeds runs
-    :meth:`cycle_descent` on the room graph instead, one seed after the
-    other, and a seed replays the long-cycle phases that an earlier seed
-    ran at the same point.
+    An assignment instance has no signed moves: its seeds descend on the
+    room graph by :meth:`cycle_rounds` instead.  Each round runs one
+    batched long-cycle phase (:meth:`long_cycle`) for the distinct points
+    of its live seeds that no phase has run at yet, every seed takes the
+    stored result at its point, and the seeds that move apply their
+    cycles with one :meth:`apply_support` per cycle length.
     """
 
     BLOCK = 4096
     WINDOW = 32
     ROUND = 4 * BLOCK
-    CAP = 16_384  # open paths per level of a long-cycle phase (see long_cycles)
+    CAP = 16_384  # open paths per level of a long-cycle phase, across its seeds (see long_cycles)
 
     def __init__(self, inst: QuadraticInstance, basis: Optional[GraverBasis]):
         self.kind, self.lower, self.upper = inst.kind, inst.lower, inst.upper
@@ -279,6 +284,9 @@ class _Lockstep:
         self.room_id = np.where(valm > 0, idxm, np.where(valm < 0, n + idxm, 2 * n)).astype(np.int32)
         self.unit = bool(np.abs(valm).max(initial=0) <= 1)
         self.selfq = _pair_selfq(Q, inst.kind.n, inst.kind.k) if room else None
+        if room:  # long-cycle masks: brick b' above brick b, and slot j' not j
+            self.above = np.triu(np.ones((inst.kind.n,) * 2, dtype=bool), 1)
+            self.other = ~np.eye(inst.kind.k, dtype=bool)
 
     def start(self, seeds: Sequence[np.ndarray]) -> _Lockstep:
         """Put one seed per row in ``x``, with ``w`` = (Q+Q')x; returns the engine."""
@@ -402,23 +410,33 @@ class _Lockstep:
                 moves[at : at + chunk][better] = 2 * lo + j[better]
         return moves
 
-    def long_cycles(self, s):
-        """The feasible liftings of lengths 2..min(n, k) at seed ``s``:
-        per length, in order, (cycles [count, 2t], deltas, thinned), where
-        a cycle lists the t coordinates it goes up at, then the t it goes
-        down at.
+    def long_cycles(self, seeds, gone=None):
+        """The feasible liftings of lengths 2..min(n, k) at each of the
+        engine's rows ``seeds``: per level of a group of them, in turn,
+        (row, cycles [count, 2t], deltas, thinned), where ``row`` is each
+        cycle's position in ``seeds``, a cycle lists the t coordinates it
+        goes up at, then the t it goes down at, and ``thinned`` says per
+        position whether that seed's paths were thinned so far.
 
         A path is a first brick b_1 with slots j_1 (up) and j_2 (down),
         then bricks b_2, b_3, ... above b_1, each entered at the open slot
         (up room there) and left at a new slot (down room there).  It
         closes when it leaves at j_1.  Each signed lifting is one such
         cycle with its smallest brick first, so each is found once.  Within
-        a length the order is lexicographic in (b_1, j_1, j_2, b_2, j_3,
-        ..., j_t, b_t).  When a level has more than ``CAP`` open paths, an
-        evenly spaced ``CAP`` of them go on, in order, so every first brick
-        keeps its share, and every later yield says ``thinned``.  Every length
-        yields, so the last yield tells whether the enumeration was
-        complete.
+        a seed and a length the order is lexicographic in (b_1, j_1, j_2,
+        b_2, j_3, ..., j_t, b_t).  When a seed's level has more than
+        ``CAP`` open paths, an evenly spaced ``CAP`` of them go on, in
+        order, so every first brick keeps its share.
+
+        Every path array carries its seed's row.  A level goes on in groups
+        of whole seeds, in order, that hold at most ``CAP`` open paths
+        together unless one seed alone holds them, and each group runs its
+        remaining levels before the next starts: no level holds more open
+        paths than one seed's may, and a level is freed once its groups
+        are open.  A group yields every length until
+        its seeds leave: a seed whose ``gone`` entry the caller sets grows
+        no further.  Every other seed sees every length, so its last yield
+        tells whether its enumeration was complete.
 
         A lifting is a sum of pairs v = e_(b, j_up) - e_(b, j_down), one
         per brick, where coordinate (b, j) is b*k + j.  f(x+g) - f(x) sums
@@ -427,83 +445,136 @@ class _Lockstep:
         path's delta grows by one ``linear`` entry and four ``qsym``
         entries per pair already on it."""
         n, k, cap = self.kind.n, self.kind.k, self.CAP
-        up = (self.x[s] < self.upper).reshape(n, k)
-        down = (self.x[s] > self.lower).reshape(n, k)
-        cw = (self.c + self.w[s]).reshape(n, k)
-        linear = (cw[:, :, None] - cw[:, None, :]).reshape(-1) + self.selfq
+        m = len(seeds)
+        x = self.x[seeds]
+        up, down = (x < self.upper).reshape(m, n, k), (x > self.lower).reshape(m, n, k)
+        cw = (self.c + self.w[seeds]).reshape(m, n, k, 1)
+        linear = ((cw - cw.transpose(0, 1, 3, 2)).reshape(m, -1) + self.selfq).reshape(-1)
+        # reach[(r*k + j)*n + b] lists the bricks above b with up room at slot j in seed r
+        reach = (up.transpose(0, 2, 1)[:, :, None, :] & self.above).reshape(-1, n)
+        thinned = np.zeros(m, dtype=bool)  # per seed, so far
+        gone = np.zeros(m, dtype=bool) if gone is None else gone
+        room = (reach, down.reshape(-1, k), linear, thinned, gone)
+
+        def groups(members, row, *sel):
+            """The selected paths of ``members``, each seed's thinned to ``CAP``, in groups."""
+            count = np.bincount(row, minlength=m)
+            if count.max(initial=0) > cap:
+                thinned[count > cap] = True
+                keep = np.minimum(count, cap)
+                row = np.repeat(np.arange(m), keep)
+                i = np.arange(len(row)) - np.repeat(np.cumsum(keep) - keep, keep)
+                at = (np.cumsum(count) - count)[row] + i * count[row] // keep[row]
+                sel, count = [a.take(at) for a in sel], keep
+            ends, out, lo = np.cumsum(count[members]), [], 0
+            while lo < len(members):
+                top = int(ends[lo - 1]) if lo else 0
+                hi = max(lo + 1, int(np.searchsorted(ends, top + cap, side="right")))
+                out.append((members[lo:hi], [a[top : ends[hi - 1]] for a in (row, *sel)]))
+                lo = hi
+            return out
+
+        if min(n, k) < 2:
+            return
+        # level 1 extends a root path per (seed, b_1, j_1) by b_1, left at j_2
+        empty = np.zeros((m * n * k, 0), dtype=np.int64)
+        root = (np.repeat(np.arange(m), n * k), np.tile(np.arange(k), m * n), empty, empty,
+                np.zeros(m * n * k, dtype=linear.dtype), np.ones((m * n * k, n), dtype=bool),
+                np.tile(self.other, (m * n, 1)))
+        r, b, j, slot = np.nonzero(up[..., None] & down[:, :, None, :] & self.other)
+        level1 = groups(np.arange(m), r, (r * n + b) * k + j, b, slot)
+        stack = [(g, root, sel) for g, sel in reversed(level1)]
+        del r, b, j, slot, level1
+        while stack:
+            members, parent, sel = stack.pop()
+            level = self._level(room, parent, sel)
+            del parent, sel  # so a lone child frees its parent level once open
+            result = yield from level
+            if result is not None:
+                members = members[~gone[members]]
+                stack += [(g, result[0], s) for g, s in reversed(groups(members, *result[1]))]
+            del result
+
+    def _extend(self, linear, paths, par, brick, slot):
+        """Paths ``par`` with one more pair: ``brick`` entered at the open
+        slot, left at ``slot``; (ups, downs, deltas)."""
+        n, k = self.kind.n, self.kind.k
         q = self.qsym.reshape(-1)  # symmetric, so q[a*n*k + b] serves (a, b) and (b, a)
-        # reach[j*n + b] lists the bricks above b with up room at slot j
-        reach = (up.T[:, None, :] & np.triu(np.ones((n, n), dtype=bool), 1)).reshape(k * n, n)
-        exits = up[:, :, None] & down[:, None, :] & ~np.eye(k, dtype=bool)
-        first_b, first_s, open_s = np.nonzero(exits)  # [b, j_up, j_down]
-        thinned = False
+        row, open_s, ups, downs, delta = (paths[i] for i in range(5))
+        new_up, new_down = brick * k + open_s.take(par), brick * k + slot
+        old_up, old_down = ups.take(par, axis=0), downs.take(par, axis=0)
+        row_up, row_down = (new_up * (n * k))[:, None], (new_down * (n * k))[:, None]
+        cross = q.take(row_up + old_up) - q.take(row_down + old_up)
+        cross -= q.take(row_up + old_down) - q.take(row_down + old_down)
+        pair = (row.take(par) * n * k + new_up) * k + slot  # in the seed's block of linear
+        grown = delta.take(par) + linear.take(pair) + cross.sum(axis=1)
+        return np.column_stack([old_up, new_up]), np.column_stack([old_down, new_down]), grown
 
-        def thin(*paths):
-            nonlocal thinned
-            if len(paths[0]) <= cap:
-                return paths
-            thinned = True
-            return tuple(a[np.arange(cap) * len(a) // cap] for a in paths)
+    def _level(self, room, parent, sel):
+        """One level of a group of seeds in :meth:`long_cycles`: open the
+        paths that ``sel`` = (row, parent path, brick, slot) selects from
+        ``parent``'s, one pair longer; yield the cycles they close; return
+        (paths, the selection of the next level for the seeds that stay),
+        or None after the last length.  Paths are (row, open slot, ups,
+        downs, delta, free bricks, free slots): per path its seed's row, the
+        slot it is open at, the coordinates its pairs go up and down at, its
+        delta, and the bricks and slots not on it."""
+        n, k = self.kind.n, self.kind.k
+        reach, down, linear, thinned, gone = room
+        row, par, brick, open_s = sel
+        ups, downs, delta = self._extend(linear, parent, par, brick, open_s)
+        free_b, free_s = parent[5].take(par, axis=0), parent[6].take(par, axis=0)
+        at = np.arange(len(row))
+        free_b[at, brick] = free_s[at, open_s] = False
+        paths = (row, open_s, ups, downs, delta, free_b, free_s)
+        del parent, sel  # the parent level lives as long as the paths that need it
+        first_b, first_s = np.divmod(ups[:, 0], k)
+        par, brick = np.nonzero(reach.take((row * k + open_s) * n + first_b, axis=0) & free_b)
+        rp = row.take(par)
+        at = rp * n + brick  # the brick's row of down, in its seed
+        close = down.reshape(-1).take(at * k + first_s.take(par))
+        cp = par[close]
+        cycles = self._extend(linear, paths, cp, brick[close], first_s.take(cp))
+        left = np.count_nonzero(gone)
+        yield rp[close], np.concatenate(cycles[:2], axis=1), cycles[2], thinned.copy()
+        if ups.shape[1] + 2 > min(n, k):
+            return None
+        if np.count_nonzero(gone) > left:  # seeds of this group left at this length
+            stay = ~gone[rp]
+            par, brick, at, rp = par[stay], brick[stay], at[stay], rp[stay]
+        j, slot = np.nonzero(down.take(at, axis=0) & free_s.take(par, axis=0))
+        return paths, (rp.take(j), par.take(j), brick.take(j), slot)
 
-        first_b, first_s, open_s = thin(first_b, first_s, open_s)
-        ups = (first_b * k + first_s)[:, None]  # per path, where its pairs go up
-        downs = (first_b * k + open_s)[:, None]  # and where they go down
-        delta = linear.take(ups[:, 0] * k + open_s)
-        free_b = np.ones((len(ups), n), dtype=bool)  # per path, the bricks not on it
-        free_s = np.ones((len(ups), k), dtype=bool)  # and the slots
-        rows = np.arange(len(ups))
-        free_b[rows, first_b] = free_s[rows, first_s] = free_s[rows, open_s] = False
-
-        def extend(par, brick, slot):
-            """Paths ``par`` with one more pair: ``brick`` entered at the open slot, left at ``slot``."""
-            new_up, new_down = brick * k + open_s.take(par), brick * k + slot
-            old_up, old_down = ups.take(par, axis=0), downs.take(par, axis=0)
-            row_up, row_down = (new_up * (n * k))[:, None], (new_down * (n * k))[:, None]
-            cross = q.take(row_up + old_up) - q.take(row_down + old_up)
-            cross -= q.take(row_up + old_down) - q.take(row_down + old_down)
-            grown = delta.take(par) + linear.take(new_up * k + slot) + cross.sum(axis=1)
-            return (
-                np.concatenate([old_up, new_up[:, None]], axis=1),
-                np.concatenate([old_down, new_down[:, None]], axis=1),
-                grown,
-            )
-
-        for level in range(1, min(n, k)):  # paths hold `level` pairs
-            par, brick = np.nonzero(reach.take(open_s * n + first_b, axis=0) & free_b)
-            close = down[brick, first_s.take(par)]
-            cp = par[close]
-            cycle_up, cycle_down, cycle_delta = extend(cp, brick[close], first_s.take(cp))
-            yield np.concatenate([cycle_up, cycle_down], axis=1), cycle_delta, thinned
-            if level + 2 > min(n, k):
-                return
-            at, slot = np.nonzero(down.take(brick, axis=0) & free_s.take(par, axis=0))
-            par, brick, slot = thin(par.take(at), brick.take(at), slot)
-            ups, downs, delta = extend(par, brick, slot)
-            first_b, first_s, open_s = first_b.take(par), first_s.take(par), slot
-            free_b, free_s = free_b.take(par, axis=0), free_s.take(par, axis=0)
-            rows = np.arange(len(par))
-            free_b[rows, brick] = free_s[rows, slot] = False
-
-    def long_cycle(self, s, policy):
-        """The long-cycle phase of seed ``s``: (the cycle to take or None,
-        cycles evaluated, certificate).  The cycle is a copy, so a stored
-        phase keeps no level's array alive.  Under ``"first"`` the first
-        improving cycle, lengths ascending; under ``"best"`` the lowest
+    def long_cycle(self, seeds, policy):
+        """The long-cycle phase at each of the engine's rows ``seeds``: per
+        seed (the cycle to take or None, cycles evaluated, certificate).
+        A cycle is a copy, so a stored phase keeps no level's array alive.
+        Under ``"first"`` the first improving cycle, lengths ascending, and
+        the seed leaves the enumeration there; under ``"best"`` the lowest
         delta, first wins ties.  Cycles evaluated counts up to the taken
         one under ``"first"``, all of them otherwise."""
-        taken, low, examined, thinned = None, None, 0, False
-        for cycles, delta, thinned in self.long_cycles(s):
+        m = len(seeds)
+        taken, examined = [None] * m, np.zeros(m, dtype=np.int64)
+        low = np.zeros(m, dtype=self.w.dtype)  # only a delta below a seed's low is taken
+        gone, thinned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        for row, cycles, delta, thinned in self.long_cycles(seeds, gone):
+            count = np.bincount(row, minlength=m)
+            start = np.cumsum(count) - count
+            examined += count
+            hit = delta < low.take(row)
+            if policy == "best" and len(delta):  # each seed's first lowest of this length
+                held = count > 0
+                hit &= delta == np.repeat(np.minimum.reduceat(delta, start[held]), count[held])
+            hit = np.flatnonzero(hit)
+            hit = hit[np.diff(row.take(hit), prepend=-1) != 0]  # each seed's first
+            r = row.take(hit)
+            low[r] = delta.take(hit)
+            for i, j in zip(r.tolist(), hit.tolist()):
+                taken[i] = cycles[j].copy()
             if policy == "first":
-                hit = np.flatnonzero(delta < 0)
-                if len(hit):
-                    taken, examined = cycles[hit[0]].copy(), examined + int(hit[0]) + 1
-                    break
-            elif len(delta):
-                j = int(np.argmin(delta))
-                if delta[j] < 0 and (low is None or delta[j] < low):
-                    taken, low = cycles[j].copy(), delta[j]
-            examined += len(delta)
-        return taken, examined, "thinned" if thinned else "full"
+                examined[r] += hit - start[r] + 1 - count[r]
+                gone[r] = True
+        return [(taken[i], int(examined[i]), "thinned" if thinned[i] else "full") for i in range(m)]
 
     def phase_key(self, s):
         """What seed ``s``'s long-cycle phase reads: x, and w unless
@@ -515,34 +586,47 @@ class _Lockstep:
         w = self.w[s]
         return x, tuple(w.tolist()) if w.dtype == object else w.tobytes()
 
-    def cycle_descent(self, s, policy, phases):
-        """Seed ``s`` of an assignment instance, run to its terminal point
-        by long-cycle phases: (steps, cycles evaluated, took a cycle,
-        certificate of the last phase).
+    def cycle_rounds(self, policy):
+        """Run every seed of an assignment instance to its terminal point by
+        long-cycle phases, in lockstep rounds: per seed (steps, cycles
+        evaluated, took a cycle, certificate of the last phase).
 
-        ``phases``, shared by the seeds of one run, maps :meth:`phase_key`
-        to the result of the phase run there, thinned or not; a phase reads
-        nothing else, so any seed at that key replays it exactly."""
-        steps = examined = 0
-        while True:
-            key = self.phase_key(s)
-            if key not in phases:
-                phases[key] = self.long_cycle(s, policy)
-            cycle, seen, certificate = phases[key]
-            examined += seen
-            if cycle is None:
-                return steps, examined, steps > 0, certificate
-            t = len(cycle) // 2  # the t coordinates it goes up at, then the t it goes down at
-            self.apply_support(np.array([s]), cycle[None], np.repeat([[1, -1]], t, axis=1))
-            steps += 1
+        ``phases`` maps :meth:`phase_key` to the result of the phase run
+        there, thinned or not; a phase reads nothing else, so any seed at
+        that key takes it exactly.  Each round runs one batched phase for
+        the distinct keys that no seed has met yet, then every live seed
+        takes its stored cycle or stops, each phase counting as if run."""
+        count = len(self.x)
+        steps, examined, certificate = [0] * count, [0] * count, ["full"] * count
+        phases, live = {}, list(range(count))
+        while live:
+            keys = [self.phase_key(s) for s in live]
+            new = {}
+            for s, key in zip(live, keys):
+                if key not in phases:
+                    new.setdefault(key, s)
+            if new:
+                phases.update(zip(new, self.long_cycle(np.array(list(new.values())), policy)))
+            movers = {}  # by cycle length
+            for s, key in zip(live, keys):
+                cycle, seen, certificate[s] = phases[key]
+                examined[s] += seen
+                if cycle is not None:
+                    movers.setdefault(len(cycle), []).append((s, cycle))
+                    steps[s] += 1
+            for width, moved in movers.items():  # one width a call: each row of w sums as alone
+                seeds, cycles = np.array([s for s, _ in moved]), np.array([c for _, c in moved])
+                val = np.repeat([[1] * (width // 2) + [-1] * (width // 2)], len(moved), axis=0)
+                self.apply_support(seeds, cycles, val)
+            live = sorted(s for moved in movers.values() for s, _ in moved)
+        return [(steps[s], examined[s], steps[s] > 0, certificate[s]) for s in range(count)]
 
     def descend(self, policy):
         """Run every seed to its terminal point: per seed (steps, moves
         examined, took a room-graph move, certificate)."""
         count = len(self.x)
         if self.selfq is not None:
-            phases = {}
-            return [self.cycle_descent(s, policy, phases) for s in range(count)]
+            return self.cycle_rounds(policy)
         steps = np.zeros(count, dtype=np.int64)
         scanned = np.zeros(count, dtype=np.int64)
         pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
@@ -583,8 +667,6 @@ def _descend(
     inst: QuadraticInstance, engine: _Lockstep, seeds: Sequence[np.ndarray], policy: str
 ) -> list[AugmentationResult]:
     """Descend every seed in ``engine``, in lockstep; results in seed order."""
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}")
     for x in seeds:
         if not check_feasible(inst, x):
             raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
@@ -602,6 +684,11 @@ def _descend(
         )
         for i, (steps, scanned, assisted, certificate) in enumerate(runs)
     ]
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}")
 
 
 def _stored_basis(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Optional[GraverBasis]:
@@ -640,6 +727,7 @@ def augment(
 
     This is a one-seed run of the engine :func:`solve` runs all seeds in.
     """
+    _check_policy(policy)
     x0 = np.asarray(x0, dtype=np.int64)
     engine = prepare_moves(inst, _stored_basis(inst, basis))
     (result,) = _descend(inst, engine, [x0], policy)
@@ -736,6 +824,7 @@ def solve(
     kind's own; an assignment instance builds none and takes none (see
     :func:`augment`).  ``enumeration_cap`` is accepted and changes nothing.
     """
+    _check_policy(policy)
     if parallelism != 1:
         raise ValueError(
             f"parallelism={parallelism}: solve runs every seed in one lockstep engine "

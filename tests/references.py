@@ -7,6 +7,7 @@ import numpy as np
 
 from graveropt import DimensionError, GraverBasis
 from graveropt.graver import _pack_rows
+from graveropt.seeds import initial_assignment
 
 
 def hilbert_cycle_count(k: int) -> int:
@@ -60,3 +61,23 @@ def basis_of(dim: int, rows) -> GraverBasis:
     """A basis holding the given dense rows, in order, packed as the builders pack theirs."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
     return _pack_rows(dim, [[(i, r[i]) for i in np.flatnonzero(r)] for r in rows])
+
+
+def seeds_qap_numpy(rng: np.random.Generator, n: int, k: int, b: Sequence[int], count: int) -> list:
+    """``seeds_qap``'s curveball walk on numpy rows: the same rng calls in the
+    same order, so the same seeds."""
+    b = np.asarray(b, dtype=np.int64)
+    bricks = initial_assignment(b[:k], b[k:]).T.astype(bool)  # row j is brick j
+    out = []
+    for _ in range(count):
+        for _ in range(2 * n if n > 1 else 0):
+            p = int(rng.integers(n))
+            q = int(rng.integers(n - 1))
+            q += q >= p
+            pool = np.flatnonzero(bricks[p] ^ bricks[q])  # exactly one of the two has a one
+            kept = int(bricks[p, pool].sum())
+            dealt = rng.permutation(pool)
+            bricks[p, pool] = bricks[q, pool] = False
+            bricks[p, dealt[:kept]] = bricks[q, dealt[kept:]] = True
+        out.append(bricks.reshape(-1).astype(np.int64))
+    return out

@@ -19,6 +19,7 @@ from graveropt import (
     seeds_qsap1,
     seeds_qsap2,
 )
+from references import seeds_qap_numpy
 
 
 def binary_instance(kind, b):
@@ -198,3 +199,17 @@ class TestSeedsQap:
         inst = binary_instance(Assignment(n, k), b)
         seeds = seeds_qap(rng, n, k, b, int(rng.integers(1, 20)))
         assert all(check_feasible(inst, x) for x in seeds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 6), draw=st.integers(0, 2**32 - 1))
+    def test_walk_matches_the_numpy_walk(self, n, k, draw):
+        # the walk on Python lists makes the numpy walk's rng calls in the
+        # same order, empty pools included, so it draws the same seeds
+        rng = np.random.default_rng(draw)
+        witness = (rng.random((k, n)) < rng.random()).astype(np.int64)
+        b = np.concatenate([witness.sum(axis=1), witness.sum(axis=0)])
+        count = int(rng.integers(1, 12))
+        got = seeds_qap(np.random.default_rng(draw), n, k, b, count)
+        want = seeds_qap_numpy(np.random.default_rng(draw), n, k, b, count)
+        assert [x.dtype for x in got] == [x.dtype for x in want]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

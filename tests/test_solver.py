@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import signal
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -32,7 +33,7 @@ from graveropt import (
     solve,
     verify_local_optimality,
 )
-from graveropt import graver, problems, solver
+from graveropt import graver, oracle, problems, solver
 from graveropt.problems import _int64_safe, _objective_scalar
 from graveropt.solver import POLICIES, _Lockstep, prepare_moves
 from references import basis_of, dense_rows
@@ -130,6 +131,30 @@ class TestAugment:
         inst = binary_instance(Cardinality(3), [1])
         with pytest.raises(ValueError):
             augment(inst, graver_ones(3), [1, 0, 0], policy="steepest")
+
+    def test_bad_policy_fails_before_any_work(self, monkeypatch):
+        # a bad policy fails at once: no completion basis, no seeds, no engine
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before checking the policy")
+
+        monkeypatch.setattr(oracle, "pottier_graver", refuse)
+        monkeypatch.setattr(solver, "build_basis", refuse)
+        monkeypatch.setattr(solver, "generate_seeds", refuse)
+        monkeypatch.setattr(solver, "prepare_moves", refuse)
+        explicit = QuadraticInstance(
+            c=np.array([3, 1, 4, 1]), Q=np.zeros((4, 4), dtype=np.int64),
+            kind=Explicit.from_matrix([[1, 1, 1, 1]]), b=[2],
+            lower=np.zeros(4, dtype=np.int64), upper=np.ones(4, dtype=np.int64),
+        )
+        qsap = generate_instance(np.random.default_rng(1), "QSAP1", 3, 3)
+        message = r"policy must be one of \('first', 'best'\)"
+        with pytest.raises(ValueError, match=message):
+            solve(explicit, seeds=[[1, 1, 0, 0]], policy="worst")
+        with pytest.raises(ValueError, match=message):
+            solve(qsap, policy="worst")
+        for inst in (explicit, qsap):
+            with pytest.raises(ValueError, match=message):
+                augment(inst, None, np.zeros(inst.size, dtype=np.int64), policy="worst")
 
 
 class TestSolve:
@@ -833,22 +858,25 @@ class TestLockstep:
     @settings(max_examples=8, deadline=None)
     @given(
         draw=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 3),
-        k=st.integers(2, 3),
+        n=st.integers(2, 5),
+        k=st.integers(2, 5),
         top=st.integers(1, 3),
         tiny=st.booleans(),
+        cap=st.integers(2, 24),
     )
-    def test_float_seeds_match_lone_seeds(self, policy, klass, draw, n, k, top, tiny):
+    def test_float_seeds_match_lone_seeds(self, policy, klass, draw, n, k, top, tiny, cap):
         # the float goldens hold quarters, which sum exactly in any order;
         # here every w update and delta rounds, and a seed's rounding must
         # not depend on the seeds that share its rounds: its w too ends
         # bit for bit where a lone seed's does.  The closed forms' moves
         # have two entries of +-1, which round alike in any form; the
-        # explicit matrix's completion basis has 3 to 5 entries, up to 3
+        # explicit matrix's completion basis has 3 to 5 entries, up to 3.
+        # QAP rounds apply cycles of 2 to 5 pairs, and a tiny CAP thins
+        # some seeds' phases, so one round mixes lengths and thinned seeds
         rng = np.random.default_rng(draw)
         inst, seeds = lockstep_instance(rng, klass, n, k, top, "float")
         basis = solver._stored_basis(inst, None)
-        cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12)
+        cut = mock.patch.multiple(_Lockstep, ROUND=7, WINDOW=3, BLOCK=12, CAP=cap)
         with cut if tiny else contextlib.nullcontext():
             report = solve(inst, seed_count=int(rng.integers(2, 7)), rng_seed=draw % 89,
                            policy=policy, seeds=seeds, basis=basis)
@@ -955,9 +983,9 @@ class TestLongCycles:
         scale, fx = rational_scale(inst), objective(inst, x)
         got = []
         with mock.patch.object(_Lockstep, "CAP", 10**9):
-            levels = list(engine.long_cycles(0))
+            levels = list(engine.long_cycles(np.array([0])))
         assert len(levels) == t_full - 1
-        for t, (cycles, delta, thinned) in enumerate(levels, start=2):
+        for t, (_, cycles, delta, thinned) in enumerate(levels, start=2):
             assert not thinned and cycles.shape == (len(delta), 2 * t)
             for row, d in zip(cycles, delta):
                 g = lifting(row, inst.size)
@@ -979,8 +1007,8 @@ class TestLongCycles:
         engine = prepare_moves(inst, None).start([x])
         keys = []
         with mock.patch.object(_Lockstep, "CAP", 10**9):
-            levels = list(engine.long_cycles(0))
-        for cycles, _, _ in levels:
+            levels = list(engine.long_cycles(np.array([0])))
+        for _, cycles, _, _ in levels:
             for row in cycles:
                 keys.append((len(row), cycle_key(lifting(row, inst.size), 6)))
         assert len(keys) > 100
@@ -1028,9 +1056,9 @@ class TestLongCycles:
         def cycles(cap):
             out, flags, rows = [], [], []
             with mock.patch.object(_Lockstep, "CAP", cap):
-                levels = list(engine.long_cycles(0))
-            for found, delta, thinned in levels:
-                flags.append(thinned)
+                levels = list(engine.long_cycles(np.array([0])))
+            for _, found, delta, thinned in levels:
+                flags.append(bool(thinned[0]))
                 rows.append(found.tolist())
                 for row, d in zip(found, delta):
                     g = lifting(row, inst.size)
@@ -1118,12 +1146,12 @@ class TestLongCycles:
         # at CAP 10 every phase of this seed thins, and is replayed all the same
         inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
         seed = solve(inst, seed_count=1, rng_seed=2).seeds[0]
-        phases = []
+        phases = []  # the seeds handed to batched phases
         run = _Lockstep.long_cycles
 
-        def counted(self, s):
-            phases.append(s)
-            return run(self, s)
+        def counted(self, seeds, *rest):
+            phases.extend(seeds.tolist())
+            return run(self, seeds, *rest)
 
         for cap, certificate in ((_Lockstep.CAP, "full"), (10, "thinned")):
             phases.clear()
@@ -1183,6 +1211,67 @@ class TestLongCycles:
         assert runs[1] != runs[0]
         assert runs[1] == lone.descend("first")[0]
         assert np.array_equal(both.x[1], lone.x[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        k=st.integers(2, 5),
+        count=st.integers(4, 12),
+        cap=st.integers(2, 24),
+        policy=st.sampled_from(POLICIES),
+    )
+    def test_batched_phases_match_lone_seeds_within_cap(self, draw, n, k, count, cap, policy):
+        # a round runs its new phases as one batch, whose levels go on in
+        # groups of whole seeds: no level holds more than CAP open paths
+        # unless they are a lone seed's, and each seed's result is still
+        # the one augment gives it alone
+        inst = generate_instance(np.random.default_rng(draw), "QAP", n, k)
+        drawn = solve(inst, seed_count=count, rng_seed=draw % 97).seeds
+        seeds = list({x.tobytes(): x for x in drawn}.values())  # distinct, in drawn order
+        held = []  # per level step, (open paths, seeds they belong to)
+        level = _Lockstep._level
+
+        def spied(self, room, parent, sel):
+            rows = sel[0]  # the seed of each path the level opens
+            held.append((len(rows), len(set(rows.tolist()))))
+            return level(self, room, parent, sel)
+
+        with mock.patch.object(_Lockstep, "CAP", cap):
+            with mock.patch.object(_Lockstep, "_level", spied):
+                report = solve(inst, seeds=seeds, policy=policy)
+            for r, seed in zip(report.results, seeds):
+                alone = augment(inst, None, seed, policy)
+                assert np.array_equal(r.terminal_x, alone.terminal_x)
+                assert (r.terminal_f, r.steps, r.moves_scanned, r.sampler_assisted, r.certificate) == (
+                    alone.terminal_f, alone.steps, alone.moves_scanned, alone.sampler_assisted,
+                    alone.certificate,
+                )
+        assert held and all(paths <= cap or owners == 1 for paths, owners in held)
+
+    def test_a_thinned_batch_stays_within_memory(self):
+        # bench-shaped 10 x 10 solves whose seeds all thin: 8 drawn seeds,
+        # then their terminal points, which all certify in one round; one
+        # batch of all their levels at once would peak several times higher
+        base = generate_instance(np.random.default_rng(5), "QAP", 10, 10)
+        witness = np.add.outer(np.arange(10), np.arange(10)) % 2 == 0  # checkerboard margins
+        inst = QuadraticInstance(c=base.c, Q=base.Q, kind=base.kind,
+                                 b=np.concatenate([witness.sum(axis=1), witness.sum(axis=0)]),
+                                 lower=base.lower, upper=base.upper)
+
+        def traced(**kwargs):
+            tracemalloc.start()
+            try:
+                return solve(inst, **kwargs), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        drawn, first = traced(seed_count=8, rng_seed=5)
+        ends = list({r.terminal_x.tobytes(): r.terminal_x for r in drawn.results}.values())
+        again, second = traced(seeds=ends)
+        assert len(ends) > 2 and {r.steps for r in again.results} == {0}
+        assert {r.certificate for r in drawn.results + again.results} == {"thinned"}
+        assert max(first, second) < 32 * 2**20
 
     def test_stored_bases_certify_in_full(self):
         inst = generate_instance(np.random.default_rng(7), "QSAP1", 4, 3)
