@@ -33,13 +33,13 @@ All seeds of a run descend in lockstep: their points are rows of one
 array, and each round evaluates every active seed's next window of moves
 in one pass, so the per-call overhead of numpy is shared by the
 seeds.  Under best-improvement every pass covers all moves from the first,
-so a round is every live seed's whole pass, evaluated as dense tiles of
-[seeds x elements] straight from the per-element arrays.  A tile computes
-every move's delta anyway, so it checks each move against the box
-directly instead of through the room bytes.  Each seed still takes exactly
-the moves of a descent run on its own, so reports do not depend on which
-seeds share a round.  Descent draws no random numbers: randomness is in
-seeding only.
+so a round is every live seed's whole pass, evaluated as element-major
+tiles of [signed moves x seeds] straight from the per-element arrays.
+x, w and the room bytes are transposed once per chunk of seeds, so each
+gather at an entry column copies whole rows, one coordinate of every
+seed of the chunk.  Each seed still takes exactly the moves of a descent
+run on its own, so reports do not depend on which seeds share a round.
+Descent draws no random numbers: randomness is in seeding only.
 
 The instance's kind picks the moves.  Swap families and explicit
 matrices scan their stored basis as above.  An assignment instance stores
@@ -223,8 +223,11 @@ class _Lockstep:
     split the last seed's window over two rounds.
 
     Under ``"best"`` a round is every live seed's whole pass, run by
-    :meth:`best_moves` as dense tiles of [seeds x elements] read straight
-    from the per-element arrays, with no per-move window indices.
+    :meth:`best_moves` as tiles of [signed moves x seeds] read straight
+    from the per-element arrays, with no per-move window indices.  Their
+    x, w and room bytes are element-major, a row of every seed per
+    coordinate (see :meth:`_chunk`), and they test room as :meth:`_scan`
+    does.
 
     The engine is built once per run (see :func:`prepare_moves`) from data
     that no point changes, shared by every seed.  ``idxm``/``valm`` are the
@@ -361,53 +364,74 @@ class _Lockstep:
         offset = at - 2 * first[slot] - (start[slot] & 1)
         return slot, offset, 2 * e[improving] + odd[improving], delta[improving]
 
-    def _tile(self, seeds, lo, hi):
-        """The best-policy tile of ``seeds`` x elements ``lo .. hi - 1``: the
-        deltas of signed moves ``2*lo .. 2*hi - 1``, a [seeds, moves] array
-        with 0 for each move that leaves the box.  0 stands in for any
-        arithmetic, as only a delta below 0 is taken."""
-        idx, val = self.idxm[lo:hi], self.valm[lo:hi]
-        x, w = self.x[seeds], self.w[seeds]
-        plus = np.zeros((len(seeds), hi - lo), dtype=bool)  # +g leaves the box
-        minus = np.zeros_like(plus)
-        wg = np.zeros((len(seeds), hi - lo), dtype=w.dtype)
-        # an entry column at a time skips a 3-d gather; padding adds 0 to an
-        # x inside its box, and 0 to w.g
-        for i, v in zip(idx.T, val.T):
-            xi, low, high = np.take(x, i, axis=1), self.lower[i], self.upper[i]
-            plus |= xi < low - v
-            plus |= xi > high - v
-            minus |= xi < low + v
-            minus |= xi > high + v
-            wg += np.take(w, i, axis=1) * v
-        a = self.cg[lo:hi] + wg
-        delta = np.stack([a + self.qgg[lo:hi], -a + self.qgg[lo:hi]], axis=2)
-        return np.where(np.stack([plus, minus], axis=2), 0, delta).reshape(len(seeds), -1)
+    def _chunk(self, seeds):
+        """What best-policy tiles of ``seeds`` read, element-major: a
+        contiguous row of every seed per coordinate or room id.  x
+        transposed, for the full bounds check; w signed by room id, w at
+        ``i``, -w at ``n + i`` and 0 at ``2n``, so a gather at an entry's
+        room ids is w times its sign; and per room id a row of +g's room
+        bytes, then one of -g's, the two sides of :meth:`_scan`'s room."""
+        xt, wt = self.x[seeds].T.copy(), self.w[seeds].T.copy()  # C order, so rows are contiguous
+        up, down = xt < self.upper[:, None], xt > self.lower[:, None]
+        pad = np.ones((1, len(seeds)), dtype=bool)
+        room = np.stack([np.concatenate([up, down, pad]), np.concatenate([down, up, pad])], axis=1)
+        return xt, np.concatenate([wt, -wt, np.zeros_like(pad, dtype=wt.dtype)]), room
+
+    def _tile(self, chunk, lo, hi):
+        """The best-policy tile of signed moves ``2*lo .. 2*hi - 1`` x the
+        seeds of ``chunk`` (see :meth:`_chunk`): their deltas, a [moves,
+        seeds] array with 0 for each move that leaves the box.  0 stands in
+        for any arithmetic, as only a delta below 0 is taken.
+
+        Each entry column gathers whole rows at its room ids: the room
+        bytes of +g and -g, and signed w.  A room byte promises room for one
+        unit step only, so entries that are not all +-1 also get the full
+        bounds check.  w.g sums from 0, a column at a time, as in
+        :meth:`_scan`."""
+        xt, ws, room = chunk
+        ok = np.ones((hi - lo, 2, xt.shape[1]), dtype=bool)  # [element, sign, seed]
+        wg = np.zeros((hi - lo, xt.shape[1]), dtype=ws.dtype)
+        for i, v, ids in zip(self.idxm[lo:hi].T, self.valm[lo:hi].T, self.room_id[lo:hi].T):
+            ok &= room[ids]
+            if self.unit:
+                wg += ws[ids]
+                continue
+            wg += ws[ids] * np.abs(v)[:, None]
+            xi, low, high, v = xt[i], self.lower[i, None], self.upper[i, None], v[:, None]
+            ok[:, 0] &= (xi + v >= low) & (xi + v <= high)
+            ok[:, 1] &= (xi - v >= low) & (xi - v <= high)
+        a, q = self.cg[lo:hi, None] + wg, self.qgg[lo:hi, None]
+        delta = np.empty(ok.shape, dtype=np.result_type(a, q))
+        np.add(a, q, out=delta[:, 0])
+        np.subtract(q, a, out=delta[:, 1])
+        return np.where(ok, delta, 0).reshape(-1, xt.shape[1])
 
     def best_moves(self, seeds):
         """Per seed of ``seeds``, the best move of a whole pass, first wins
         ties, or -1 when no move improves.
 
-        The pass runs as tiles of [seed chunk x element block] of at most
-        ``ROUND`` signed moves: chunks of whole passes, or, when a pass
-        holds more, one seed's pass in blocks of ``ROUND // 2`` elements.
-        A tile runs the bounds check and the delta formula on every move,
-        and an ``argmin`` takes the first lowest.  Each seed keeps a running minimum that
-        only a strictly lower delta replaces, so ties go to the lowest
-        signed index across blocks too."""
+        The pass runs as tiles of [signed moves x seeds] of at most
+        ``ROUND`` moves (see :meth:`_tile`): all the seeds in one chunk when
+        they fit, in blocks of ``ROUND // (2 * seeds)`` elements, else
+        chunks of ``ROUND // 2`` seeds, an element at a time.  A tile's rows
+        run in signed-move order, so one ``argmin`` takes each seed's first
+        lowest, and a running minimum that only a strictly lower delta
+        replaces gives ties to the lowest signed index across blocks too."""
         n_elements = self.n_moves >> 1
-        size = min(n_elements, max(1, self.ROUND // 2))  # elements per block
-        chunk = max(1, self.ROUND // (2 * size))  # seeds per tile
-        low = np.zeros(len(seeds), dtype=self.w.dtype)
+        step = max(1, self.ROUND // 2)  # seeds per chunk
         moves = np.full(len(seeds), -1, dtype=np.int64)
-        for lo in range(0, n_elements, size):
-            for at in range(0, len(seeds), chunk):
-                delta = self._tile(seeds[at : at + chunk], lo, min(n_elements, lo + size))
-                j = delta.argmin(axis=1)  # the first lowest
-                d = delta[np.arange(len(j)), j]
-                better = d < low[at : at + chunk]
-                low[at : at + chunk][better] = d[better]
-                moves[at : at + chunk][better] = 2 * lo + j[better]
+        for at in range(0, len(seeds), step):
+            part, best = seeds[at : at + step], moves[at : at + step]
+            size = max(1, self.ROUND // (2 * len(part)))  # elements per block
+            chunk, cols = self._chunk(part), np.arange(len(part))
+            low = np.zeros(len(part), dtype=self.w.dtype)
+            for lo in range(0, n_elements, size):
+                delta = self._tile(chunk, lo, min(n_elements, lo + size))
+                j = delta.argmin(axis=0)  # the first lowest
+                d = delta[j, cols]
+                better = d < low
+                low[better] = d[better]
+                best[better] = 2 * lo + j[better]
         return moves
 
     def long_cycles(self, seeds, gone=None):

@@ -81,3 +81,38 @@ def seeds_qap_numpy(rng: np.random.Generator, n: int, k: int, b: Sequence[int], 
             bricks[p, dealt[:kept]] = bricks[q, dealt[kept:]] = True
         out.append(bricks.reshape(-1).astype(np.int64))
     return out
+
+
+def seeds_cbqp_choice(rng: np.random.Generator, n: int, b: int, count: int) -> list:
+    """``seeds_cbqp`` by one ``rng.choice`` per seed, as it drew before its
+    one-call draws: the same seeds and generator state."""
+    out = []
+    for _ in range(count):
+        x = np.zeros(n, dtype=np.int64)
+        x[rng.choice(n, size=b, replace=False)] = 1
+        out.append(x)
+    return out
+
+
+def seeds_qsap1_choice(rng: np.random.Generator, n: int, k: int, b: Sequence[int], count: int) -> list:
+    """``seeds_qsap1`` by one ``rng.choice`` per seed and nonempty brick."""
+    out = []
+    for _ in range(count):
+        x = np.zeros(n * k, dtype=np.int64)
+        for i in range(n):
+            if b[i]:
+                x[i * k + rng.choice(k, size=int(b[i]), replace=False)] = 1
+        out.append(x)
+    return out
+
+
+def seeds_qsap2_choice(rng: np.random.Generator, n: int, k: int, b: Sequence[int], count: int) -> list:
+    """``seeds_qsap2`` by one ``rng.choice`` per seed and nonempty slot."""
+    out = []
+    for _ in range(count):
+        x = np.zeros(n * k, dtype=np.int64)
+        for m in range(k):
+            if b[m]:
+                x[rng.choice(n, size=int(b[m]), replace=False) * k + m] = 1
+        out.append(x)
+    return out

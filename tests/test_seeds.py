@@ -19,7 +19,7 @@ from graveropt import (
     seeds_qsap1,
     seeds_qsap2,
 )
-from references import seeds_qap_numpy
+from references import seeds_cbqp_choice, seeds_qap_numpy, seeds_qsap1_choice, seeds_qsap2_choice
 
 
 def binary_instance(kind, b):
@@ -112,6 +112,80 @@ class TestSeedsQsap2:
     def test_out_of_range(self):
         with pytest.raises(InfeasibleError):
             seeds_qsap2(np.random.default_rng(0), 2, 2, [3, 0], 1)
+
+
+class TestOneCallDraws:
+    """The cardinality samplers draw every subset of a call at once, and
+    must draw exactly what one ``rng.choice`` per subset draws."""
+
+    SAMPLERS = {
+        "CBQP": (seeds_cbqp, seeds_cbqp_choice),
+        "QSAP1": (seeds_qsap1, seeds_qsap1_choice),
+        "QSAP2": (seeds_qsap2, seeds_qsap2_choice),
+    }
+
+    @classmethod
+    def check(cls, klass, n, k, b, count, draw):
+        mine, ref = np.random.default_rng(draw), np.random.default_rng(draw)
+        sampler, reference = cls.SAMPLERS[klass]
+        args = (n, b, count) if klass == "CBQP" else (n, k, b, count)
+        got, want = sampler(mine, *args), reference(ref, *args)
+        assert [x.dtype for x in got] == [x.dtype for x in want]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        klass=st.sampled_from(["CBQP", "QSAP1", "QSAP2"]),
+        n=st.integers(1, 12),
+        k=st.integers(1, 6),
+        fill=st.sampled_from(["empty", "full", "random"]),
+        count=st.integers(0, 20),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_subset_choice(self, klass, n, k, fill, count, draw):
+        # subsets of every size from 0 to the whole population, b = 0 and b
+        # full included; each call may draw subsets of several sizes
+        pop, entries = {"CBQP": (n, 1), "QSAP1": (k, n), "QSAP2": (n, k)}[klass]
+        b = {"empty": np.zeros(entries, dtype=np.int64), "full": np.full(entries, pop),
+             "random": np.random.default_rng(draw).integers(0, pop + 1, size=entries)}[fill]
+        self.check(klass, n, k, int(b[0]) if klass == "CBQP" else b.tolist(), count, draw + 1)
+
+    @pytest.mark.parametrize("klass", ["CBQP", "QSAP1", "QSAP2"])
+    @pytest.mark.parametrize("pop", [10_000, 10_001])
+    def test_large_populations(self, klass, pop):
+        # above 10 000 a subset of more than pop // 50 makes choice shuffle
+        # the tail of range(pop), which the one-call draws do not copy; at
+        # 10 000 it still runs Floyd's algorithm
+        size = pop // 50 + 7
+        if klass == "CBQP":
+            self.check(klass, pop, None, size, 3, 11)
+        elif klass == "QSAP1":
+            self.check(klass, 1, pop, [size], 3, 11)
+        else:
+            self.check(klass, pop, 1, [size], 3, 11)
+
+    def test_a_negative_count_draws_nothing(self):
+        for klass, n, k, b in [("CBQP", 4, None, 2), ("QSAP1", 2, 3, [1, 2]), ("QSAP2", 3, 2, [2, 1])]:
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            args = (n, b, -3) if klass == "CBQP" else (n, k, b, -3)
+            assert self.SAMPLERS[klass][0](rng, *args) == []
+            assert rng.bit_generator.state == state
+
+    def test_b_must_hold_integers(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="b has an entry that is not an integer"):
+            seeds_qsap1(rng, 2, 3, [1.5, 2], 2)
+        with pytest.raises(ValueError, match="b has an entry that is not an integer"):
+            seeds_qsap2(rng, 3, 2, [2.7, 1], 2)
+        with pytest.raises(ValueError, match="b has an entry that is not an integer"):
+            seeds_cbqp(rng, 4, 2.5, 2)
+        # integral floats are integers, as for an instance's b
+        whole = seeds_qsap1(np.random.default_rng(1), 2, 3, [1.0, 2.0], 4)
+        assert [x.tobytes() for x in whole] == [
+            x.tobytes() for x in seeds_qsap1(np.random.default_rng(1), 2, 3, [1, 2], 4)
+        ]
 
 
 class TestInitialAssignment:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graveropt import (
@@ -646,33 +646,43 @@ class TestRoomPrefilter:
         n=st.sampled_from([5, 63, 64, 65, 129]),
         basis=st.sampled_from(["unit", "wide", "pottier"]),
         draw=st.integers(0, 2**32 - 1),
-        round_=st.sampled_from([3, 8, _Lockstep.ROUND]),
+        round_=st.sampled_from([2, 3, 8, _Lockstep.ROUND]),
         data=st.sampled_from(["int", "float"]),
     )
+    @example(n=64, basis="wide", draw=0, round_=2, data="int")  # 4 seeds, chunks of 1
     def test_best_tiles_match_full_bounds_check(self, n, basis, draw, round_, data):
         # a tile holds every move's delta, 0 where it leaves the box, and
-        # at most ROUND moves; small rounds split a pass over several blocks
+        # at most ROUND moves; small rounds split a pass over several blocks,
+        # and a ROUND below twice the seeds splits the seeds into chunks too
         rng, engine = self.random_engine(n, basis, draw, data)
         n_elements = engine.n_moves >> 1
-        sizes, tile = [], engine._tile
+        sizes, chunks, tile, chunk = [], [], engine._tile, engine._chunk
 
-        def recorded(seeds, lo, hi):
-            out = tile(seeds, lo, hi)
+        def recorded(part, lo, hi):
+            out = tile(part, lo, hi)
             sizes.append(out.size)
             return out
+
+        def chunked(seeds):
+            chunks.append(len(seeds))
+            return chunk(seeds)
 
         for _ in range(4):  # tiles and best moves, then take them, so the points change
             seeds = rng.permutation(len(engine.x))[: int(rng.integers(1, len(engine.x) + 1))]
             lo = int(rng.integers(n_elements))
             hi = int(rng.integers(lo + 1, n_elements + 1))
-            deltas = engine._tile(seeds, lo, hi)
+            deltas = engine._tile(engine._chunk(seeds), lo, hi)
+            chunks.clear()
             with mock.patch.object(_Lockstep, "ROUND", round_), \
-                    mock.patch.object(engine, "_tile", recorded):
+                    mock.patch.object(engine, "_tile", recorded), \
+                    mock.patch.object(engine, "_chunk", chunked):
                 best = engine.best_moves(seeds)
             assert max(sizes) <= round_
+            step = max(1, round_ // 2)  # seeds per chunk
+            assert chunks == [len(seeds[at : at + step]) for at in range(0, len(seeds), step)]
             for i, s in enumerate(seeds):
                 delta, feasible = self.reference_deltas(engine, s, np.arange(2 * lo, 2 * hi))
-                assert np.array_equal(deltas[i], np.where(feasible, delta, 0))
+                assert np.array_equal(deltas[:, i], np.where(feasible, delta, 0))
                 delta, feasible = self.reference_deltas(engine, s, np.arange(engine.n_moves))
                 pass_ = np.where(feasible, delta, 0)
                 j = int(np.argmin(pass_))  # the first lowest
