@@ -182,12 +182,17 @@ def batch_objective(inst: QuadraticInstance, points: np.ndarray) -> list:
 
 def check_feasible(inst: QuadraticInstance, x) -> bool:
     """Ax = b and l <= x <= u, checked exactly."""
-    x = np.asarray(x)
-    if x.shape != (inst.size,):
-        raise ValueError(f"x must have shape ({inst.size},), got {x.shape}")
-    if np.any(x < inst.lower) or np.any(x > inst.upper):
-        return False
-    return bool(np.all(inst.matrix @ x == inst.b))
+    return bool(_feasible_rows(inst, [x])[0])
+
+
+def _feasible_rows(inst: QuadraticInstance, points) -> np.ndarray:
+    """:func:`check_feasible` of every point, in one batched test."""
+    for x in points:
+        if np.shape(x) != (inst.size,):
+            raise ValueError(f"x must have shape ({inst.size},), got {np.shape(x)}")
+    xs = np.asarray(points).reshape(len(points), inst.size)
+    in_box = np.all((xs >= inst.lower) & (xs <= inst.upper), axis=1)
+    return in_box & np.all(xs @ inst.matrix.T == inst.b, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,17 @@ or a room-graph cycle, updates w = (Q+Q')x by the one formula w starts
 from, in every arithmetic.
 
 The first-improvement scan tests bounds first, a byte per coordinate.
-Each round builds, for its own seeds only, the room of every coordinate
-from x: ``up`` (x_i < u_i) and ``down`` (x_i > l_i).  Every entry of a
-basis element carries one room id, the ``up`` byte of its coordinate
-when the entry is positive and the ``down`` byte when it is negative, so
-+g passes when every byte it names is set; for -g the two swap roles.
-Only moves that pass are evaluated.  For elements whose entries are all
-+-1 the test is exact on any box; larger entries still get the full
-bounds check, on the moves that pass.
+The engine keeps, per seed, the room of every coordinate of x: ``up``
+(x_i < u_i) and ``down`` (x_i > l_i), read again at the coordinates
+each move touches.  Every entry of a basis element carries one room id,
+the ``up`` byte of its coordinate when the entry is positive and the
+``down`` byte when it is negative, so +g passes when every byte it names
+is set; for -g the two swap roles.  A seed's room keeps the byte +g
+reads and the byte -g reads at each room id side by side, so one
+two-byte gather per entry column tests both signs of every element in
+the round.  Only moves that pass are evaluated.  For elements whose
+entries are all +-1 the test is exact on any box; larger entries still
+get the full bounds check, on the moves that pass.
 
 All seeds of a run descend in lockstep: their points are rows of one
 array, and each round evaluates every active seed's next window of moves
@@ -75,12 +78,14 @@ from .graver import (
     GraverBasis,
     build_basis,
 )
-from .problems import InfeasibleError, QuadraticInstance, _int64_safe, check_feasible, objective
+from .problems import InfeasibleError, QuadraticInstance, _feasible_rows, _int64_safe, objective
 from .seeds import seeds_cbqp, seeds_qap, seeds_qsap1, seeds_qsap2
 
 POLICIES = ("first", "best")
 MAX_EASY_VALUES = 5  # classify_landscape: most distinct terminal values of an easy landscape
 MIN_BEST_SHARE = 0.5  # and the least share of seeds that reach the best one
+# a uint16 room pair with only +g's byte set, and one with only -g's (see _Lockstep._scan)
+PLUS_BYTE, MINUS_BYTE = np.eye(2, dtype=np.uint8).view(np.uint16)[:, 0]
 
 
 @dataclass
@@ -184,6 +189,15 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
     return c.astype(dtype), Q.astype(dtype), scale, has_fraction
 
 
+def _room_pairs(x, lower, upper) -> np.ndarray:
+    """The room pair of each coordinate of x at room id i: +g's byte is
+    ``up`` (x_i < u_i) and -g's is ``down`` (x_i > l_i).  At n + i they
+    swap, which is the pair with its bytes swapped."""
+    pair = np.multiply(x < upper, PLUS_BYTE, dtype=np.uint16)
+    pair += np.multiply(x > lower, MINUS_BYTE, dtype=np.uint16)
+    return pair
+
+
 def _terminal_values(inst: QuadraticInstance, engine: _Lockstep) -> list:
     """f at each of the engine's points, read off its x and w = (Q+Q')x.
 
@@ -214,13 +228,16 @@ class _Lockstep:
     Under ``"first"`` a round lays each active seed's window of signed
     moves (cyclic, from that seed's own pointer) end to end: one room
     test, then deltas for the moves that pass.  A window is ``WINDOW``
-    moves after an accept and doubles on each miss, up to ``BLOCK``.  From
-    one accept to the next a seed scans 19 to 446 moves on average on the
-    benchmark's swap bases, so a short first window computes few deltas
-    past the hit and reaches the hit in a few doublings, and a seed that
-    certifies its terminal point scans in large blocks.  A round takes the
-    active seeds in index order until it holds ``ROUND`` moves, which may
-    split the last seed's window over two rounds.
+    moves after an accept and doubles on each miss, up to ``BLOCK``.  A
+    :meth:`_scan` call costs a fixed part plus a part per signed move:
+    about 58 us plus 13 ns on CBQP n=120 (2 vCPUs).  First windows of 16
+    to 128 moves and rounds of 16k to 64k moves read the same within
+    noise, so the schedule only has to keep both parts small: a short
+    first window computes few deltas past the hit and reaches it in a few
+    doublings, and a seed that certifies its terminal point scans in large
+    blocks.  A round takes the active seeds in index order until it holds
+    ``ROUND`` moves, which may split the last seed's window over two
+    rounds (see :meth:`_first_rounds`).
 
     Under ``"best"`` a round is every live seed's whole pass, run by
     :meth:`best_moves` as tiles of [signed moves x seeds] read straight
@@ -239,16 +256,18 @@ class _Lockstep:
     ``room_id`` holds each entry's room id for +g, stored like the basis:
     ``i`` for a positive entry at coordinate i (it needs x_i < u_i),
     ``n + i`` for a negative one (x_i > l_i) and ``2n`` for padding, which
-    always has room.  As int32 it takes a quarter of ``idxm`` + ``valm``.
+    always has room.  As int32 it takes a quarter of ``idxm`` + ``valm``;
+    it is stored column-major, so each entry column is contiguous.
     ``unit`` says every entry is +-1, which makes the room test exact.
     ``selfq``, set for an assignment instance only, holds v'Qv per pair for
     its long-cycle phase (see :func:`_pair_selfq`); such an instance has no
     stored elements.  ``scale``, ``has_fraction``: see :func:`_scan_data`.
 
-    :meth:`start` puts the seeds in: ``x`` and ``w``, the engine's only
-    state.  A round reads room from x as it scans (see :meth:`_scan`), and
-    every move, a signed element or a room-graph cycle, updates w by the
-    formula it starts with (see :meth:`apply_support`).
+    :meth:`start` puts the seeds in: ``x``, ``w`` and ``room``, the room
+    pairs of x that :meth:`_scan` reads, the engine's only state.  Every
+    move, a signed element or a room-graph cycle, updates w by the formula
+    it starts with and reads the room pairs it touches again from x (see
+    :meth:`apply_support`).
 
     An assignment instance has no signed moves: its seeds descend on the
     room graph by :meth:`cycle_rounds` instead.  Each round runs one
@@ -284,7 +303,8 @@ class _Lockstep:
             gathered = Q[idxm[rows, :, None], idxm[rows, None, :]]
             self.qgg[rows] = np.einsum("ea,eab,eb->e", valm[rows], gathered, valm[rows])
         n = inst.size
-        self.room_id = np.where(valm > 0, idxm, np.where(valm < 0, n + idxm, 2 * n)).astype(np.int32)
+        room_id = np.where(valm > 0, idxm, np.where(valm < 0, n + idxm, 2 * n))
+        self.room_id = room_id.astype(np.int32, order="F")  # entry columns contiguous
         self.unit = bool(np.abs(valm).max(initial=0) <= 1)
         self.selfq = _pair_selfq(Q, inst.kind.n, inst.kind.k) if room else None
         if room:  # long-cycle masks: brick b' above brick b, and slot j' not j
@@ -292,9 +312,13 @@ class _Lockstep:
             self.other = ~np.eye(inst.kind.k, dtype=bool)
 
     def start(self, seeds: Sequence[np.ndarray]) -> _Lockstep:
-        """Put one seed per row in ``x``, with ``w`` = (Q+Q')x; returns the engine."""
+        """Put one seed per row in ``x``, with ``w`` = (Q+Q')x and the room
+        pairs of x (see :meth:`_scan`); returns the engine."""
         self.x = np.array(seeds, dtype=np.int64).reshape(len(seeds), len(self.lower))
         self.w = np.stack([self.qsym @ x for x in self.x])
+        plus = _room_pairs(self.x, self.lower, self.upper)
+        both = np.full((len(self.x), 1), PLUS_BYTE | MINUS_BYTE, dtype=np.uint16)
+        self.room = np.concatenate([plus, plus.byteswap(), both], axis=1)
         return self
 
     def apply_support(self, seeds, idx, val):
@@ -302,10 +326,15 @@ class _Lockstep:
 
         Row i of w takes val[i] @ qsym[idx[i]] in every arithmetic, a sum
         over that row's entries alone, so a seed's w does not depend on
-        which seeds share its round.  Padding (index 0, value 0) moves
-        nothing: ``np.add.at`` is unbuffered, and it adds 0 to w."""
-        np.add.at(self.x, (seeds[:, None], idx), val)
+        which seeds share its round.  The room pairs at ``idx`` are read
+        again from the new x.  Padding (index 0, value 0) moves nothing:
+        ``np.add.at`` is unbuffered, it adds 0 to w, and the pair at 0 is
+        read from x like the others."""
+        rows = seeds[:, None]
+        np.add.at(self.x, (rows, idx), val)
         self.w[seeds] += np.einsum("hk,hkn->hn", val, self.qsym[idx])
+        plus = _room_pairs(self.x[rows, idx], self.lower[idx], self.upper[idx])
+        self.room[rows, idx], self.room[rows, idx + len(self.lower)] = plus, plus.byteswap()
 
     def apply_moves(self, seeds, moves):
         """Seed ``seeds[i]`` takes signed move ``moves[i]``; seeds are distinct."""
@@ -318,37 +347,38 @@ class _Lockstep:
         move in scan order, (i, its offset in seed i's window, its signed
         index, its delta).
 
-        The room test runs on whole elements, +g and -g side by side, so
-        one gather of an element's room ids serves both signs; a window that
-        starts or ends halfway through an element drops the other move.
-        Row 0 of a seed's room is ``up``, ``down`` and a padding byte that
-        is always set, which +g reads at its ids; row 1 has the two halves
-        swapped, so -g reading the same ids meets the other side."""
-        n_elements = self.n_moves >> 1
-        lo = start >> 1
-        span = ((start + count + 1) >> 1) - lo  # elements the window touches
-        first = np.cumsum(span) - span
-        e = np.arange(int(first[-1] + span[-1])) + np.repeat(lo - first, span)
+        The room test runs on whole elements, +g and -g side by side.  A
+        seed's row of ``room`` holds two bytes per room id, the one +g
+        needs and the one -g needs: (``up``, ``down``) at ``i``, (``down``,
+        ``up``) at ``n + i`` and two set bytes at ``2n``.  So one ``uint16``
+        gather per entry column reads both signs, and the ANDed pairs,
+        viewed back as bytes, are the signed moves' mask in scan order on
+        either byte order.  A window that starts or ends halfway through an
+        element drops the other move.  ``owner`` holds each element's seed
+        position: it offsets the room reads and names each passing move's
+        seed."""
+        n_elements, n = self.n_moves >> 1, self.x.shape[1]
+        stop = start + count
+        lo, skip = start >> 1, start & 1  # skip: the window starts at -g
+        span = ((stop + 1) >> 1) - lo  # elements the window touches
+        ends = np.cumsum(span)
+        first = ends - span
+        owner = np.repeat(np.arange(len(seeds)), span)
+        e = np.repeat(lo - first, span)
+        e += np.arange(len(e))
         np.subtract(e, n_elements, out=e, where=e >= n_elements)
-        x = self.x[seeds]
-        up, down = x < self.upper, x > self.lower
-        pad = np.ones((len(seeds), 1), dtype=bool)
-        room = np.concatenate([up, down, pad, down, up, pad], axis=1).reshape(-1)
-        row = 2 * x.shape[1] + 1
-        plus = np.repeat(2 * row * np.arange(len(seeds)), span)  # the seed's +g row; -g follows
-        ok = np.ones((2, len(e)), dtype=bool)
-        for k in range(self.room_id.shape[1]):  # a column at a time keeps the loops long
-            at = plus + self.room_id[:, k][e]
-            ok[0] &= room[at]
-            ok[1] &= room[at + row]
-        ok = ok.T.ravel()
-        ok[2 * first[start & 1 == 1]] = False  # +g lies before the window
-        ok[2 * (first + span)[(start + count) & 1 == 1] - 1] = False  # -g lies after it
+        room, base = self.room[seeds].ravel(), owner * (2 * n + 1)
+        pair = np.full(len(e), PLUS_BYTE | MINUS_BYTE, dtype=np.uint16)
+        for ids in self.room_id.T:  # an entry column at a time, each contiguous
+            pair &= room[base + ids[e]]
+        ok = pair.view(bool)
+        ok[2 * first] &= skip == 0  # else +g lies before the window
+        ok[2 * ends - 1] &= stop & 1 == 0  # else -g lies after it
         at = np.flatnonzero(ok)
-        slot = np.searchsorted(first, at >> 1, side="right") - 1
-        e, odd = e[at >> 1], at & 1
+        half, odd = at >> 1, at & 1
+        slot, e = owner[half], e[half]
         sign = 1 - 2 * odd
-        base, w = seeds[slot] * self.x.shape[1], self.w.reshape(-1)
+        base, w = seeds[slot] * n, self.w.reshape(-1)
         wg = np.zeros(len(e), dtype=w.dtype)
         # an entry column at a time, as in _tile; from 0 and left to right,
         # which is how a row sum of fewer than 8 floats rounds
@@ -361,7 +391,7 @@ class _Lockstep:
             moved = self.x.reshape(-1)[base[:, None] + idx] + sign[:, None] * val
             improving &= np.all((moved >= self.lower[idx]) & (moved <= self.upper[idx]), axis=1)
         at, slot = at[improving], slot[improving]
-        offset = at - 2 * first[slot] - (start[slot] & 1)
+        offset = at - (2 * first + skip)[slot]
         return slot, offset, 2 * e[improving] + odd[improving], delta[improving]
 
     def _chunk(self, seeds):
@@ -370,12 +400,11 @@ class _Lockstep:
         transposed, for the full bounds check; w signed by room id, w at
         ``i``, -w at ``n + i`` and 0 at ``2n``, so a gather at an entry's
         room ids is w times its sign; and per room id a row of +g's room
-        bytes, then one of -g's, the two sides of :meth:`_scan`'s room."""
+        bytes, then one of -g's, the two bytes of ``room``'s pairs."""
         xt, wt = self.x[seeds].T.copy(), self.w[seeds].T.copy()  # C order, so rows are contiguous
-        up, down = xt < self.upper[:, None], xt > self.lower[:, None]
-        pad = np.ones((1, len(seeds)), dtype=bool)
-        room = np.stack([np.concatenate([up, down, pad]), np.concatenate([down, up, pad])], axis=1)
-        return xt, np.concatenate([wt, -wt, np.zeros_like(pad, dtype=wt.dtype)]), room
+        pairs = self.room[seeds].T.copy().view(bool).reshape(self.room.shape[1], len(seeds), 2)
+        room = pairs.transpose(0, 2, 1).copy()
+        return xt, np.concatenate([wt, -wt, np.zeros_like(wt[:1])]), room
 
     def _tile(self, chunk, lo, hi):
         """The best-policy tile of signed moves ``2*lo .. 2*hi - 1`` x the
@@ -648,52 +677,71 @@ class _Lockstep:
     def descend(self, policy):
         """Run every seed to its terminal point: per seed (steps, moves
         examined, took a room-graph move, certificate)."""
-        count = len(self.x)
         if self.selfq is not None:
             return self.cycle_rounds(policy)
-        steps = np.zeros(count, dtype=np.int64)
-        scanned = np.zeros(count, dtype=np.int64)
-        pointer = np.zeros(count, dtype=np.int64)  # where the seed's next window starts
-        left = np.full(count, self.n_moves, dtype=np.int64)  # moves left in its pass
-        window = np.full(count, self.WINDOW, dtype=np.int64)
-        live = np.full(count, self.n_moves > 0)
-        while live.any():
-            seeds = np.flatnonzero(live)
-            if policy == "best":  # every live seed's whole pass
-                moves = self.best_moves(seeds)
-                scanned[seeds] += self.n_moves
-                movers, moves = seeds[moves >= 0], moves[moves >= 0]
-                left[seeds] = 0  # every pass ends; a mover's starts over below
-            else:
-                want = np.minimum(window[seeds], left[seeds])
-                ends = np.cumsum(want)
-                m = min(len(seeds), int(np.searchsorted(ends, self.ROUND)) + 1)
-                seeds, want = seeds[:m], want[:m]
-                want[-1] -= max(0, int(ends[m - 1]) - self.ROUND)
-                slot, offset, moves, _ = self._scan(seeds, pointer[seeds], want)
-                group = np.flatnonzero(np.diff(slot, prepend=-1))  # each seed's first hit
-                want[slot[group]] = offset[group] + 1  # a hit ends the pass
-                movers, moves = seeds[slot[group]], moves[group]
-                scanned[seeds] += want
-                pointer[seeds] = (pointer[seeds] + want) % self.n_moves
-                left[seeds] -= want
-                window[seeds] = np.minimum(2 * window[seeds], self.BLOCK)
-            if len(movers):
-                self.apply_moves(movers, moves)
-                steps[movers] += 1
-                left[movers] = self.n_moves
-                window[movers] = self.WINDOW
-            live[seeds[left[seeds] == 0]] = False
-        return [(int(steps[s]), int(scanned[s]), False, "full") for s in range(count)]
+        ran = np.zeros((2, len(self.x)), dtype=np.int64)  # per seed: steps, moves examined
+        if self.n_moves:
+            (self._best_rounds if policy == "best" else self._first_rounds)(ran)
+        return [(steps, scanned, False, "full") for steps, scanned in zip(*ran.tolist())]
+
+    def _best_rounds(self, ran):
+        """Best-policy rounds: every live seed's whole pass, from the first
+        move; a seed whose pass finds no improving move ends.  Adds each
+        seed's steps and moves examined to ``ran``."""
+        seeds = np.arange(len(self.x))
+        while len(seeds):
+            moves = self.best_moves(seeds)
+            ran[1, seeds] += self.n_moves
+            seeds, moves = seeds[moves >= 0], moves[moves >= 0]
+            if len(seeds):
+                self.apply_moves(seeds, moves)
+                ran[0, seeds] += 1
+
+    def _first_rounds(self, ran):
+        """First-policy rounds: the live seeds in index order, a window each,
+        until the round holds ``ROUND`` moves; a seed ends when a pass finds
+        nothing, and its steps and moves examined go to ``ran``.  ``live``
+        holds a column per live seed, so a round's seeds are its first
+        columns and update in place: the seed, where its next window starts,
+        the moves left in its pass, its next window, its steps and its moves
+        examined."""
+        live = np.zeros((6, len(self.x)), dtype=np.int64)
+        live[0], live[2], live[3] = np.arange(len(self.x)), self.n_moves, self.WINDOW
+        while live.shape[1]:
+            seed, pointer, left, window, steps, scanned = live
+            want = np.minimum(window, left)
+            ends = np.cumsum(want)
+            m = min(len(want), int(np.searchsorted(ends, self.ROUND)) + 1)
+            want = want[:m]
+            want[-1] -= max(0, int(ends[m - 1]) - self.ROUND)
+            slot, offset, moves, _ = self._scan(seed[:m], pointer[:m], want)
+            hit = np.empty(len(slot), dtype=bool)  # each seed's first hit
+            hit[:1] = True
+            np.not_equal(slot[1:], slot[:-1], out=hit[1:])
+            slot, moves = slot[hit], moves[hit]
+            want[slot] = offset[hit] + 1  # a hit ends the pass
+            scanned[:m] += want
+            pointer[:m] += want
+            pointer[:m] %= self.n_moves
+            left[:m] -= want
+            np.minimum(2 * window[:m], self.BLOCK, out=window[:m])
+            if len(slot):
+                self.apply_moves(seed[slot], moves)
+                steps[slot] += 1
+                left[slot] = self.n_moves
+                window[slot] = self.WINDOW
+            if not left[:m].all():  # a pass that found nothing ends its seed
+                done = left == 0
+                ran[:, seed[done]] = live[4:, done]
+                live = live[:, ~done]
 
 
 def _descend(
     inst: QuadraticInstance, engine: _Lockstep, seeds: Sequence[np.ndarray], policy: str
 ) -> list[AugmentationResult]:
     """Descend every seed in ``engine``, in lockstep; results in seed order."""
-    for x in seeds:
-        if not check_feasible(inst, x):
-            raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
+    if not _feasible_rows(inst, seeds).all():
+        raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
     runs = engine.start(seeds).descend(policy)
     values = _terminal_values(inst, engine)
     return [

@@ -1483,6 +1483,28 @@ class TestGoldenOutputs:
         assert _per_seed_digest(report) == want
 
     @pytest.mark.parametrize("policy, want", [
+        ("first", "3c91dfe6165700a7f55ab71b44a712ebad14a3bd251f255f4e60ebe0d3c7c61a"),
+        ("best", "324b45142381501f456a3ae11985d8352cd7b348b093ba3cf09da96793dbcf74"),
+    ])
+    def test_wide_box_digest(self, policy, want):
+        # CBQP n = 40 on a 0..3 box: 780 elements, so under "first" windows
+        # double past WINDOW, and 120 seeds fill some rounds to ROUND, which
+        # splits the last seed's window; a best pass spans several tiles
+        inst = self.instance("CBQP", 40, None, 48, (0, 3), "int")
+        rounds, scan = [], _Lockstep._scan
+
+        def spy(engine, seeds, start, count):
+            rounds.append(count.copy())
+            return scan(engine, seeds, start, count)
+
+        with mock.patch.object(_Lockstep, "_scan", spy):
+            report = solve(inst, seed_count=120, rng_seed=13, policy=policy)
+        if policy == "first":
+            assert max(c.max() for c in rounds) > _Lockstep.WINDOW
+            assert any(c.sum() == _Lockstep.ROUND for c in rounds)
+        assert _per_seed_digest(report) == want
+
+    @pytest.mark.parametrize("policy, want", [
         ("first", "5a246c37c027601434f511006e37d4675bb20ec1dd339ffca90d2fe418c2579d"),
         ("best", "be6095a0421f508b0a1933dcea5e2bc9de4c1b314fa54123e9c94c3d636a5c89"),
     ])
