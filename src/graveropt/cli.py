@@ -208,13 +208,13 @@ def cmd_solve(args) -> int:
             failed = True
             print(f"{name}: {exc}", file=sys.stderr)
             with open(out_dir / f"{name}.result.json", "w", encoding="utf-8") as fh:
-                json.dump({"name": name, "error": str(exc)}, fh, indent=1)
+                fh.write(json.dumps({"name": name, "error": str(exc)}, indent=1))
             rows.append([name, size, "", 0, "", 0])
             continue
         wall_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
         doc = _report_document(report, args.dump_seeds, wall_ms)
         with open(out_dir / f"{inst.name}.result.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+            fh.write(json.dumps(doc, indent=1))
         if args.per_seed_csv:
             with open(out_dir / f"{inst.name}.seeds.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

@@ -96,8 +96,7 @@ def initial_assignment(r: Sequence[int], c: Sequence[int]) -> np.ndarray:
     succeeds exactly when the margins are realizable, so failure to place a
     one is reported as infeasibility.
     """
-    r = np.asarray(r, dtype=np.int64)
-    c = np.asarray(c, dtype=np.int64)
+    r, c = _integer_field("r", r), _integer_field("c", c)
     k, n = r.shape[0], c.shape[0]
     if r.sum() != c.sum():
         raise InfeasibleError(f"row total {int(r.sum())} != column total {int(c.sum())}")
@@ -133,7 +132,7 @@ def seeds_qap(
     the pool back at random, each brick keeping its count: brick sums and
     slot sums both hold, so every step is feasible.
     """
-    b = np.asarray(b, dtype=np.int64)
+    b = _integer_field("b", b)
     if b.shape != (k + n,):
         raise ValueError(f"b must stack k row sums and n column sums, got shape {b.shape}")
     # row j is brick j, a list of 0/1 ints: on a few slots a trade costs less in

@@ -142,7 +142,7 @@ class SolveReport:
 def _pair_selfq(Q, n, k) -> np.ndarray:
     """v'Qv per pair v = e_(b, j_up) - e_(b, j_down) of an n x k
     assignment, where coordinate (b, j) is b*k + j, by pair id
-    (b*k + j_up)*k + j_down (see :meth:`_Lockstep.long_cycles`)."""
+    (b*k + j_up)*k + j_down (see :meth:`_Lockstep.long_cycle`)."""
     q4 = Q.reshape(n, k, n, k)
     block = q4[np.arange(n), :, np.arange(n), :]  # [b, j, j'] = Q[(b, j), (b, j')]
     diag = np.diagonal(block, axis1=1, axis2=2)
@@ -274,13 +274,14 @@ class _Lockstep:
     batched long-cycle phase (:meth:`long_cycle`) for the distinct points
     of its live seeds that no phase has run at yet, every seed takes the
     stored result at its point, and the seeds that move apply their
-    cycles with one :meth:`apply_support` per cycle length.
+    cycles with one :meth:`apply_support` per cycle length.  A phase is
+    one loop over a stack of path levels (see :meth:`long_cycle`).
     """
 
     BLOCK = 4096
     WINDOW = 32
     ROUND = 4 * BLOCK
-    CAP = 16_384  # open paths per level of a long-cycle phase, across its seeds (see long_cycles)
+    CAP = 16_384  # open paths per level of a group of seeds in a long-cycle phase (see long_cycle)
 
     def __init__(self, inst: QuadraticInstance, basis: Optional[GraverBasis]):
         self.kind, self.lower, self.upper = inst.kind, inst.lower, inst.upper
@@ -463,14 +464,17 @@ class _Lockstep:
                 best[better] = 2 * lo + j[better]
         return moves
 
-    def long_cycles(self, seeds, gone=None):
-        """The feasible liftings of lengths 2..min(n, k) at each of the
-        engine's rows ``seeds``: per level of a group of them, in turn,
-        (row, cycles [count, 2t], deltas, thinned), where ``row`` is each
-        cycle's position in ``seeds``, a cycle lists the t coordinates it
-        goes up at, then the t it goes down at, and ``thinned`` says per
-        position whether that seed's paths were thinned so far.
+    def long_cycle(self, seeds, policy):
+        """The long-cycle phase at each of the engine's rows ``seeds``: per
+        seed (the cycle to take or None, cycles evaluated, certificate).
+        A cycle is a copy, so a stored phase keeps no level's array alive.
+        Under ``"first"`` the first improving cycle, lengths ascending, and
+        the seed leaves the enumeration there; under ``"best"`` the lowest
+        delta, first wins ties.  Cycles evaluated counts up to the taken
+        one under ``"first"``, all of them otherwise.  A cycle lists the t
+        coordinates it goes up at, then the t it goes down at.
 
+        The phase enumerates the feasible liftings of lengths 2..min(n, k).
         A path is a first brick b_1 with slots j_1 (up) and j_2 (down),
         then bricks b_2, b_3, ... above b_1, each entered at the open slot
         (up room there) and left at a new slot (down room there).  It
@@ -479,17 +483,18 @@ class _Lockstep:
         a seed and a length the order is lexicographic in (b_1, j_1, j_2,
         b_2, j_3, ..., j_t, b_t).  When a seed's level has more than
         ``CAP`` open paths, an evenly spaced ``CAP`` of them go on, in
-        order, so every first brick keeps its share.
+        order, so every first brick keeps its share, and the seed's
+        certificate is ``"thinned"``.
 
-        Every path array carries its seed's row.  A level goes on in groups
-        of whole seeds, in order, that hold at most ``CAP`` open paths
-        together unless one seed alone holds them, and each group runs its
-        remaining levels before the next starts: no level holds more open
-        paths than one seed's may, and a level is freed once its groups
-        are open.  A group yields every length until
-        its seeds leave: a seed whose ``gone`` entry the caller sets grows
-        no further.  Every other seed sees every length, so its last yield
-        tells whether its enumeration was complete.
+        Every path array carries its seed's row.  One loop pops a group's
+        level off a stack, opens its paths (:meth:`_grow`), closes their
+        cycles (:meth:`_close`), takes each seed's hit, then pushes the
+        next level in groups of whole seeds, in order, that hold at most
+        ``CAP`` open paths together unless one seed alone holds them.  So
+        each group runs its remaining levels before the next starts, no
+        level holds more open paths than one seed's may, and a level is
+        freed once its groups are open.  A seed that leaves opens no
+        further level.
 
         A lifting is a sum of pairs v = e_(b, j_up) - e_(b, j_down), one
         per brick, where coordinate (b, j) is b*k + j.  f(x+g) - f(x) sums
@@ -497,17 +502,18 @@ class _Lockstep:
         (b*k + j_up)*k + j_down) and v'(Q+Q')v'' over every two pairs, so a
         path's delta grows by one ``linear`` entry and four ``qsym``
         entries per pair already on it."""
-        n, k, cap = self.kind.n, self.kind.k, self.CAP
-        m = len(seeds)
+        n, k, cap, m = self.kind.n, self.kind.k, self.CAP, len(seeds)
+        if min(n, k) < 2:  # no cycle fits
+            return [(None, 0, "full")] * m
+        taken, examined = [None] * m, np.zeros(m, dtype=np.int64)
+        low = np.zeros(m, dtype=self.w.dtype)  # only a delta below a seed's low is taken
+        gone, thinned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         x = self.x[seeds]
         up, down = (x < self.upper).reshape(m, n, k), (x > self.lower).reshape(m, n, k)
         cw = (self.c + self.w[seeds]).reshape(m, n, k, 1)
         linear = ((cw - cw.transpose(0, 1, 3, 2)).reshape(m, -1) + self.selfq).reshape(-1)
         # reach[(r*k + j)*n + b] lists the bricks above b with up room at slot j in seed r
         reach = (up.transpose(0, 2, 1)[:, :, None, :] & self.above).reshape(-1, n)
-        thinned = np.zeros(m, dtype=bool)  # per seed, so far
-        gone = np.zeros(m, dtype=bool) if gone is None else gone
-        room = (reach, down.reshape(-1, k), linear, thinned, gone)
 
         def groups(members, row, *sel):
             """The selected paths of ``members``, each seed's thinned to ``CAP``, in groups."""
@@ -527,8 +533,6 @@ class _Lockstep:
                 lo = hi
             return out
 
-        if min(n, k) < 2:
-            return
         # level 1 extends a root path per (seed, b_1, j_1) by b_1, left at j_2
         empty = np.zeros((m * n * k, 0), dtype=np.int64)
         root = (np.repeat(np.arange(m), n * k), np.tile(np.arange(k), m * n), empty, empty,
@@ -537,80 +541,13 @@ class _Lockstep:
         r, b, j, slot = np.nonzero(up[..., None] & down[:, :, None, :] & self.other)
         level1 = groups(np.arange(m), r, (r * n + b) * k + j, b, slot)
         stack = [(g, root, sel) for g, sel in reversed(level1)]
-        del r, b, j, slot, level1
+        down = down.reshape(-1, k)  # down[r*n + b]: brick b's down room in seed r
+        del root, r, b, j, slot, level1
         while stack:
             members, parent, sel = stack.pop()
-            level = self._level(room, parent, sel)
+            paths = self._grow(linear, parent, sel)
             del parent, sel  # so a lone child frees its parent level once open
-            result = yield from level
-            if result is not None:
-                members = members[~gone[members]]
-                stack += [(g, result[0], s) for g, s in reversed(groups(members, *result[1]))]
-            del result
-
-    def _extend(self, linear, paths, par, brick, slot):
-        """Paths ``par`` with one more pair: ``brick`` entered at the open
-        slot, left at ``slot``; (ups, downs, deltas)."""
-        n, k = self.kind.n, self.kind.k
-        q = self.qsym.reshape(-1)  # symmetric, so q[a*n*k + b] serves (a, b) and (b, a)
-        row, open_s, ups, downs, delta = (paths[i] for i in range(5))
-        new_up, new_down = brick * k + open_s.take(par), brick * k + slot
-        old_up, old_down = ups.take(par, axis=0), downs.take(par, axis=0)
-        row_up, row_down = (new_up * (n * k))[:, None], (new_down * (n * k))[:, None]
-        cross = q.take(row_up + old_up) - q.take(row_down + old_up)
-        cross -= q.take(row_up + old_down) - q.take(row_down + old_down)
-        pair = (row.take(par) * n * k + new_up) * k + slot  # in the seed's block of linear
-        grown = delta.take(par) + linear.take(pair) + cross.sum(axis=1)
-        return np.column_stack([old_up, new_up]), np.column_stack([old_down, new_down]), grown
-
-    def _level(self, room, parent, sel):
-        """One level of a group of seeds in :meth:`long_cycles`: open the
-        paths that ``sel`` = (row, parent path, brick, slot) selects from
-        ``parent``'s, one pair longer; yield the cycles they close; return
-        (paths, the selection of the next level for the seeds that stay),
-        or None after the last length.  Paths are (row, open slot, ups,
-        downs, delta, free bricks, free slots): per path its seed's row, the
-        slot it is open at, the coordinates its pairs go up and down at, its
-        delta, and the bricks and slots not on it."""
-        n, k = self.kind.n, self.kind.k
-        reach, down, linear, thinned, gone = room
-        row, par, brick, open_s = sel
-        ups, downs, delta = self._extend(linear, parent, par, brick, open_s)
-        free_b, free_s = parent[5].take(par, axis=0), parent[6].take(par, axis=0)
-        at = np.arange(len(row))
-        free_b[at, brick] = free_s[at, open_s] = False
-        paths = (row, open_s, ups, downs, delta, free_b, free_s)
-        del parent, sel  # the parent level lives as long as the paths that need it
-        first_b, first_s = np.divmod(ups[:, 0], k)
-        par, brick = np.nonzero(reach.take((row * k + open_s) * n + first_b, axis=0) & free_b)
-        rp = row.take(par)
-        at = rp * n + brick  # the brick's row of down, in its seed
-        close = down.reshape(-1).take(at * k + first_s.take(par))
-        cp = par[close]
-        cycles = self._extend(linear, paths, cp, brick[close], first_s.take(cp))
-        left = np.count_nonzero(gone)
-        yield rp[close], np.concatenate(cycles[:2], axis=1), cycles[2], thinned.copy()
-        if ups.shape[1] + 2 > min(n, k):
-            return None
-        if np.count_nonzero(gone) > left:  # seeds of this group left at this length
-            stay = ~gone[rp]
-            par, brick, at, rp = par[stay], brick[stay], at[stay], rp[stay]
-        j, slot = np.nonzero(down.take(at, axis=0) & free_s.take(par, axis=0))
-        return paths, (rp.take(j), par.take(j), brick.take(j), slot)
-
-    def long_cycle(self, seeds, policy):
-        """The long-cycle phase at each of the engine's rows ``seeds``: per
-        seed (the cycle to take or None, cycles evaluated, certificate).
-        A cycle is a copy, so a stored phase keeps no level's array alive.
-        Under ``"first"`` the first improving cycle, lengths ascending, and
-        the seed leaves the enumeration there; under ``"best"`` the lowest
-        delta, first wins ties.  Cycles evaluated counts up to the taken
-        one under ``"first"``, all of them otherwise."""
-        m = len(seeds)
-        taken, examined = [None] * m, np.zeros(m, dtype=np.int64)
-        low = np.zeros(m, dtype=self.w.dtype)  # only a delta below a seed's low is taken
-        gone, thinned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-        for row, cycles, delta, thinned in self.long_cycles(seeds, gone):
+            (row, cycles, delta), (rp, par, brick) = self._close(reach, down, linear, paths)
             count = np.bincount(row, minlength=m)
             start = np.cumsum(count) - count
             examined += count
@@ -627,7 +564,61 @@ class _Lockstep:
             if policy == "first":
                 examined[r] += hit - start[r] + 1 - count[r]
                 gone[r] = True
+            del row, cycles, delta  # so no level's cycles outlive it
+            if paths[2].shape[1] + 2 <= min(n, k):  # a longer cycle fits
+                if gone[members].any():  # seeds of this group left at this length
+                    stay = ~gone[rp]
+                    rp, par, brick, members = rp[stay], par[stay], brick[stay], members[~gone[members]]
+                j, slot = np.nonzero(down.take(rp * n + brick, axis=0) & paths[6].take(par, axis=0))
+                sel = groups(members, rp.take(j), par.take(j), brick.take(j), slot)
+                stack += [(g, paths, s) for g, s in reversed(sel)]
+                del j, slot, sel
+            del paths, rp, par, brick
         return [(taken[i], int(examined[i]), "thinned" if thinned[i] else "full") for i in range(m)]
+
+    def _extend(self, linear, paths, par, brick, slot):
+        """Paths ``par`` with one more pair: ``brick`` entered at the open
+        slot, left at ``slot``; (ups, downs, deltas)."""
+        n, k = self.kind.n, self.kind.k
+        q = self.qsym.reshape(-1)  # symmetric, so q[a*n*k + b] serves (a, b) and (b, a)
+        row, open_s, ups, downs, delta = (paths[i] for i in range(5))
+        new_up, new_down = brick * k + open_s.take(par), brick * k + slot
+        old_up, old_down = ups.take(par, axis=0), downs.take(par, axis=0)
+        row_up, row_down = (new_up * (n * k))[:, None], (new_down * (n * k))[:, None]
+        cross = q.take(row_up + old_up) - q.take(row_down + old_up)
+        cross -= q.take(row_up + old_down) - q.take(row_down + old_down)
+        pair = (row.take(par) * n * k + new_up) * k + slot  # in the seed's block of linear
+        grown = delta.take(par) + linear.take(pair) + cross.sum(axis=1)
+        return np.column_stack([old_up, new_up]), np.column_stack([old_down, new_down]), grown
+
+    def _grow(self, linear, parent, sel):
+        """The paths that ``sel`` = (row, parent path, brick, slot) opens
+        from ``parent``'s, one pair longer.  Paths are (row, open slot,
+        ups, downs, delta, free bricks, free slots): per path its seed's
+        row, the slot it is open at, the coordinates its pairs go up and
+        down at, its delta, and the bricks and slots not on it."""
+        row, par, brick, open_s = sel
+        ups, downs, delta = self._extend(linear, parent, par, brick, open_s)
+        free_b, free_s = parent[5].take(par, axis=0), parent[6].take(par, axis=0)
+        at = np.arange(len(row))
+        free_b[at, brick] = free_s[at, open_s] = False
+        return row, open_s, ups, downs, delta, free_b, free_s
+
+    def _close(self, reach, down, linear, paths):
+        """The next bricks of ``paths``: per path, each free brick above its
+        first with up room at its open slot.  Returns the cycles closed by
+        leaving such a brick at the path's first slot, as (row, cycles
+        [count, 2t], deltas), and the bricks, as (row, path, brick).
+        ``down[r*n + b]`` is brick b's down room in seed r."""
+        n, k = self.kind.n, self.kind.k
+        row, open_s, ups, free_b = paths[0], paths[1], paths[2], paths[5]
+        first_b, first_s = np.divmod(ups[:, 0], k)
+        par, brick = np.nonzero(reach.take((row * k + open_s) * n + first_b, axis=0) & free_b)
+        rp = row.take(par)
+        close = down.reshape(-1).take((rp * n + brick) * k + first_s.take(par))
+        cp = par[close]
+        cycles = self._extend(linear, paths, cp, brick[close], first_s.take(cp))
+        return (rp[close], np.concatenate(cycles[:2], axis=1), cycles[2]), (rp, par, brick)
 
     def phase_key(self, s):
         """What seed ``s``'s long-cycle phase reads: x, and w unless
@@ -862,11 +853,11 @@ def classify_landscape(report_or_counts, best_f=None) -> str:
         best_f = report_or_counts.best.terminal_f
     else:
         counts = dict(report_or_counts)
-        if best_f is None:
-            best_f = min(counts)
     total = sum(counts.values())
     if total == 0:
         raise ValueError("empty report")
+    if best_f is None:
+        best_f = min(counts)
     distinct = len(counts)
     if distinct == 1:
         return "convex-like"

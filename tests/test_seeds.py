@@ -181,10 +181,20 @@ class TestOneCallDraws:
             seeds_qsap2(rng, 3, 2, [2.7, 1], 2)
         with pytest.raises(ValueError, match="b has an entry that is not an integer"):
             seeds_cbqp(rng, 4, 2.5, 2)
+        with pytest.raises(ValueError, match="b has an entry that is not an integer: 1.5"):
+            seeds_qap(rng, 2, 2, [1.5, 1, 1, 1.5], 1)
+        with pytest.raises(ValueError, match="r has an entry that is not an integer: 1.7"):
+            initial_assignment([1.7, 1], [1, 1.2])
+        with pytest.raises(ValueError, match="c has an entry that is not an integer: 1.2"):
+            initial_assignment([2, 1], [1, 1.2])
         # integral floats are integers, as for an instance's b
         whole = seeds_qsap1(np.random.default_rng(1), 2, 3, [1.0, 2.0], 4)
         assert [x.tobytes() for x in whole] == [
             x.tobytes() for x in seeds_qsap1(np.random.default_rng(1), 2, 3, [1, 2], 4)
+        ]
+        whole = seeds_qap(np.random.default_rng(1), 3, 3, [1.0, 2.0, 1.0, 2.0, 1.0, 1.0], 4)
+        assert [x.tobytes() for x in whole] == [
+            x.tobytes() for x in seeds_qap(np.random.default_rng(1), 3, 3, [1, 2, 1, 2, 1, 1], 4)
         ]
 
 

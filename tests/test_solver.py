@@ -965,6 +965,23 @@ def rational_scale(inst):
 class TestLongCycles:
     """The long-cycle phase finds exactly the liftings that fit the box."""
 
+    @staticmethod
+    def phase_levels(engine, cap):
+        """A ``"best"`` long-cycle phase at the engine's row 0 with ``CAP`` =
+        ``cap``: per length, in order, the (cycles, deltas) it closes, and
+        the phase's certificate.  No seed leaves a ``"best"`` phase, so it
+        closes every length."""
+        levels, close = [], _Lockstep._close
+
+        def spied(self, *args):
+            closed = close(self, *args)
+            levels.append(closed[0][1:])
+            return closed
+
+        with mock.patch.object(_Lockstep, "CAP", cap), mock.patch.object(_Lockstep, "_close", spied):
+            [(_, _, certificate)] = engine.long_cycle(np.array([0]), "best")
+        return levels, certificate
+
     @settings(max_examples=60, deadline=None)
     @given(
         draw=st.integers(0, 2**32 - 1),
@@ -992,11 +1009,10 @@ class TestLongCycles:
         engine = prepare_moves(inst, None).start([x])
         scale, fx = rational_scale(inst), objective(inst, x)
         got = []
-        with mock.patch.object(_Lockstep, "CAP", 10**9):
-            levels = list(engine.long_cycles(np.array([0])))
-        assert len(levels) == t_full - 1
-        for t, (_, cycles, delta, thinned) in enumerate(levels, start=2):
-            assert not thinned and cycles.shape == (len(delta), 2 * t)
+        levels, certificate = self.phase_levels(engine, 10**9)
+        assert len(levels) == t_full - 1 and certificate == "full"
+        for t, (cycles, delta) in enumerate(levels, start=2):
+            assert cycles.shape == (len(delta), 2 * t)
             for row, d in zip(cycles, delta):
                 g = lifting(row, inst.size)
                 got.append(tuple(g))
@@ -1016,9 +1032,7 @@ class TestLongCycles:
         x = rng.integers(0, 2, size=inst.size)  # a random 0/1 point has more cycles than a seed
         engine = prepare_moves(inst, None).start([x])
         keys = []
-        with mock.patch.object(_Lockstep, "CAP", 10**9):
-            levels = list(engine.long_cycles(np.array([0])))
-        for _, cycles, _, _ in levels:
+        for cycles, _ in self.phase_levels(engine, 10**9)[0]:
             for row in cycles:
                 keys.append((len(row), cycle_key(lifting(row, inst.size), 6)))
         assert len(keys) > 100
@@ -1026,7 +1040,7 @@ class TestLongCycles:
 
     @staticmethod
     def strided_cycles(x, n, k, cap):
-        """Per length, the cycles that ``long_cycles`` yields at 0/1 point
+        """Per length, the cycles that the long-cycle phase closes at 0/1 point
         ``x`` with ``CAP`` = ``cap``, found path by path in plain Python:
         each level's open paths, in lexicographic order, are cut to
         paths[i * len // cap] for i < cap when there are more than ``cap``."""
@@ -1064,26 +1078,24 @@ class TestLongCycles:
         fx = objective(inst, seed)
 
         def cycles(cap):
-            out, flags, rows = [], [], []
-            with mock.patch.object(_Lockstep, "CAP", cap):
-                levels = list(engine.long_cycles(np.array([0])))
-            for _, found, delta, thinned in levels:
-                flags.append(bool(thinned[0]))
+            out, rows = [], []
+            levels, certificate = self.phase_levels(engine, cap)
+            for found, delta in levels:
                 rows.append(found.tolist())
                 for row, d in zip(found, delta):
                     g = lifting(row, inst.size)
                     out.append(tuple(g))
                     assert d == objective(inst, seed + g) - fx
-            return out, flags, rows
+            return out, certificate, rows
 
-        everything, flags, rows = cycles(10**9)
-        assert set(everything) == full and not any(flags)
+        everything, certificate, rows = cycles(10**9)
+        assert set(everything) == full and certificate == "full"
         assert rows == self.strided_cycles(seed, 5, 5, 10**9)
         for cap in (4, 7, 19):
-            thin, flags, rows = cycles(cap)
-            assert flags[-1] and set(thin) < full and len(set(thin)) == len(thin)
+            thin, certificate, rows = cycles(cap)
+            assert certificate == "thinned" and set(thin) < full and len(set(thin)) == len(thin)
             assert rows == self.strided_cycles(seed, 5, 5, cap)  # the evenly spaced subset
-            assert cycles(cap) == (thin, flags, rows)  # and again the same
+            assert cycles(cap) == (thin, certificate, rows)  # and again the same
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -1157,7 +1169,7 @@ class TestLongCycles:
         inst = generate_instance(np.random.default_rng(8), "QAP", 5, 5)
         seed = solve(inst, seed_count=1, rng_seed=2).seeds[0]
         phases = []  # the seeds handed to batched phases
-        run = _Lockstep.long_cycles
+        run = _Lockstep.long_cycle
 
         def counted(self, seeds, *rest):
             phases.extend(seeds.tolist())
@@ -1165,7 +1177,7 @@ class TestLongCycles:
 
         for cap, certificate in ((_Lockstep.CAP, "full"), (10, "thinned")):
             phases.clear()
-            with mock.patch.object(_Lockstep, "long_cycles", counted), \
+            with mock.patch.object(_Lockstep, "long_cycle", counted), \
                     mock.patch.object(_Lockstep, "CAP", cap):
                 one = solve(inst, seeds=[seed])
                 alone = len(phases)
@@ -1240,15 +1252,15 @@ class TestLongCycles:
         drawn = solve(inst, seed_count=count, rng_seed=draw % 97).seeds
         seeds = list({x.tobytes(): x for x in drawn}.values())  # distinct, in drawn order
         held = []  # per level step, (open paths, seeds they belong to)
-        level = _Lockstep._level
+        grow = _Lockstep._grow
 
-        def spied(self, room, parent, sel):
+        def spied(self, linear, parent, sel):
             rows = sel[0]  # the seed of each path the level opens
             held.append((len(rows), len(set(rows.tolist()))))
-            return level(self, room, parent, sel)
+            return grow(self, linear, parent, sel)
 
         with mock.patch.object(_Lockstep, "CAP", cap):
-            with mock.patch.object(_Lockstep, "_level", spied):
+            with mock.patch.object(_Lockstep, "_grow", spied):
                 report = solve(inst, seeds=seeds, policy=policy)
             for r, seed in zip(report.results, seeds):
                 alone = augment(inst, None, seed, policy)
@@ -1281,7 +1293,7 @@ class TestLongCycles:
         again, second = traced(seeds=ends)
         assert len(ends) > 2 and {r.steps for r in again.results} == {0}
         assert {r.certificate for r in drawn.results + again.results} == {"thinned"}
-        assert max(first, second) < 32 * 2**20
+        assert max(first, second) < 16 * 2**20
 
     def test_stored_bases_certify_in_full(self):
         inst = generate_instance(np.random.default_rng(7), "QSAP1", 4, 3)
@@ -1384,7 +1396,7 @@ class TestClassifier:
         assert classify_landscape({0: 6, 1: 4}, best_f=0) == "easy-nonconvex"
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty report"):
             classify_landscape({})
 
 
