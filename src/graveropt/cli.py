@@ -37,6 +37,7 @@ from .graver import (
     realize_matrix,
     save_basis,
 )
+from .oracle import ResourceBudgetError
 from .problems import (
     InfeasibleError,
     PROBLEM_CLASSES,
@@ -204,7 +205,7 @@ def cmd_solve(args) -> int:
                 policy=args.policy,
                 rng_seed=args.rng_seed,
             )
-        except (InfeasibleError, ValueError, OSError) as exc:
+        except (InfeasibleError, ValueError, OSError, ResourceBudgetError) as exc:
             failed = True
             print(f"{name}: {exc}", file=sys.stderr)
             with open(out_dir / f"{name}.result.json", "w", encoding="utf-8") as fh:

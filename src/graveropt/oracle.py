@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 import numpy as np
 
-from .graver import GraverBasis, _pack_rows, realize_matrix
+from .graver import GraverBasis, _pack_rows
 from .problems import QuadraticInstance, batch_objective
 
 
@@ -254,7 +254,7 @@ def enumerate_feasible(inst: QuadraticInstance, max_points: int = 10**7) -> np.n
     strides = np.ones(inst.size, dtype=np.int64)
     for i in range(inst.size - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
-    A = realize_matrix(inst.kind)
+    A = inst.matrix
     chunks = []
     block = 1 << 16
     for start in range(0, total, block):

@@ -62,7 +62,7 @@ def class_for_kind(kind: ConstraintKind) -> str:
 
 @dataclass
 class QuadraticInstance:
-    """Immutable problem data; the realized constraint matrix is cached."""
+    """Immutable problem data; ``matrix``, the realized A, is built once."""
 
     c: np.ndarray
     Q: np.ndarray
@@ -71,7 +71,7 @@ class QuadraticInstance:
     lower: np.ndarray
     upper: np.ndarray
     name: str = ""
-    _A: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c)
@@ -90,19 +90,14 @@ class QuadraticInstance:
             raise ValueError("bounds must match the instance size")
         if np.any(self.lower > self.upper):
             raise ValueError("need l <= u componentwise")
-        rows = realize_matrix(self.kind).shape[0]
+        self.matrix = realize_matrix(self.kind)
+        rows = self.matrix.shape[0]
         if self.b.shape != (rows,):
             raise ValueError(f"b must have shape ({rows},), got {self.b.shape}")
 
     @property
     def size(self) -> int:
         return self.kind.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._A is None:
-            self._A = realize_matrix(self.kind)
-        return self._A
 
 
 def _integer_field(label: str, values) -> np.ndarray:

@@ -78,7 +78,8 @@ from .graver import (
     GraverBasis,
     build_basis,
 )
-from .problems import InfeasibleError, QuadraticInstance, _feasible_rows, _int64_safe, objective
+from .problems import (InfeasibleError, QuadraticInstance, _feasible_rows, _int64_safe,
+                       _integer_field, objective)
 from .seeds import seeds_cbqp, seeds_qap, seeds_qsap1, seeds_qsap2
 
 POLICIES = ("first", "best")
@@ -633,7 +634,7 @@ class _Lockstep:
     def cycle_rounds(self, policy):
         """Run every seed of an assignment instance to its terminal point by
         long-cycle phases, in lockstep rounds: per seed (steps, cycles
-        evaluated, took a cycle, certificate of the last phase).
+        evaluated, certificate of the last phase).
 
         ``phases`` maps :meth:`phase_key` to the result of the phase run
         there, thinned or not; a phase reads nothing else, so any seed at
@@ -663,17 +664,17 @@ class _Lockstep:
                 val = np.repeat([[1] * (width // 2) + [-1] * (width // 2)], len(moved), axis=0)
                 self.apply_support(seeds, cycles, val)
             live = sorted(s for moved in movers.values() for s, _ in moved)
-        return [(steps[s], examined[s], steps[s] > 0, certificate[s]) for s in range(count)]
+        return list(zip(steps, examined, certificate))
 
     def descend(self, policy):
         """Run every seed to its terminal point: per seed (steps, moves
-        examined, took a room-graph move, certificate)."""
+        examined, certificate).  :func:`solve` alone calls it, once per run."""
         if self.selfq is not None:
             return self.cycle_rounds(policy)
         ran = np.zeros((2, len(self.x)), dtype=np.int64)  # per seed: steps, moves examined
         if self.n_moves:
             (self._best_rounds if policy == "best" else self._first_rounds)(ran)
-        return [(steps, scanned, False, "full") for steps, scanned in zip(*ran.tolist())]
+        return [(steps, scanned, "full") for steps, scanned in zip(*ran.tolist())]
 
     def _best_rounds(self, ran):
         """Best-policy rounds: every live seed's whole pass, from the first
@@ -727,36 +728,10 @@ class _Lockstep:
                 live = live[:, ~done]
 
 
-def _descend(
-    inst: QuadraticInstance, engine: _Lockstep, seeds: Sequence[np.ndarray], policy: str
-) -> list[AugmentationResult]:
-    """Descend every seed in ``engine``, in lockstep; results in seed order."""
-    if not _feasible_rows(inst, seeds).all():
-        raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
-    runs = engine.start(seeds).descend(policy)
-    values = _terminal_values(inst, engine)
-    return [
-        AugmentationResult(
-            seed_index=i,
-            terminal_x=engine.x[i].copy(),
-            terminal_f=values[i],
-            steps=steps,
-            moves_scanned=scanned,
-            sampler_assisted=assisted,
-            certificate=certificate,
-        )
-        for i, (steps, scanned, assisted, certificate) in enumerate(runs)
-    ]
-
-
-def _check_policy(policy: str) -> None:
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}")
-
-
 def _stored_basis(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Optional[GraverBasis]:
     """The basis a descent scans: ``basis`` when given, else the kind's own.
-    None for an assignment instance, which takes no basis."""
+    None for an assignment instance, which takes no basis.  A given basis must
+    have the instance's dimension and A.g = 0 for every element g (exact, in blocks)."""
     kind = inst.kind
     if isinstance(kind, Assignment):
         if basis is not None:
@@ -764,6 +739,14 @@ def _stored_basis(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Opti
                              "cycle lifting that fits the box on the room graph")
         return None
     if basis is not None:
+        if basis.dim != inst.size:
+            raise ValueError(f"basis has dimension {basis.dim}, the instance {inst.size}")
+        A = inst.matrix.astype(object)  # exact: A.g may pass int64
+        block = max(1, 250_000 // max(1, A.shape[0] * basis.idx.shape[1]))
+        for start in range(0, len(basis), block):
+            rows = slice(start, start + block)
+            if np.any((A[:, basis.idx[rows]] * basis.val[rows]).sum(axis=2)):
+                raise ValueError("basis has an element g with A.g != 0: its moves leave Ax = b")
         return basis
     if isinstance(kind, Explicit):
         from .oracle import pottier_graver
@@ -788,13 +771,9 @@ def augment(
     ``"full"`` when the last phase saw every lifting and ``"thinned"``
     otherwise.  No random numbers are drawn.
 
-    This is a one-seed run of the engine :func:`solve` runs all seeds in.
+    This is :func:`solve` with the one seed ``x0``, and its one result.
     """
-    _check_policy(policy)
-    x0 = np.asarray(x0, dtype=np.int64)
-    engine = prepare_moves(inst, _stored_basis(inst, basis))
-    (result,) = _descend(inst, engine, [x0], policy)
-    return result
+    return solve(inst, policy=policy, seeds=[x0], basis=basis).results[0]
 
 
 def verify_local_optimality(
@@ -805,7 +784,7 @@ def verify_local_optimality(
 
     Uses direct objective evaluation, not the incremental delta path.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = _integer_field("x", x)
     fx = objective(inst, x)
     violations = []
     for e, (idx, val) in enumerate(zip(basis.idx, basis.val)):
@@ -884,10 +863,15 @@ def solve(
     changes nothing but the report's field.  All seeds run in one lockstep
     engine in this process, so ``parallelism`` must be 1; to use more
     processors, run separate solves in separate processes.  ``basis`` replaces the
-    kind's own; an assignment instance builds none and takes none (see
+    kind's own, and must have the instance's dimension and A.g = 0 for every
+    element g; an assignment instance builds none and takes none (see
     :func:`augment`).  ``enumeration_cap`` is accepted and changes nothing.
+    Seeds are integer points: 2.0 passes, 1.7 is a ValueError.  Only here is
+    the engine started (:func:`augment` is a one-seed solve), and its counts
+    per seed, (steps, moves examined, certificate), read into the results.
     """
-    _check_policy(policy)
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}")
     if parallelism != 1:
         raise ValueError(
             f"parallelism={parallelism}: solve runs every seed in one lockstep engine "
@@ -900,10 +884,26 @@ def solve(
             seed_count = default_seed_count(inst.kind)
         seed_rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
         seeds = generate_seeds(inst, seed_count, seed_rng)
-    seeds = [np.asarray(s, dtype=np.int64) for s in seeds]
+    seeds = [_integer_field("seeds", s) for s in seeds]
     if not seeds:
         raise InfeasibleError("no seeds to augment")
-    results = _descend(inst, prepare_moves(inst, basis), seeds, policy)
+    if not _feasible_rows(inst, seeds).all():
+        raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
+    engine = prepare_moves(inst, basis).start(seeds)
+    runs = engine.descend(policy)
+    values = _terminal_values(inst, engine)
+    results = [
+        AugmentationResult(
+            seed_index=i,
+            terminal_x=engine.x[i].copy(),
+            terminal_f=values[i],
+            steps=steps,
+            moves_scanned=scanned,
+            sampler_assisted=steps > 0 and isinstance(inst.kind, Assignment),
+            certificate=certificate,
+        )
+        for i, (steps, scanned, certificate) in enumerate(runs)
+    ]
 
     best = min(results, key=lambda r: (r.terminal_f, r.seed_index))
     counts = dict(Counter(r.terminal_f for r in results))

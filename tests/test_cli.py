@@ -272,14 +272,21 @@ class TestSolve:
         }
         for stem, (_, fields) in spoiled.items():
             (tmp_path / f"{stem}.json").write_text(json.dumps({**base, **fields}))
-        bad = ["broken", "lacking", "missing", *spoiled]
-        paths = [broken, lacking, missing, *(tmp_path / f"{s}.json" for s in spoiled), source]
+        # its completion basis would pass int64, a ResourceBudgetError
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"name": "huge", "class": "explicit", "A": [[1, 2**62]],
+                                    "c": [0, 0], "Q": [[0, 0], [0, 0]], "b": [0],
+                                    "l": [0, 0], "u": [1, 1]}))
+        bad = ["broken", "lacking", "missing", *spoiled, "huge"]
+        paths = [broken, lacking, missing, *(tmp_path / f"{s}.json" for s in spoiled), huge,
+                 source]
         out = tmp_path / "run"
         assert run(["solve", *map(str, paths), "--seeds", "3", "--out", str(out)]) == 1
         for name in bad:
             doc = json.loads((out / f"{name}.result.json").read_text())
             assert doc["name"] == name and doc["error"]
         assert "field 'c'" in json.loads((out / "lacking.result.json").read_text())["error"]
+        assert "int64" in json.loads((out / "huge.result.json").read_text())["error"]
         for stem, (field, _) in spoiled.items():
             error = json.loads((out / f"{stem}.result.json").read_text())["error"]
             assert error.startswith(f"{field} ")

@@ -99,6 +99,22 @@ class TestAugment:
         with pytest.raises(InfeasibleError):
             augment(inst, graver_ones(3), [1, 0, 0])
 
+    @pytest.mark.parametrize("entry", ["augment", "solve", "verify"])
+    def test_non_integer_points_are_refused(self, entry):
+        # 1.7 used to be truncated to 1 and descended from; 2.0 still passes
+        inst = generate_instance(np.random.default_rng(4), "QSAP1", 4, 3)
+        seed = solve(inst, seed_count=1).seeds[0]
+        basis = build_basis(inst.kind)
+        run = {"augment": lambda x: augment(inst, None, x).terminal_x,
+               "solve": lambda x: solve(inst, seeds=[seed, x]).results[1].terminal_x,
+               "verify": lambda x: verify_local_optimality(inst, basis, x)}[entry]
+        spoiled = seed.astype(float)
+        spoiled[0] += 0.7
+        label = "x" if entry == "verify" else "seeds"
+        with pytest.raises(ValueError, match=f"{label} has an entry that is not an integer"):
+            run(spoiled)
+        assert np.array_equal(run(seed.astype(float)), run(seed))
+
     def test_terminal_objective_consistent(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -264,6 +280,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="takes no basis"):
             augment(inst, basis, seed)
         assert augment(inst, None, seed).terminal_f == solve(inst, seeds=[seed]).best.terminal_f
+
+    @pytest.mark.parametrize("dim, message", [(20, "dimension 20, the instance 12"),
+                                              (12, r"A\.g != 0")], ids=["dim", "kernel"])
+    def test_a_passed_basis_is_checked(self, dim, message):
+        # a basis of the wrong dimension used to stop in an IndexError, and
+        # swaps that cross bricks led every seed out of Ax = b
+        inst = generate_instance(np.random.default_rng(4), "QSAP1", 4, 3)
+        seed = solve(inst, seed_count=1).seeds[0]
+        basis = build_basis(Cardinality(dim))
+        with pytest.raises(ValueError, match=message):
+            solve(inst, basis=basis)
+        with pytest.raises(ValueError, match=message):
+            augment(inst, basis, seed)
+        own = solve(inst, basis=build_basis(inst.kind), rng_seed=3)
+        assert report_signature(own) == report_signature(solve(inst, rng_seed=3))
 
     def test_assignment_builds_no_basis(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -927,11 +958,18 @@ class TestLockstep:
                           basis=basis).seeds
 
         def run():
-            engine = prepare_moves(inst, basis)
-            results = solver._descend(inst, engine, seeds, "first")
+            engines = []
+
+            def spy(*args):
+                engines.append(prepare_moves(*args))
+                return engines[-1]
+
+            with mock.patch.object(solver, "prepare_moves", spy):
+                report = solve(inst, seeds=seeds, basis=basis)
+            (engine,) = engines
             w = engine.w.tolist() if engine.w.dtype == object else engine.w.tobytes()
             return [(r.steps, r.moves_scanned, r.terminal_x.tobytes(), repr(r.terminal_f))
-                    for r in results], w
+                    for r in report.results], w
 
         want = run()
         shape = mock.patch.multiple(_Lockstep, WINDOW=window, ROUND=round_,
