@@ -168,7 +168,7 @@ def _report_document(report, seeds_dumped: bool, wall_ms: int) -> dict:
     doc = {
         "name": report.name,
         "best_objective": _encode_number(report.best.terminal_f),
-        "best_x": [int(v) for v in report.best.terminal_x],
+        "best_x": report.best.terminal_x.tolist(),
         "seed_count": report.seed_count,
         "terminal_values": [
             [_encode_number(v), c]
@@ -179,11 +179,11 @@ def _report_document(report, seeds_dumped: bool, wall_ms: int) -> dict:
         "policy": report.policy,
         "rng_seed": report.rng_seed,
         "sampler_assisted": report.sampler_assisted,
-        "degenerate_optima": [[int(v) for v in x] for x in report.best_points],
+        "degenerate_optima": [x.tolist() for x in report.best_points],
         "wall_ms": wall_ms,
     }
     if seeds_dumped:
-        doc["seeds"] = [[int(v) for v in s] for s in report.seeds]
+        doc["seeds"] = [s.tolist() for s in report.seeds]
     return doc
 
 

@@ -147,10 +147,10 @@ def seeds_qap(
             one, other = bricks[p], bricks[q]
             pool = [j for j in range(k) if one[j] != other[j]]  # exactly one of the two has a one
             kept = sum(one[j] for j in pool)
-            dealt = rng.permutation(np.array(pool, dtype=np.int64)).tolist()
-            for j in dealt[:kept]:
+            rng.shuffle(pool)  # the draws and order of rng.permutation, without an array
+            for j in pool[:kept]:
                 one[j], other[j] = 1, 0
-            for j in dealt[kept:]:
+            for j in pool[kept:]:
                 one[j], other[j] = 0, 1
         out.append(np.array(bricks, dtype=np.int64).reshape(-1))
     return out

@@ -411,8 +411,10 @@ class _Lockstep:
     def _tile(self, chunk, lo, hi):
         """The best-policy tile of signed moves ``2*lo .. 2*hi - 1`` x the
         seeds of ``chunk`` (see :meth:`_chunk`): their deltas, a [moves,
-        seeds] array with 0 for each move that leaves the box.  0 stands in
-        for any arithmetic, as only a delta below 0 is taken.
+        seeds] array with 0 for each move that leaves the box.  The deltas
+        are multiplied by the room mask in place, which gives 0 in every
+        arithmetic (-0.0 on floats; NaN where a float delta overflowed to
+        inf); as only a delta below 0 is taken, 0 and -0.0 stand for no move.
 
         Each entry column gathers whole rows at its room ids: the room
         bytes of +g and -g, and signed w.  A room byte promises room for one
@@ -431,11 +433,16 @@ class _Lockstep:
             xi, low, high, v = xt[i], self.lower[i, None], self.upper[i, None], v[:, None]
             ok[:, 0] &= (xi + v >= low) & (xi + v <= high)
             ok[:, 1] &= (xi - v >= low) & (xi - v <= high)
-        a, q = self.cg[lo:hi, None] + wg, self.qgg[lo:hi, None]
-        delta = np.empty(ok.shape, dtype=np.result_type(a, q))
-        np.add(a, q, out=delta[:, 0])
-        np.subtract(q, a, out=delta[:, 1])
-        return np.where(ok, delta, 0).reshape(-1, xt.shape[1])
+        cg, q = self.cg[lo:hi, None], self.qgg[lo:hi, None]
+        if np.can_cast(cg.dtype, wg.dtype, "same_kind"):
+            wg += cg
+        else:  # float c on integer Q: w.g stays exact, then rounds once
+            wg = wg + cg
+        delta = np.empty(ok.shape, dtype=np.result_type(wg, q))
+        np.add(wg, q, out=delta[:, 0])
+        np.subtract(q, wg, out=delta[:, 1])
+        delta *= ok
+        return delta.reshape(-1, xt.shape[1])
 
     def best_moves(self, seeds):
         """Per seed of ``seeds``, the best move of a whole pass, first wins
@@ -455,7 +462,7 @@ class _Lockstep:
             part, best = seeds[at : at + step], moves[at : at + step]
             size = max(1, self.ROUND // (2 * len(part)))  # elements per block
             chunk, cols = self._chunk(part), np.arange(len(part))
-            low = np.zeros(len(part), dtype=self.w.dtype)
+            low = np.zeros(len(part), dtype=np.result_type(self.w, self.c))  # float c on int Q too
             for lo in range(0, n_elements, size):
                 delta = self._tile(chunk, lo, min(n_elements, lo + size))
                 j = delta.argmin(axis=0)  # the first lowest
@@ -507,12 +514,12 @@ class _Lockstep:
         if min(n, k) < 2:  # no cycle fits
             return [(None, 0, "full")] * m
         taken, examined = [None] * m, np.zeros(m, dtype=np.int64)
-        low = np.zeros(m, dtype=self.w.dtype)  # only a delta below a seed's low is taken
         gone, thinned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         x = self.x[seeds]
         up, down = (x < self.upper).reshape(m, n, k), (x > self.lower).reshape(m, n, k)
         cw = (self.c + self.w[seeds]).reshape(m, n, k, 1)
         linear = ((cw - cw.transpose(0, 1, 3, 2)).reshape(m, -1) + self.selfq).reshape(-1)
+        low = np.zeros(m, dtype=linear.dtype)  # only a delta below a seed's low is taken
         # reach[(r*k + j)*n + b] lists the bricks above b with up room at slot j in seed r
         reach = (up.transpose(0, 2, 1)[:, :, None, :] & self.above).reshape(-1, n)
 

@@ -297,3 +297,15 @@ class TestSeedsQap:
         want = seeds_qap_numpy(np.random.default_rng(draw), n, k, b, count)
         assert [x.dtype for x in got] == [x.dtype for x in want]
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    @pytest.mark.parametrize("size", range(10))
+    def test_shuffling_a_list_deals_as_permutation_does(self, size):
+        # a trade deals its pool with rng.shuffle on a Python list; it must
+        # make rng.permutation's draws and swaps, empty and one-slot pools too
+        for draw in range(20):
+            pool = list(range(3, 3 + 2 * size, 2))
+            mine, ref = np.random.default_rng(draw), np.random.default_rng(draw)
+            dealt = ref.permutation(np.array(pool, dtype=np.int64)).tolist()
+            mine.shuffle(pool)
+            assert pool == dealt
+            assert mine.integers(2**40) == ref.integers(2**40)

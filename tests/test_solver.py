@@ -580,6 +580,8 @@ class TestRoomPrefilter:
     best-policy tile checks the box itself; both must report exactly what
     a full bounds check does."""
 
+    DATA = ["int", "float", "object", "fraction", "mixed"]
+
     @staticmethod
     def reference_deltas(engine, s, seq):
         """Signed moves ``seq`` of seed ``s`` gathered and checked against
@@ -621,7 +623,10 @@ class TestRoomPrefilter:
     @classmethod
     def random_engine(cls, n, basis, draw, data="int"):
         """(rng, engine) for one to four random seeds in a random box; float
-        ``data`` is non-dyadic, so every w.g sum rounds."""
+        ``data`` is non-dyadic, so every w.g sum rounds; ``"object"`` data
+        fails the int64 guard, so the engine runs on Python ints;
+        ``"fraction"`` data is scaled by the LCM of its denominators; and
+        ``"mixed"`` is float c on integer Q."""
         rng = np.random.default_rng(draw)
         lower = rng.integers(-2, 2, size=n)
         upper = lower + rng.integers(0, 4, size=n)  # widths 0..3
@@ -630,10 +635,19 @@ class TestRoomPrefilter:
         if data == "float":
             c = c / 7.3 + rng.normal(0, 1e-3, size=n)
             Q = Q / 3.1 + rng.normal(0, 1e-3, size=(n, n))
+        elif data == "object":
+            c, Q = c * 2**58, Q * 2**58
+        elif data == "fraction":
+            c = np.array([Fraction(int(v), 1 + i % 5) for i, v in enumerate(c)], dtype=object)
+            Q = np.array([Fraction(int(v), 1 + i % 7) for i, v in enumerate(Q.ravel())],
+                         dtype=object).reshape(n, n)
+        elif data == "mixed":
+            c = c / 7.3
         inst = QuadraticInstance(c=c, Q=Q, kind=Cardinality(n), b=[int(seeds[0].sum())],
                                  lower=lower, upper=upper)
         engine = prepare_moves(inst, basis_of(n, cls.random_elements(rng, n, basis)))
         assert engine.unit == (basis == "unit")
+        assert (engine.c.dtype == object) == (data == "object")
         return rng, engine.start(seeds)
 
     @settings(max_examples=60, deadline=None)
@@ -641,7 +655,7 @@ class TestRoomPrefilter:
         n=st.sampled_from([5, 63, 64, 65, 129]),
         basis=st.sampled_from(["unit", "wide", "pottier"]),
         draw=st.integers(0, 2**32 - 1),
-        data=st.sampled_from(["int", "float"]),
+        data=st.sampled_from(DATA),
     )
     def test_matches_full_bounds_check(self, n, basis, draw, data):
         # float deltas too must equal the reference's bit for bit: its
@@ -678,7 +692,7 @@ class TestRoomPrefilter:
         basis=st.sampled_from(["unit", "wide", "pottier"]),
         draw=st.integers(0, 2**32 - 1),
         round_=st.sampled_from([2, 3, 8, _Lockstep.ROUND]),
-        data=st.sampled_from(["int", "float"]),
+        data=st.sampled_from(DATA),
     )
     @example(n=64, basis="wide", draw=0, round_=2, data="int")  # 4 seeds, chunks of 1
     def test_best_tiles_match_full_bounds_check(self, n, basis, draw, round_, data):
@@ -713,6 +727,7 @@ class TestRoomPrefilter:
             assert chunks == [len(seeds[at : at + step]) for at in range(0, len(seeds), step)]
             for i, s in enumerate(seeds):
                 delta, feasible = self.reference_deltas(engine, s, np.arange(2 * lo, 2 * hi))
+                # an infeasible move reads 0, or -0.0 on floats, which equals it
                 assert np.array_equal(deltas[:, i], np.where(feasible, delta, 0))
                 delta, feasible = self.reference_deltas(engine, s, np.arange(engine.n_moves))
                 pass_ = np.where(feasible, delta, 0)
@@ -1063,6 +1078,28 @@ class TestLongCycles:
         }
         assert len(got) == len(set(got))
         assert set(got) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(draw=st.integers(0, 2**32 - 1), n=st.integers(3, 5), k=st.integers(3, 5))
+    def test_best_takes_the_lowest_cycle_on_float_c_and_integer_q(self, draw, n, k):
+        # w is integer but every delta is a float, so the running low of a
+        # "best" phase must be a float too, or a later cycle between the
+        # truncated low and the true one replaces the lowest
+        rng = np.random.default_rng(draw)
+        base = generate_instance(rng, "QAP", n, k)
+        inst = QuadraticInstance(c=rng.normal(0, 1, base.size), Q=np.sign(base.Q), kind=base.kind,
+                                 b=base.b, lower=base.lower, upper=base.upper)
+        x = solve(base, seed_count=1, rng_seed=draw % 97).seeds[0]
+        engine = prepare_moves(inst, None).start([x])
+        levels, _ = self.phase_levels(engine, 10**9)
+        cycles = [row for rows, _ in levels for row in rows]
+        deltas = np.concatenate([delta for _, delta in levels])
+        j = int(np.argmin(deltas)) if len(deltas) else None  # the first lowest, lengths ascending
+        [(taken, _, _)] = engine.long_cycle(np.array([0]), "best")
+        if j is not None and deltas[j] < 0:
+            assert np.array_equal(taken, cycles[j])
+        else:
+            assert taken is None
 
     def test_cycles_come_in_the_documented_order(self):
         rng = np.random.default_rng(5)
