@@ -3,18 +3,19 @@
 Two oracles live here, deliberately decoupled from the closed-form
 constructions they are used to check:
 
-* a Pottier-style completion procedure that computes the full Graver basis
-  of an arbitrary small integer matrix from an exact integer kernel basis,
-  and
+* a Pottier-style completion (Pottier 1996) that computes the full Graver
+  basis of an arbitrary small integer matrix from an exact integer kernel
+  basis, reducing the sum of each pair of members once, pairs in the order
+  the members were added and sums seen before skipped, and
 * a brute-force global solver that enumerates the bounded feasible lattice.
 
-Both are single-threaded and budgeted; they raise ``ResourceBudgetError``
-rather than ever returning a truncated answer.
+Both are single-threaded and budgeted (the completion on members held and
+member rows its reductions test, the solver on box size); they raise
+``ResourceBudgetError`` rather than ever returning a truncated answer.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 import numpy as np
@@ -104,16 +105,23 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def pottier_graver(
     A,
     max_elements: int = 50_000,
-    max_iterations: int = 5_000_000,
+    max_rows: int = 200_000_000,
 ) -> GraverBasis:
     """Complete Graver basis of a small integer matrix by completion.
 
-    Classical normal-form completion: start from +-(lattice basis of
-    ker_Z(A)), process the FIFO queue of pairwise sums, reduce each sum by
-    sign-compatible subtraction until irreducible, and add survivors (with
-    new pairs) until the queue drains.  A final sweep keeps only elements
-    not sign-compatibly dominated by another, one representative per
-    {g, -g} pair.
+    The members start as +-(lattice basis of ker_Z(A)).  Each pair (i, j),
+    i < j, is taken once, j in the order the members were added and i
+    ascending.  The sum of members i and j is reduced against every member
+    held at that point, subtracting the first one sign-compatibly below it
+    until none is; a nonzero survivor r is added as r and -r.  A sum seen
+    before is skipped: its survivor is already a member.  A final sweep
+    keeps the distinct members no other member sign-compatibly dominates,
+    one per {g, -g} pair, in sorted order.
+
+    Each reduction scan tests every member row.  Past ``max_rows`` rows
+    tested in all, or ``max_elements`` members, it raises
+    ``ResourceBudgetError``.  At about 75 ns a row, the default of 2e8 rows
+    stops a completion in about 15 s.
     """
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2 or not np.any(A):
@@ -124,73 +132,38 @@ def pottier_graver(
     if not lattice:
         return _pack_rows(ncols, ())
 
-    # members of G, stored twice: python-visible rows of `gm` (grow-only)
-    gm = np.zeros((64, ncols), dtype=np.int64)
-    count = 0
-    queue: deque[np.ndarray] = deque()
+    gm = np.array([sign * vec for vec in lattice for sign in (1, -1)], dtype=np.int64)
     seen_sums: set[bytes] = set()
+    rows_tested = 0
+    j = 1
+    while j < len(gm):
+        for s in gm[:j] + gm[j]:
+            key = s.tobytes()
+            if key in seen_sums:
+                continue
+            seen_sums.add(key)
+            while np.any(s):
+                rows_tested += len(gm)
+                if rows_tested > max_rows:
+                    raise ResourceBudgetError(f"completion exceeded max_rows={max_rows} rows tested")
+                mask = np.all((gm * s >= 0) & (np.abs(gm) <= np.abs(s)), axis=1)
+                hits = np.flatnonzero(mask)
+                if hits.size == 0:
+                    gm = np.concatenate([gm, [s, -s]])
+                    if len(gm) > max_elements:
+                        raise ResourceBudgetError(f"completion exceeded {max_elements} elements")
+                    break
+                s -= gm[hits[0]]
+        j += 1
 
-    def add_vector(vec: np.ndarray) -> None:
-        nonlocal gm, count
-        for i in range(count):
-            queue.append(vec + gm[i])
-        if count == gm.shape[0]:
-            gm = np.vstack([gm, np.zeros_like(gm)])
-        gm[count] = vec
-        count += 1
-        if count > max_elements:
-            raise ResourceBudgetError(f"completion exceeded {max_elements} elements")
-
-    def normal_form(vec: np.ndarray) -> np.ndarray:
-        vec = vec.copy()
-        while np.any(vec):
-            window = gm[:count]
-            mask = np.all((window * vec >= 0) & (np.abs(window) <= np.abs(vec)), axis=1)
-            hits = np.nonzero(mask)[0]
-            if hits.size == 0:
-                break
-            vec -= window[hits[0]]
-        return vec
-
-    for vec in lattice:
-        add_vector(vec.copy())
-        add_vector(-vec)
-
-    iterations = 0
-    while queue:
-        iterations += 1
-        if iterations > max_iterations:
-            raise ResourceBudgetError(f"completion exceeded {max_iterations} queue pops")
-        s = queue.popleft()
-        if not np.any(s):
-            continue
-        key = s.tobytes()
-        if key in seen_sums:
-            continue
-        seen_sums.add(key)
-        r = normal_form(s)
-        if np.any(r):
-            add_vector(r)
-            add_vector(-r)
-
-    # minimize: drop duplicates, then anything dominated by a distinct element
-    unique: dict[bytes, np.ndarray] = {}
-    for i in range(count):
-        unique.setdefault(gm[i].tobytes(), gm[i].copy())
-    vecs = list(unique.values())
-    window = np.array(vecs, dtype=np.int64)
-    survivors = []
-    for i, vec in enumerate(vecs):
-        dominated = np.all((window * vec >= 0) & (np.abs(window) <= np.abs(vec)), axis=1)
+    gm = np.unique(gm, axis=0)
+    rows = []
+    for i, vec in enumerate(gm):
+        dominated = np.all((gm * vec >= 0) & (np.abs(gm) <= np.abs(vec)), axis=1)
         dominated[i] = False
-        if not np.any(dominated):
-            survivors.append(vec)
-
-    rows = set()
-    for vec in survivors:
         support = np.flatnonzero(vec)
-        signed = vec[support] if vec[support[0]] > 0 else -vec[support]
-        rows.add(tuple(zip(support.tolist(), signed.tolist())))
+        if not np.any(dominated) and vec[support[0]] > 0:
+            rows.append(tuple(zip(support.tolist(), vec[support].tolist())))
     return _pack_rows(ncols, sorted(rows))  # sign-canonical rows in sorted order
 
 

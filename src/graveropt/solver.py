@@ -171,22 +171,37 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
     moves.  The integers are then kept in int64 when every intermediate
     provably fits, else as exact Python ints on object arrays.  Floats stay
     in double precision; object data with floats mixed in stays object.
+
+    Float data must keep every value finite, or an infeasible move's
+    delta reads inf * 0 = NaN.  With norm = |x|_1 + |g|_1 bounded as for
+    the int64 guard, f, its partial sums, (Q+Q')x and a move's delta
+    c.g + g'Qg + x'(Q+Q')g are each at most max|c| * norm + max|Q| * norm**2
+    in size.  Each term below 2**1022 keeps that below 2**1023, half the
+    largest double, so rounding cannot carry it past; else ValueError.
     """
     c, Q = inst.c, inst.Q
+    maxb = max(int(np.abs(inst.lower).max(initial=0)), int(np.abs(inst.upper).max(initial=0)), 1)
+    norm = inst.size * maxb + max_weight
     scale, has_fraction = 1, np.zeros(inst.size + 1, dtype=bool)
+    floats = c.dtype.kind == "f" or Q.dtype.kind == "f"
     if c.dtype == object or Q.dtype == object:
         flat = c.tolist() + Q.ravel().tolist()
-        if not all(isinstance(v, numbers.Rational) for v in flat):
-            return c.astype(object), Q.astype(object), None, None
-        held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size)
-        has_fraction = np.append(held[1:].any(axis=1), held[0].any())
-        scale = math.lcm(*{int(v.denominator) for v in flat})
-        scaled = np.array([int(v.numerator) * (scale // int(v.denominator)) for v in flat], object)
-        c, Q = scaled[: c.size], scaled[c.size :].reshape(Q.shape)
-    elif c.dtype.kind == "f" or Q.dtype.kind == "f":
+        floats = not all(isinstance(v, numbers.Rational) for v in flat)
+        if floats:
+            c, Q = c.astype(object), Q.astype(object)
+        else:
+            held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size)
+            has_fraction = np.append(held[1:].any(axis=1), held[0].any())
+            scale = math.lcm(*{int(v.denominator) for v in flat})
+            scaled = np.array([int(v.numerator) * (scale // int(v.denominator)) for v in flat], object)
+            c, Q = scaled[: c.size], scaled[c.size :].reshape(Q.shape)
+    if floats:
+        maxc, maxq = (max(map(abs, a.ravel().tolist()), default=0) for a in (c, Q))
+        if not (maxq * norm * norm < 2**1022 and maxc * norm < 2**1022):
+            raise ValueError("c and Q are too large for double precision: a move's change "
+                             "in f could overflow to inf")
         return c, Q, None, None
-    maxb = max(int(np.abs(inst.lower).max(initial=0)), int(np.abs(inst.upper).max(initial=0)), 1)
-    dtype = np.int64 if _int64_safe(c, Q, inst.size * maxb + max_weight) else object
+    dtype = np.int64 if _int64_safe(c, Q, norm) else object
     return c.astype(dtype), Q.astype(dtype), scale, has_fraction
 
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from graveropt import Assignment, build_basis, graver_assignment, load_basis, load_instance
+from graveropt import (Assignment, QuadraticInstance, build_basis, generate_instance,
+                       graver_assignment, load_basis, load_instance, save_instance)
 from graveropt.cli import _bases_match, main
 from graveropt.problems import _objective_scalar
 from references import basis_of
@@ -277,9 +278,15 @@ class TestSolve:
         huge.write_text(json.dumps({"name": "huge", "class": "explicit", "A": [[1, 2**62]],
                                     "c": [0, 0], "Q": [[0, 0], [0, 0]], "b": [0],
                                     "l": [0, 0], "u": [1, 1]}))
-        bad = ["broken", "lacking", "missing", *spoiled, "huge"]
+        # float data whose move deltas could overflow: CBQP n=30 on a 0..2 box, x1e306
+        inst = generate_instance(np.random.default_rng(0), "CBQP", 30)
+        overflow = tmp_path / "overflow.json"
+        save_instance(QuadraticInstance(c=inst.c * 1e306, Q=inst.Q * 1e306, kind=inst.kind,
+                                        b=inst.b, lower=inst.lower, upper=np.full(30, 2),
+                                        name="overflow"), overflow)
+        bad = ["broken", "lacking", "missing", *spoiled, "huge", "overflow"]
         paths = [broken, lacking, missing, *(tmp_path / f"{s}.json" for s in spoiled), huge,
-                 source]
+                 overflow, source]
         out = tmp_path / "run"
         assert run(["solve", *map(str, paths), "--seeds", "3", "--out", str(out)]) == 1
         for name in bad:
@@ -287,6 +294,7 @@ class TestSolve:
             assert doc["name"] == name and doc["error"]
         assert "field 'c'" in json.loads((out / "lacking.result.json").read_text())["error"]
         assert "int64" in json.loads((out / "huge.result.json").read_text())["error"]
+        assert "c and Q" in json.loads((out / "overflow.result.json").read_text())["error"]
         for stem, (field, _) in spoiled.items():
             error = json.loads((out / f"{stem}.result.json").read_text())["error"]
             assert error.startswith(f"{field} ")

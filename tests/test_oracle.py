@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graveropt import (
     Assignment,
@@ -90,28 +93,32 @@ class TestPottier:
     def test_trivial_kernel(self):
         assert len(pottier_graver([[1, 0], [0, 1]])) == 0
 
-    def test_output_closed_under_reduction(self):
+    @staticmethod
+    def assert_closed_under_reduction(rows):
         # every pairwise sum of signed output elements reduces to zero
+        window = np.concatenate([rows, -rows])
+        sums = np.unique((window[:, None, :] + window[None, :, :]).reshape(-1, rows.shape[1]), axis=0)
+        for vec in sums:
+            while np.any(vec):
+                mask = np.all((window * vec >= 0) & (np.abs(window) <= np.abs(vec)), axis=1)
+                hits = np.nonzero(mask)[0]
+                assert hits.size, f"{vec} is irreducible"
+                vec -= window[hits[0]]
+
+    def test_output_closed_under_reduction(self):
         for A in ([[1, 1, 1, 1]], realize_matrix(Assignment(2, 3))):
-            rows = dense_rows(pottier_graver(A))
-            window = np.concatenate([rows, -rows])
-            signed = list(window)
+            self.assert_closed_under_reduction(dense_rows(pottier_graver(A)))
 
-            def reduce(vec):
-                vec = vec.copy()
-                while np.any(vec):
-                    mask = np.all(
-                        (window * vec >= 0) & (np.abs(window) <= np.abs(vec)), axis=1
-                    )
-                    hits = np.nonzero(mask)[0]
-                    if hits.size == 0:
-                        return vec
-                    vec -= window[hits[0]]
-                return vec
-
-            for f in signed:
-                for g in signed:
-                    assert not np.any(reduce(f + g))
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 2), st.integers(3, 5)),
+                  elements=st.integers(-3, 3)))
+    def test_random_matrices_complete(self, A):
+        if not A.any():
+            A[0, 0] = 1
+        rows = dense_rows(pottier_graver(A))
+        assert not np.any(A @ rows.T)
+        assert all(is_graver_minimal(g, A) for g in rows)
+        self.assert_closed_under_reduction(rows)
 
     @pytest.mark.parametrize(
         "kind",
@@ -140,6 +147,11 @@ class TestPottier:
     def test_budget_error(self):
         with pytest.raises(ResourceBudgetError):
             pottier_graver(realize_matrix(Cardinality(8)), max_elements=5)
+
+    def test_row_budget_error_names_the_budget(self):
+        # [[1..6]] tests about 2.5e6 rows in full
+        with pytest.raises(ResourceBudgetError, match="max_rows=100000 rows"):
+            pottier_graver([[1, 2, 3, 4, 5, 6]], max_rows=100_000)
 
     @pytest.mark.parametrize(
         "A",

@@ -1424,6 +1424,27 @@ class TestFloatTermination:
         for r in report.results:
             assert verify_local_optimality(inst, basis, r.terminal_x) == []
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("data", ["float", "object"])
+    def test_data_whose_deltas_can_overflow_is_refused(self, policy, data):
+        # CBQP n=30 on a 0..2 box: x1e306, a move's delta could pass the
+        # largest double, and an infeasible move would read inf * 0 = NaN;
+        # "object" mixes float c with exact Python ints in Q
+        base = generate_instance(np.random.default_rng(0), "CBQP", 30)
+
+        def scaled(factor):
+            c, Q = base.c * float(factor), base.Q * float(factor)
+            if data == "object":
+                c, Q = c.astype(object), base.Q.astype(object) * int(factor)
+            return QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=base.lower,
+                                     upper=np.full(base.size, 2, dtype=np.int64))
+
+        with pytest.raises(ValueError, match="c and Q are too large"):
+            solve(scaled(10**306), seed_count=6, rng_seed=0, policy=policy)
+        # x1e300 keeps every delta below 2**1023: the engine takes it
+        engine = prepare_moves(scaled(10**300), build_basis(base.kind))
+        assert engine.c.dtype == (object if data == "object" else np.float64)
+
 
 class TestSeparableConvexExactness:
     """Criterion 5 as a property on random small explicit matrices: with a
