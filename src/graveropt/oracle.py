@@ -6,11 +6,11 @@ constructions they are used to check:
 * a Pottier-style completion (Pottier 1996) that computes the full Graver
   basis of an arbitrary small integer matrix from an exact integer kernel
   basis, reducing the sum of each pair of members once, pairs in the order
-  the members were added and sums seen before skipped, and
+  the members were added and sums seen before, up to sign, skipped, and
 * a brute-force global solver that enumerates the bounded feasible lattice.
 
-Both are single-threaded and budgeted (the completion on members held and
-member rows its reductions test, the solver on box size); they raise
+Both are single-threaded and budgeted (the completion on member rows its
+reductions test, the solver on box size); they raise
 ``ResourceBudgetError`` rather than ever returning a truncated answer.
 """
 
@@ -102,26 +102,28 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 # Pottier completion
 # ---------------------------------------------------------------------------
 
-def pottier_graver(
-    A,
-    max_elements: int = 50_000,
-    max_rows: int = 200_000_000,
-) -> GraverBasis:
+def pottier_graver(A, max_rows: int = 200_000_000) -> GraverBasis:
     """Complete Graver basis of a small integer matrix by completion.
 
     The members start as +-(lattice basis of ker_Z(A)).  Each pair (i, j),
     i < j, is taken once, j in the order the members were added and i
     ascending.  The sum of members i and j is reduced against every member
     held at that point, subtracting the first one sign-compatibly below it
-    until none is; a nonzero survivor r is added as r and -r.  A sum seen
-    before is skipped: its survivor is already a member.  A final sweep
-    keeps the distinct members no other member sign-compatibly dominates,
-    one per {g, -g} pair, in sorted order.
+    until none is; a nonzero survivor r is added as r and -r.  A sum s
+    seen before, as s or as -s, is skipped.  The members come in adjacent
+    pairs g, -g, so the members below -s are the partners of those below
+    s, in the same order, and reducing -s mirrors reducing s.  So skipping
+    -s leaves every pair sum reducible to 0: the negated chain that
+    reduced s takes -s to 0 or to -r, itself a member.  A final sweep keeps
+    the distinct members no other member sign-compatibly dominates, one
+    per {g, -g} pair, in sorted order.
 
     Each reduction scan tests every member row.  Past ``max_rows`` rows
-    tested in all, or ``max_elements`` members, it raises
-    ``ResourceBudgetError``.  At about 75 ns a row, the default of 2e8 rows
-    stops a completion in about 15 s.
+    tested in all it raises ``ResourceBudgetError``.  At about 75 ns a row,
+    the default of 2e8 rows stops a completion in about 15 s.  The budget
+    bounds the member count too: each pair of members is appended after a
+    scan of every member row, so holding M members takes at least about
+    M**2 / 4 rows, and 2e8 rows hold fewer than 30 000 members.
     """
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2 or not np.any(A):
@@ -138,7 +140,7 @@ def pottier_graver(
     j = 1
     while j < len(gm):
         for s in gm[:j] + gm[j]:
-            key = s.tobytes()
+            key = min(s.tobytes(), (-s).tobytes())
             if key in seen_sums:
                 continue
             seen_sums.add(key)
@@ -150,8 +152,6 @@ def pottier_graver(
                 hits = np.flatnonzero(mask)
                 if hits.size == 0:
                     gm = np.concatenate([gm, [s, -s]])
-                    if len(gm) > max_elements:
-                        raise ResourceBudgetError(f"completion exceeded {max_elements} elements")
                     break
                 s -= gm[hits[0]]
         j += 1

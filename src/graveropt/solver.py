@@ -14,10 +14,11 @@ moves over padded numpy arrays.  Only its arithmetic varies, chosen once
 per run: rational data (ints and Fractions) is scaled to integers, which
 keeps the sign of every move delta, and computed in int64 when every
 intermediate provably fits, else in exact Python ints on object arrays;
-float data is computed in double precision.  Terminal values of rational
-data are read off the same scaled integers.  Every move, a basis element
-or a room-graph cycle, updates w = (Q+Q')x by the one formula w starts
-from, in every arithmetic.
+data that holds any float is cast wholly to float64.  So c, Q+Q', w and
+every per-element term share one of three dtypes.  Terminal values of
+rational data are read off the same scaled integers.  Every move, a
+basis element or a room-graph cycle, updates w = (Q+Q')x by the one
+formula w starts from, in every arithmetic.
 
 The first-improvement scan tests bounds first, a byte per coordinate.
 The engine keeps, per seed, the room of every coordinate of x: ``up``
@@ -169,8 +170,9 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
     alike, so the sign of each delta and the order between any two are
     kept, and both policies and the long-cycle phase accept the same
     moves.  The integers are then kept in int64 when every intermediate
-    provably fits, else as exact Python ints on object arrays.  Floats stay
-    in double precision; object data with floats mixed in stays object.
+    provably fits, else as exact Python ints on object arrays.  Data that
+    holds a float in any form (a numpy float dtype of any width, or floats
+    among ints or Fractions on object arrays) is cast wholly to float64.
 
     Float data must keep every value finite, or an infeasible move's
     delta reads inf * 0 = NaN.  With norm = |x|_1 + |g|_1 bounded as for
@@ -187,9 +189,7 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
     if c.dtype == object or Q.dtype == object:
         flat = c.tolist() + Q.ravel().tolist()
         floats = not all(isinstance(v, numbers.Rational) for v in flat)
-        if floats:
-            c, Q = c.astype(object), Q.astype(object)
-        else:
+        if not floats:
             held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size)
             has_fraction = np.append(held[1:].any(axis=1), held[0].any())
             scale = math.lcm(*{int(v.denominator) for v in flat})
@@ -200,7 +200,7 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
         if not (maxq * norm * norm < 2**1022 and maxc * norm < 2**1022):
             raise ValueError("c and Q are too large for double precision: a move's change "
                              "in f could overflow to inf")
-        return c, Q, None, None
+        return c.astype(np.float64), Q.astype(np.float64), None, None
     dtype = np.int64 if _int64_safe(c, Q, norm) else object
     return c.astype(dtype), Q.astype(dtype), scale, has_fraction
 
@@ -313,7 +313,7 @@ class _Lockstep:
         self.c, Q, self.scale, self.has_fraction = _scan_data(inst, max_weight)
         self.qsym = Q + Q.T
         self.cg = (self.c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
-        self.qgg = np.empty(count, dtype=np.result_type(Q.dtype, np.int64))
+        self.qgg = np.empty(count, dtype=Q.dtype)
         block = max(1, 250_000 // max(1, width * width))
         for start in range(0, count, block):
             rows = slice(start, min(count, start + block))
@@ -448,12 +448,9 @@ class _Lockstep:
             xi, low, high, v = xt[i], self.lower[i, None], self.upper[i, None], v[:, None]
             ok[:, 0] &= (xi + v >= low) & (xi + v <= high)
             ok[:, 1] &= (xi - v >= low) & (xi - v <= high)
-        cg, q = self.cg[lo:hi, None], self.qgg[lo:hi, None]
-        if np.can_cast(cg.dtype, wg.dtype, "same_kind"):
-            wg += cg
-        else:  # float c on integer Q: w.g stays exact, then rounds once
-            wg = wg + cg
-        delta = np.empty(ok.shape, dtype=np.result_type(wg, q))
+        q = self.qgg[lo:hi, None]
+        wg += self.cg[lo:hi, None]
+        delta = np.empty(ok.shape, dtype=wg.dtype)
         np.add(wg, q, out=delta[:, 0])
         np.subtract(q, wg, out=delta[:, 1])
         delta *= ok
@@ -477,7 +474,7 @@ class _Lockstep:
             part, best = seeds[at : at + step], moves[at : at + step]
             size = max(1, self.ROUND // (2 * len(part)))  # elements per block
             chunk, cols = self._chunk(part), np.arange(len(part))
-            low = np.zeros(len(part), dtype=np.result_type(self.w, self.c))  # float c on int Q too
+            low = np.zeros(len(part), dtype=self.w.dtype)
             for lo in range(0, n_elements, size):
                 delta = self._tile(chunk, lo, min(n_elements, lo + size))
                 j = delta.argmin(axis=0)  # the first lowest
@@ -644,14 +641,11 @@ class _Lockstep:
         return (rp[close], np.concatenate(cycles[:2], axis=1), cycles[2]), (rp, par, brick)
 
     def phase_key(self, s):
-        """What seed ``s``'s long-cycle phase reads: x, and w unless
-        w = (Q+Q')x exactly, as for rational data (float w is accumulated
-        per step).  Object w keys on its values, not pointers."""
+        """What seed ``s``'s long-cycle phase reads: x, and w for float
+        data, where w is accumulated per step.  Exact w, int64 or object,
+        is (Q+Q')x itself, so exact data keys on x alone."""
         x = self.x[s].tobytes()
-        if self.scale is not None:
-            return x
-        w = self.w[s]
-        return x, tuple(w.tolist()) if w.dtype == object else w.tobytes()
+        return x if self.scale is not None else (x, self.w[s].tobytes())
 
     def cycle_rounds(self, policy):
         """Run every seed of an assignment instance to its terminal point by

@@ -146,12 +146,19 @@ class TestPottier:
 
     def test_budget_error(self):
         with pytest.raises(ResourceBudgetError):
-            pottier_graver(realize_matrix(Cardinality(8)), max_elements=5)
+            pottier_graver(realize_matrix(Cardinality(8)), max_rows=1_000)
 
     def test_row_budget_error_names_the_budget(self):
-        # [[1..6]] tests about 2.5e6 rows in full
+        # [[1..6]] tests about 1.2e6 rows in full
         with pytest.raises(ResourceBudgetError, match="max_rows=100000 rows"):
             pottier_graver([[1, 2, 3, 4, 5, 6]], max_rows=100_000)
+
+    def test_sums_are_reduced_once_up_to_sign(self):
+        # -s reduces as the mirror of s, so keying seen sums up to sign
+        # halves the rows tested: [[1..6]] took about 2.5e6 keyed on s alone
+        rows = dense_rows(pottier_graver([[1, 2, 3, 4, 5, 6]], max_rows=2_000_000))
+        assert len(rows) == 102  # as many elements as keyed on s alone
+        assert not np.any(np.array([[1, 2, 3, 4, 5, 6]]) @ rows.T)
 
     @pytest.mark.parametrize(
         "A",

@@ -386,6 +386,48 @@ class TestScannerEquivalence:
                 assert np.array_equal(a.terminal_x, b.terminal_x)
                 assert b.terminal_f == a.terminal_f * scale
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("klass", ["CBQP", "QAP"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        draw=st.integers(0, 2**32 - 1),
+        data=st.sampled_from(["float c", "object", "fraction", "float32"]),
+        top=st.integers(1, 2),
+    )
+    def test_float_data_descends_as_its_float64_cast(self, policy, klass, draw, data, top):
+        # numpy float c on int Q, ints with floats mixed in on object arrays,
+        # Fractions with floats mixed in, and float32: each is cast to
+        # float64 whole, so it takes the moves of its cast
+        rng = np.random.default_rng(draw)
+        n, k = (int(rng.integers(4, 13)), None) if klass == "CBQP" else (3, 4)
+        base = generate_instance(rng, klass, n, k)
+        c, Q = base.c, base.Q
+        if data == "float c":
+            c = c / 7.3
+        elif data == "object":
+            c = np.array([v / 7.3 if i % 2 else v for i, v in enumerate(c.tolist())], dtype=object)
+            Q = Q.astype(object)
+        elif data == "fraction":
+            c = np.array([v / 7.3 if i % 2 else Fraction(v, 3) for i, v in enumerate(c.tolist())],
+                         dtype=object)
+            Q = np.array([Fraction(v, 1 + i % 5) for i, v in enumerate(Q.ravel().tolist())],
+                         dtype=object).reshape(Q.shape)
+        else:
+            c, Q = (c / 7.3).astype(np.float32), (Q / 3.1).astype(np.float32)
+
+        def variant(c, Q):
+            return QuadraticInstance(c=c, Q=Q, kind=base.kind, b=base.b, lower=base.lower,
+                                     upper=np.full(base.size, top, dtype=np.int64))
+
+        inst, cast = variant(c, Q), variant(c.astype(np.float64), Q.astype(np.float64))
+        a, b = (solve(i, seed_count=6, rng_seed=draw % 97, policy=policy) for i in (inst, cast))
+        for p, q in zip(a.results, b.results, strict=True):
+            assert np.array_equal(p.terminal_x, q.terminal_x)
+            assert (p.steps, p.moves_scanned, p.certificate) == (q.steps, q.moves_scanned,
+                                                                 q.certificate)
+            assert p.terminal_f == objective(inst, p.terminal_x)
+            assert q.terminal_f == objective(cast, q.terminal_x)
+
     def test_huge_values_fall_back_to_exact(self):
         # at 2**56 the conservative int64 bound trips and moves are evaluated
         # in exact Python ints on object arrays
@@ -737,6 +779,16 @@ class TestRoomPrefilter:
                 break
             engine.apply_moves(seeds[best >= 0], best[best >= 0])
 
+    @pytest.mark.parametrize("data, dtype", [("int", np.int64), ("float", np.float64),
+                                             ("object", object), ("fraction", np.int64),
+                                             ("mixed", np.float64)])
+    def test_engine_arrays_share_one_dtype(self, data, dtype):
+        # exact data runs in int64 or on Python ints, and data that holds
+        # any float runs wholly in float64
+        _, engine = self.random_engine(64, "wide", 7, data)
+        arrays = (engine.c, engine.qsym, engine.w, engine.cg, engine.qgg)
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
     def test_room_ids_take_a_quarter_of_the_basis_memory(self):
         inst = binary_instance(Cardinality(200), [100])
         basis = build_basis(inst.kind)
@@ -1082,9 +1134,9 @@ class TestLongCycles:
     @settings(max_examples=40, deadline=None)
     @given(draw=st.integers(0, 2**32 - 1), n=st.integers(3, 5), k=st.integers(3, 5))
     def test_best_takes_the_lowest_cycle_on_float_c_and_integer_q(self, draw, n, k):
-        # w is integer but every delta is a float, so the running low of a
-        # "best" phase must be a float too, or a later cycle between the
-        # truncated low and the true one replaces the lowest
+        # every delta is a float, so the running low of a "best" phase must
+        # be a float too, or a later cycle between the truncated low and the
+        # true one replaces the lowest
         rng = np.random.default_rng(draw)
         base = generate_instance(rng, "QAP", n, k)
         inst = QuadraticInstance(c=rng.normal(0, 1, base.size), Q=np.sign(base.Q), kind=base.kind,
@@ -1429,7 +1481,7 @@ class TestFloatTermination:
     def test_data_whose_deltas_can_overflow_is_refused(self, policy, data):
         # CBQP n=30 on a 0..2 box: x1e306, a move's delta could pass the
         # largest double, and an infeasible move would read inf * 0 = NaN;
-        # "object" mixes float c with exact Python ints in Q
+        # "object" mixes float c with exact Python ints in Q, cast to float64
         base = generate_instance(np.random.default_rng(0), "CBQP", 30)
 
         def scaled(factor):
@@ -1443,7 +1495,21 @@ class TestFloatTermination:
             solve(scaled(10**306), seed_count=6, rng_seed=0, policy=policy)
         # x1e300 keeps every delta below 2**1023: the engine takes it
         engine = prepare_moves(scaled(10**300), build_basis(base.kind))
-        assert engine.c.dtype == (object if data == "object" else np.float64)
+        assert engine.c.dtype == np.float64
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_floats_mixed_with_huge_ints_descend_in_double(self, policy):
+        # float c x1e300 on an object array with Q x10**300 as Python ints:
+        # on object arrays, the "best" descent of 6 seeds does not end
+        base = generate_instance(np.random.default_rng(0), "CBQP", 30)
+        inst = QuadraticInstance(c=(base.c * 1e300).astype(object),
+                                 Q=base.Q.astype(object) * 10**300, kind=base.kind, b=base.b,
+                                 lower=base.lower, upper=np.full(base.size, 2, dtype=np.int64))
+        with time_limit(30):
+            report = solve(inst, seed_count=6, rng_seed=0, policy=policy)
+        basis = build_basis(inst.kind)
+        for r in report.results:
+            assert verify_local_optimality(inst, basis, r.terminal_x) == []
 
 
 class TestSeparableConvexExactness:
