@@ -192,11 +192,14 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     failed = False
+    written = set()  # result names this batch has written, which no later file may take
     for path in args.instances:
         name, size = Path(path).stem, ""
         try:
             inst = load_instance(path)
             inst.name = (inst.name or name).replace(os.sep, "_")
+            if inst.name in written:
+                raise ValueError(f"this batch already wrote a result named {inst.name!r}")
             name, size = inst.name, inst.size
             started = time.perf_counter()
             report = solve(
@@ -208,10 +211,13 @@ def cmd_solve(args) -> int:
         except (InfeasibleError, ValueError, OSError, ResourceBudgetError) as exc:
             failed = True
             print(f"{name}: {exc}", file=sys.stderr)
-            with open(out_dir / f"{name}.result.json", "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"name": name, "error": str(exc)}, indent=1))
+            if name not in written:
+                written.add(name)
+                with open(out_dir / f"{name}.result.json", "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps({"name": name, "error": str(exc)}, indent=1))
             rows.append([name, size, "", 0, "", 0])
             continue
+        written.add(inst.name)
         wall_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
         doc = _report_document(report, args.dump_seeds, wall_ms)
         with open(out_dir / f"{inst.name}.result.json", "w", encoding="utf-8") as fh:
@@ -262,7 +268,11 @@ def _bases_match(a: GraverBasis, b: GraverBasis) -> bool:
 
 def _verification_checks(max_dim: int):
     """Yield (label, callable) pairs; each callable returns True on success."""
-    from .oracle import brute_force_solve, pottier_graver
+    from .oracle import brute_force_solve, enumerate_feasible, pottier_graver
+
+    # each brick family with the least n and k of its oracle checks
+    families = (("brick", BrickCardinality, 1, 2), ("coordinate", CoordinateCardinality, 2, 1),
+                ("assignment", Assignment, 2, 2))
 
     def formula_check(kind):
         return lambda: len(build_basis(kind)) == predicted_cardinality(kind)
@@ -270,35 +280,21 @@ def _verification_checks(max_dim: int):
     for n in range(2, 7):
         yield f"count cardinality n={n}", formula_check(Cardinality(n))
         for k in range(2, 7):
-            yield f"count brick n={n} k={k}", formula_check(BrickCardinality(n, k))
-            yield f"count coordinate n={n} k={k}", formula_check(CoordinateCardinality(n, k))
-            yield f"count assignment n={n} k={k}", formula_check(Assignment(n, k))
+            for label, family, _, _ in families:
+                yield f"count {label} n={n} k={k}", formula_check(family(n, k))
 
     def oracle_check(kind):
         return lambda: _bases_match(build_basis(kind), pottier_graver(realize_matrix(kind)))
 
     for n in range(2, max_dim + 1):
         yield f"oracle cardinality n={n}", oracle_check(Cardinality(n))
-    for n in range(1, max_dim + 1):
-        for k in range(2, max_dim + 1):
-            if n * k > max_dim:
-                continue
-            yield f"oracle brick n={n} k={k}", oracle_check(BrickCardinality(n, k))
-    for n in range(2, max_dim + 1):
-        for k in range(1, max_dim + 1):
-            if n * k > max_dim:
-                continue
-            yield f"oracle coordinate n={n} k={k}", oracle_check(CoordinateCardinality(n, k))
-    for n in range(2, max_dim + 1):
-        for k in range(2, max_dim + 1):
-            if n * k > max_dim:
-                continue
-            yield f"oracle assignment n={n} k={k}", oracle_check(Assignment(n, k))
+    for label, family, least_n, least_k in families:
+        for n in range(least_n, max_dim + 1):
+            for k in range(least_k, max_dim // n + 1):
+                yield f"oracle {label} n={n} k={k}", oracle_check(family(n, k))
 
     def exhaustive_check(klass, n, k, draw):
         def check():
-            from .oracle import enumerate_feasible
-
             rng = np.random.default_rng(draw)
             inst = generate_instance(rng, klass, n, k)
             points = enumerate_feasible(inst)

@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .graver import GraverBasis, _pack_rows
-from .problems import QuadraticInstance, batch_objective
+from .problems import QuadraticInstance, _meets_equations, batch_objective
 
 
 class ResourceBudgetError(RuntimeError):
@@ -227,13 +227,12 @@ def enumerate_feasible(inst: QuadraticInstance, max_points: int = 10**7) -> np.n
     strides = np.ones(inst.size, dtype=np.int64)
     for i in range(inst.size - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
-    A = inst.matrix
     chunks = []
     block = 1 << 16
     for start in range(0, total, block):
         idx = np.arange(start, min(total, start + block), dtype=np.int64)
         grid = lower[None, :] + (idx[:, None] // strides[None, :]) % sizes[None, :]
-        chunks.append(grid[np.all(A @ grid.T == inst.b[:, None], axis=0)])
+        chunks.append(grid[_meets_equations(inst, grid)])
     return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, inst.size), dtype=np.int64)
 
 

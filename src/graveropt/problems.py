@@ -29,7 +29,9 @@ from .graver import (
     realize_matrix,
 )
 
-PROBLEM_CLASSES = ("CBQP", "QSAP1", "QSAP2", "QAP")
+CLASS_KINDS = {"CBQP": Cardinality, "QSAP1": BrickCardinality, "QSAP2": CoordinateCardinality,
+               "QAP": Assignment}
+PROBLEM_CLASSES = tuple(CLASS_KINDS)
 
 
 class InfeasibleError(ValueError):
@@ -37,27 +39,13 @@ class InfeasibleError(ValueError):
 
 
 def kind_for_class(klass: str, n: int, k: Optional[int] = None) -> ConstraintKind:
-    if klass == "CBQP":
-        return Cardinality(n)
-    if klass == "QSAP1":
-        return BrickCardinality(n, k)
-    if klass == "QSAP2":
-        return CoordinateCardinality(n, k)
-    if klass == "QAP":
-        return Assignment(n, k)
-    raise ValueError(f"unknown problem class {klass!r}")
+    if klass not in PROBLEM_CLASSES:  # a tuple, so an unhashable klass is just not in it
+        raise ValueError(f"unknown problem class {klass!r}")
+    return CLASS_KINDS[klass](n) if klass == "CBQP" else CLASS_KINDS[klass](n, k)
 
 
 def class_for_kind(kind: ConstraintKind) -> str:
-    if isinstance(kind, Cardinality):
-        return "CBQP"
-    if isinstance(kind, BrickCardinality):
-        return "QSAP1"
-    if isinstance(kind, CoordinateCardinality):
-        return "QSAP2"
-    if isinstance(kind, Assignment):
-        return "QAP"
-    return "explicit"
+    return next((name for name, cls in CLASS_KINDS.items() if isinstance(kind, cls)), "explicit")
 
 
 @dataclass
@@ -157,21 +145,20 @@ def objective(inst: QuadraticInstance, x) -> object:
     x = np.asarray(x)
     if x.shape != (inst.size,):
         raise ValueError(f"x must have shape ({inst.size},), got {x.shape}")
-    exact = inst.Q.dtype == object or inst.c.dtype == object
-    if exact or not _int64_safe(inst.c, inst.Q, int(np.abs(x).sum())):
-        return _objective_scalar(inst, x)
-    value = inst.c @ x + x @ inst.Q @ x
-    return value.item() if isinstance(value, np.generic) else value
+    return batch_objective(inst, x[None])[0]
 
 
 def batch_objective(inst: QuadraticInstance, points: np.ndarray) -> list:
-    """Objective of every row of ``points`` (one scalar per row)."""
+    """:func:`objective` of every row of ``points``: exact on Python scalars for object
+    arrays or past the int64 guard, floats row by row, int64 in one vectorized pass."""
     points = np.asarray(points)
-    if inst.Q.dtype == object or inst.c.dtype == object:
-        return [objective(inst, row) for row in points]
-    if not _int64_safe(inst.c, inst.Q, int(np.abs(points).sum(axis=1).max(initial=0))):
+    c, Q = inst.c, inst.Q
+    kinds = {c.dtype.kind, Q.dtype.kind, points.dtype.kind}
+    if "O" in kinds or not _int64_safe(c, Q, int(np.abs(points).sum(axis=1).max(initial=0))):
         return [_objective_scalar(inst, row) for row in points]
-    values = points @ inst.c + np.einsum("ij,jk,ik->i", points, inst.Q, points)
+    if "f" in kinds:
+        return [(c @ x + x @ Q @ x).item() for x in points]
+    values = points @ c + np.einsum("ij,jk,ik->i", points, Q, points)
     return [v.item() for v in values]
 
 
@@ -187,7 +174,18 @@ def _feasible_rows(inst: QuadraticInstance, points) -> np.ndarray:
             raise ValueError(f"x must have shape ({inst.size},), got {np.shape(x)}")
     xs = np.asarray(points).reshape(len(points), inst.size)
     in_box = np.all((xs >= inst.lower) & (xs <= inst.upper), axis=1)
-    return in_box & np.all(xs @ inst.matrix.T == inst.b, axis=1)
+    return in_box & _meets_equations(inst, xs)
+
+
+def _meets_equations(inst: QuadraticInstance, xs: np.ndarray) -> np.ndarray:
+    """Ax = b for every row x of ``xs`` that lies in the box, exact: in int64 while max|A|
+    times the box's largest |x|_1 is below 2**63, which bounds every partial sum, else
+    on Python ints.  A row outside the box may read either way, so callers mask it."""
+    A = inst.matrix
+    reach = sum(max(-lo, hi) for lo, hi in zip(inst.lower.tolist(), inst.upper.tolist()))
+    if max(-int(A.min(initial=0)), int(A.max(initial=0))) * reach >= 2**63:
+        A, xs = A.astype(object), xs.astype(object)
+    return np.all(A @ xs.T == inst.b[:, None], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +211,7 @@ def generate_instance(
     in [1, k] for QSAP1, per-slot counts in [1, n] for QSAP2, and for QAP
     the row/column sums of a random binary matrix (so the two halves agree).
     """
-    if klass not in PROBLEM_CLASSES:
-        raise ValueError(f"unknown problem class {klass!r}")
-    if klass != "CBQP" and (k is None or k < 1):
+    if klass in PROBLEM_CLASSES[1:] and (k is None or k < 1):  # the classes with bricks
         raise ValueError(f"class {klass} needs k >= 1")
     kind = kind_for_class(klass, n, k)
     size = kind.dim
@@ -261,8 +257,6 @@ def generate_instance(
 def _encode_number(v):
     if isinstance(v, Fraction):
         return str(v) if v.denominator != 1 else int(v)
-    if isinstance(v, np.generic):
-        return v.item()
     return v
 
 

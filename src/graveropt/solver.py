@@ -835,29 +835,20 @@ def default_seed_count(kind: ConstraintKind) -> int:
     return 50
 
 
-def classify_landscape(report_or_counts, best_f=None) -> str:
+def classify_landscape(counts: dict) -> str:
     """Bucket a terminal-value histogram into one of three regimes.
 
     One distinct terminal value looks convex; at most ``MAX_EASY_VALUES``
-    values with the best one reached from at least ``MIN_BEST_SHARE`` of
+    values with the best (least) one reached from at least ``MIN_BEST_SHARE`` of
     the seeds is an easy non-convex landscape; anything more scattered is
     hard.
     """
-    if isinstance(report_or_counts, SolveReport):
-        counts = report_or_counts.terminal_value_counts
-        best_f = report_or_counts.best.terminal_f
-    else:
-        counts = dict(report_or_counts)
     total = sum(counts.values())
     if total == 0:
         raise ValueError("empty report")
-    if best_f is None:
-        best_f = min(counts)
-    distinct = len(counts)
-    if distinct == 1:
+    if len(counts) == 1:
         return "convex-like"
-    share = counts[best_f] / total
-    if distinct <= MAX_EASY_VALUES and share >= MIN_BEST_SHARE:
+    if len(counts) <= MAX_EASY_VALUES and counts[min(counts)] / total >= MIN_BEST_SHARE:
         return "easy-nonconvex"
     return "hard-nonconvex"
 
@@ -927,17 +918,15 @@ def solve(
     for r in results:
         if r.terminal_f == best.terminal_f:
             unique_best.setdefault(r.terminal_x.tobytes(), r.terminal_x)
-    report = SolveReport(
+    return SolveReport(
         name=inst.name,
         best=best,
         results=results,
         terminal_value_counts=counts,
         best_points=list(unique_best.values()),
-        landscape="",
+        landscape=classify_landscape(counts),
         policy=policy,
         rng_seed=rng_seed,
         sampler_assisted=any(r.sampler_assisted for r in results),
         seeds=seeds,
     )
-    report.landscape = classify_landscape(report)
-    return report

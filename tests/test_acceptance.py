@@ -380,9 +380,9 @@ def test_09_landscape_regimes():
     hard = solve(hard_inst, seed_count=60, rng_seed=0)
 
     got = (
-        classify_landscape(convex),
-        classify_landscape(easy),
-        classify_landscape(hard),
+        classify_landscape(convex.terminal_value_counts),
+        classify_landscape(easy.terminal_value_counts),
+        classify_landscape(hard.terminal_value_counts),
     )
     detail = (
         f"convex: {convex.distinct_terminal_values} value(s) -> {got[0]}; "

@@ -7,7 +7,7 @@ import pytest
 
 from graveropt import (Assignment, QuadraticInstance, build_basis, generate_instance,
                        graver_assignment, load_basis, load_instance, save_instance)
-from graveropt.cli import _bases_match, main
+from graveropt.cli import _bases_match, _verification_checks, main
 from graveropt.problems import _objective_scalar
 from references import basis_of
 
@@ -303,6 +303,25 @@ class TestSolve:
         assert [r["instance"] for r in rows] == [*bad, "CBQP_6_000"]
         assert [r["best_f"] == "" for r in rows] == [True] * len(bad) + [False]
 
+    def test_duplicate_names_fail_the_later_file(self, tmp_path, capsys):
+        # two files whose instances share a name: the second fails under its
+        # file stem, and the first file's result stays
+        good = tmp_path / "in"
+        run(["generate", "--class", "CBQP", "--n", "10", "--count", "2", "--out-dir", str(good)])
+        first, second = sorted(good.glob("*.json"))
+        for path in (first, second):
+            path.write_text(json.dumps({**json.loads(path.read_text()), "name": "same"}))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run(["solve", str(first), str(second), "--seeds", "3", "--out", str(out)]) == 1
+        assert "best_objective" in json.loads((out / "same.result.json").read_text())
+        error = json.loads((out / f"{second.stem}.result.json").read_text())["error"]
+        assert "'same'" in error
+        assert "'same'" in capsys.readouterr().err
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["instance"] for r in rows] == ["same", second.stem]
+
     def test_bad_file_under_two_threads(self, tmp_path):
         # a malformed and a missing file between good ones: the same
         # bytes, rows and exit code at --threads 1 and 2
@@ -476,6 +495,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    def test_ladder_labels_pinned(self):
+        # the checks of the default sweep, by count and by their labels in order
+        labels = [label for label, _ in _verification_checks(12)]
+        assert len(labels) == 153
+        digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()
+        assert digest == "163f23c5869c79da794839bd624d2a70b544f20cc1b1d94f4696d90e3805ec4b"
 
     def test_negative_control(self):
         # a mutated basis must be reported as mismatching the oracle output,

@@ -17,6 +17,7 @@ from graveropt import (
     generate_instance,
     integer_kernel_basis,
     is_graver_minimal,
+    objective,
     pottier_graver,
     realize_matrix,
     solve,
@@ -246,6 +247,16 @@ class TestBruteForce:
         truth = brute_force_solve(inst)
         report = solve(inst, seed_count=10, rng_seed=0)
         assert all(truth.best_f <= r.terminal_f for r in report.results)
+
+    def test_float_values_equal_objective(self):
+        # CBQP n=8 on a 0..2 box with float data: brute force reads f as objective does
+        for seed in range(40):
+            inst = generate_instance(np.random.default_rng(seed), "CBQP", 8)
+            inst = QuadraticInstance(c=inst.c / 7.3, Q=inst.Q / 3.1, kind=inst.kind, b=inst.b,
+                                     lower=inst.lower, upper=np.full(8, 2))
+            res = brute_force_solve(inst)
+            assert res.best_f == objective(inst, res.best_x)
+            assert all(objective(inst, x) == res.best_f for x in res.optima)
 
     def test_space_guard(self):
         inst = binary_instance(Cardinality(40), [3])

@@ -7,6 +7,7 @@ import pytest
 from graveropt import (
     Assignment,
     Cardinality,
+    Explicit,
     InfeasibleError,
     QuadraticInstance,
     check_feasible,
@@ -153,6 +154,14 @@ class TestFeasibility:
     def test_permutation_matrix(self):
         inst = binary_instance(Assignment(2, 2), [1, 1, 1, 1])
         assert check_feasible(inst, np.eye(2, dtype=np.int64).T.reshape(-1))
+
+    def test_wide_products_are_exact(self):
+        # A.x = 2**62 * 2 = 2**63 wraps int64 to -2**63, which is b
+        inst = QuadraticInstance(c=np.zeros(2, dtype=np.int64), Q=np.zeros((2, 2), dtype=np.int64),
+                                 kind=Explicit.from_matrix([[2**62, 1]]), b=[-2**63],
+                                 lower=[0, 0], upper=[2, 0])
+        assert not check_feasible(inst, [2, 0])
+        assert enumerate_feasible(inst).shape == (0, 2)
 
 
 class TestInstanceModel:

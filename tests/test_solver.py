@@ -1546,16 +1546,16 @@ class TestClassifier:
 
     def test_few_values_majority_share(self):
         counts = {10: 80, 12: 15, 15: 5}
-        assert classify_landscape(counts, best_f=10) == "easy-nonconvex"
+        assert classify_landscape(counts) == "easy-nonconvex"
 
     def test_many_values_minority_share(self):
         counts = {v: 5 for v in range(20)}
         counts[0] = 10  # 10 of 105 at the best value
-        assert classify_landscape(counts, best_f=0) == "hard-nonconvex"
+        assert classify_landscape(counts) == "hard-nonconvex"
 
     def test_share_threshold(self):
-        assert classify_landscape({0: 4, 1: 6}, best_f=0) == "hard-nonconvex"
-        assert classify_landscape({0: 6, 1: 4}, best_f=0) == "easy-nonconvex"
+        assert classify_landscape({0: 4, 1: 6}) == "hard-nonconvex"
+        assert classify_landscape({0: 6, 1: 4}) == "easy-nonconvex"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty report"):
