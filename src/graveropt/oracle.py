@@ -5,9 +5,11 @@ constructions they are used to check:
 
 * a Pottier-style completion (Pottier 1996) that computes the full Graver
   basis of an arbitrary small integer matrix from an exact integer kernel
-  basis, reducing the sum of each pair of members once, pairs in the order
-  the members were added and sums seen before, up to sign, skipped, and
-* a brute-force global solver that enumerates the bounded feasible lattice.
+  lattice basis (column reduction of [A; I] on Python ints), reducing the
+  sum of each pair of members once, pairs in the order the members were
+  added and sums seen before, up to sign, skipped, and
+* a brute-force global solver that enumerates the bounded feasible lattice,
+  decoding box points in C order with ``np.unravel_index``.
 
 Both are single-threaded and budgeted (the completion on member rows its
 reductions test, the solver on box size); they raise
@@ -33,69 +35,40 @@ class ResourceBudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def integer_kernel_basis(A) -> list[np.ndarray]:
-    """Lattice basis of ker_Z(A) via unimodular column elimination.
+    """Lattice basis of ker_Z(A) by column reduction of [A; I] on Python ints.
 
-    Works on Python ints (no overflow); columns of the accumulated
-    transform that pair with zeroed-out columns of A span the kernel
-    lattice exactly, not just a full-rank sublattice.
+    Row by row, every column at or right of the pivot is reduced by the one
+    with the smallest nonzero entry in that row (column Euclid) until at
+    most one is nonzero there; that one is swapped in as the pivot.
+    Subtracting an integer multiple of a column and swapping two columns
+    are unimodular, so the columns are always [A; I].U for a unimodular U,
+    whose I part is U itself.  The columns right of the last pivot are zero
+    on A, so their I parts lie in ker A.  The pivot columns' A parts are in
+    echelon form, so independent: a kernel vector U.z has z zero at the
+    pivots.  So the I parts right of the last pivot span the whole kernel
+    lattice, not just a full-rank sublattice.
     """
-    mat = [[int(v) for v in row] for row in np.asarray(A)]
-    m = len(mat)
-    ncols = len(mat[0]) if m else 0
-    trans = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def combine_cols(ca: int, cb: int) -> None:
-        # unimodular 2x2 op zeroing column cb in the current pivot row
-        a, b = mat[r][ca], mat[r][cb]
-        g, x, y = _extended_gcd(a, b)
-        pa, pb = a // g, b // g
-        for rowset in (mat, trans):
-            for row in rowset:
-                va, vb = row[ca], row[cb]
-                row[ca] = x * va + y * vb
-                row[cb] = -pb * va + pa * vb
-
-    pivot_col = 0
+    A = np.asarray(A)
+    m, n = A.shape
+    cols = [[int(v) for v in A[:, j]] + [int(i == j) for i in range(n)] for j in range(n)]
+    p = 0
     for r in range(m):
-        # find a nonzero entry in row r at or right of the pivot column
-        piv = next((j for j in range(pivot_col, ncols) if mat[r][j] != 0), None)
-        if piv is None:
-            continue
-        if piv != pivot_col:
-            for rowset in (mat, trans):
-                for row in rowset:
-                    row[pivot_col], row[piv] = row[piv], row[pivot_col]
-        for j in range(pivot_col + 1, ncols):
-            if mat[r][j] != 0:
-                combine_cols(pivot_col, j)
-        pivot_col += 1
-        if pivot_col == ncols:
-            break
-
-    basis = []
-    for j in range(pivot_col, ncols):
-        entries = [trans[i][j] for i in range(ncols)]
-        if any(abs(v) >= 2**62 for v in entries):
-            raise ResourceBudgetError("kernel basis entries exceed the int64 range")
-        vec = np.array(entries, dtype=np.int64)
-        if np.any(vec):
-            basis.append(vec)
-    return basis
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) > 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        while True:
+            live = [j for j in range(p, n) if cols[j][r]]
+            if len(live) < 2:
+                break
+            low = cols[min(live, key=lambda j: abs(cols[j][r]))]
+            for j in live:
+                if cols[j] is not low:
+                    q = cols[j][r] // low[r]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], low)]
+        if live:
+            cols[p], cols[live[0]] = cols[live[0]], cols[p]
+            p += 1
+    basis = [col[m:] for col in cols[p:]]
+    if any(abs(v) >= 2**62 for vec in basis for v in vec):
+        raise ResourceBudgetError("kernel basis entries exceed the int64 range")
+    return [np.array(vec, dtype=np.int64) for vec in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -213,25 +186,21 @@ class BruteForceResult:
 def enumerate_feasible(inst: QuadraticInstance, max_points: int = 10**7) -> np.ndarray:
     """All x with l <= x <= u and Ax = b, as rows of an int matrix.
 
-    The bounded box is scanned in fixed-size blocks (mixed-radix decode of
-    the point index), so memory stays proportional to the block size plus
-    the feasible set, not to the box.
+    The bounded box is scanned in fixed-size blocks of point indices, each
+    decoded in C order by ``np.unravel_index``, so memory stays proportional
+    to the block size plus the feasible set, not to the box.
     """
-    lower = inst.lower
-    sizes = (inst.upper - inst.lower + 1).astype(np.int64)
+    sizes = (inst.upper - inst.lower + 1).tolist()
     total = 1
     for s in sizes:
-        total *= int(s)
+        total *= s
         if total > max_points:
             raise ResourceBudgetError(f"search space larger than {max_points}")
-    strides = np.ones(inst.size, dtype=np.int64)
-    for i in range(inst.size - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
     chunks = []
     block = 1 << 16
     for start in range(0, total, block):
         idx = np.arange(start, min(total, start + block), dtype=np.int64)
-        grid = lower[None, :] + (idx[:, None] // strides[None, :]) % sizes[None, :]
+        grid = inst.lower + np.stack(np.unravel_index(idx, sizes), axis=1)
         chunks.append(grid[_meets_equations(inst, grid)])
     return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, inst.size), dtype=np.int64)
 

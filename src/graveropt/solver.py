@@ -80,7 +80,7 @@ from .graver import (
     build_basis,
 )
 from .problems import (InfeasibleError, QuadraticInstance, _feasible_rows, _int64_safe,
-                       _integer_field, objective)
+                       _integer_field, batch_objective, objective)
 from .seeds import seeds_cbqp, seeds_qap, seeds_qsap1, seeds_qsap2
 
 POLICIES = ("first", "best")
@@ -221,10 +221,10 @@ def _terminal_values(inst: QuadraticInstance, engine: _Lockstep) -> list:
     c.x + x.w/2, as x'(Q+Q')x = 2x'Qx; the int64 guard covers it, so it is
     exact in the engine's arithmetic.  f is a Fraction exactly when
     ``objective`` gives one (c, or a row i of Q with x_i != 0, holds a
-    Fraction).  Float data goes through ``objective``.
+    Fraction).  Float data goes through ``batch_objective``, row by row.
     """
     if engine.scale is None:
-        return [objective(inst, row) for row in engine.x]
+        return batch_objective(inst, engine.x)
     xs = engine.x.astype(engine.c.dtype)
     scaled = (xs @ engine.c + (xs * engine.w).sum(axis=1) // 2).tolist()
     typed = (engine.x != 0) @ engine.has_fraction[:-1] | engine.has_fraction[-1]
@@ -523,8 +523,6 @@ class _Lockstep:
         path's delta grows by one ``linear`` entry and four ``qsym``
         entries per pair already on it."""
         n, k, cap, m = self.kind.n, self.kind.k, self.CAP, len(seeds)
-        if min(n, k) < 2:  # no cycle fits
-            return [(None, 0, "full")] * m
         taken, examined = [None] * m, np.zeros(m, dtype=np.int64)
         gone, thinned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         x = self.x[seeds]
@@ -798,17 +796,22 @@ def verify_local_optimality(
     """Independent post-pass: list of (element index, sign) moves that are
     feasible and strictly improving at x.  Empty means certified terminal.
 
-    Uses direct objective evaluation, not the incremental delta path.
+    Evaluates f directly, not by the incremental delta path: one box test
+    and one :func:`batch_objective` call per block of signed moves, taken
+    elements ascending, +g before -g.
     """
     x = _integer_field("x", x)
     fx = objective(inst, x)
     violations = []
-    for e, (idx, val) in enumerate(zip(basis.idx, basis.val)):
-        for sign in (1, -1):
-            y = x.copy()
-            np.add.at(y, idx, sign * val)  # unbuffered, so padding adds 0 to y[0]
-            if np.all((y >= inst.lower) & (y <= inst.upper)) and objective(inst, y) < fx:
-                violations.append((e, sign))
+    for start in range(0, 2 * len(basis), 4096):
+        j = np.arange(start, min(2 * len(basis), start + 4096))
+        e, sign = j // 2, 1 - 2 * (j % 2)
+        y = np.repeat(x[None], len(j), axis=0)
+        # unbuffered, so padding (index 0, value 0) adds 0 to y[0]
+        np.add.at(y, (np.arange(len(j))[:, None], basis.idx[e]), basis.val[e] * sign[:, None])
+        fits = np.flatnonzero(np.all((y >= inst.lower) & (y <= inst.upper), axis=1))
+        values = batch_objective(inst, y[fits])
+        violations += [m for m, v in zip(zip(e[fits].tolist(), sign[fits].tolist()), values) if v < fx]
     return violations
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from graveropt import DimensionError, GraverBasis
 from graveropt.graver import _pack_rows
+from graveropt.problems import _integer_field, objective
 from graveropt.seeds import initial_assignment
 
 
@@ -61,6 +62,21 @@ def basis_of(dim: int, rows) -> GraverBasis:
     """A basis holding the given dense rows, in order, packed as the builders pack theirs."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, dim)
     return _pack_rows(dim, [[(i, r[i]) for i in np.flatnonzero(r)] for r in rows])
+
+
+def improving_moves_per_move(inst, basis: GraverBasis, x) -> list:
+    """``verify_local_optimality`` one signed move at a time: a copy of x,
+    the move added, the box test, then one ``objective`` call."""
+    x = _integer_field("x", x)
+    fx = objective(inst, x)
+    violations = []
+    for e, (idx, val) in enumerate(zip(basis.idx, basis.val)):
+        for sign in (1, -1):
+            y = x.copy()
+            np.add.at(y, idx, sign * val)  # unbuffered, so padding adds 0 to y[0]
+            if np.all((y >= inst.lower) & (y <= inst.upper)) and objective(inst, y) < fx:
+                violations.append((e, sign))
+    return violations
 
 
 def seeds_qap_numpy(rng: np.random.Generator, n: int, k: int, b: Sequence[int], count: int) -> list:

@@ -322,6 +322,25 @@ class TestSolve:
             rows = list(csv.DictReader(fh))
         assert [r["instance"] for r in rows] == ["same", second.stem]
 
+    def test_null_or_list_entries_fail_their_file(self, tmp_path):
+        good = tmp_path / "in"
+        run(["generate", "--class", "CBQP", "--n", "6", "--rng-seed", "2", "--out-dir", str(good)])
+        source = next(good.glob("*.json"))
+        base = json.loads(source.read_text())
+        spoiled = {"c_null": ("c", {"c": [None, *base["c"][1:]]}),
+                   "c_list": ("c", {"c": [[1], *base["c"][1:]]}),
+                   "q_null": ("Q", {"Q": [[None, *base["Q"][0][1:]], *base["Q"][1:]]}),
+                   "q_list": ("Q", {"Q": [[[0], *base["Q"][0][1:]], *base["Q"][1:]]})}
+        for stem, (_, fields) in spoiled.items():
+            (tmp_path / f"{stem}.json").write_text(json.dumps({**base, **fields, "name": stem}))
+        paths = [tmp_path / f"{stem}.json" for stem in spoiled] + [source]
+        out = tmp_path / "run"
+        assert run(["solve", *map(str, paths), "--seeds", "3", "--out", str(out)]) == 1
+        for stem, (field, _) in spoiled.items():
+            error = json.loads((out / f"{stem}.result.json").read_text())["error"]
+            assert error.startswith(f"{field} has an entry that is not a number")
+        assert "best_objective" in json.loads((out / "CBQP_6_000.result.json").read_text())
+
     def test_bad_file_under_two_threads(self, tmp_path):
         # a malformed and a missing file between good ones: the same
         # bytes, rows and exit code at --threads 1 and 2
@@ -486,6 +505,18 @@ def test_dimensions_out_of_range_exit_2(tmp_path, capsys, argv):
     target = ["--out", str(out / "basis.txt")] if argv[0] == "graver" else ["--out-dir", str(out)]
     assert run(argv + target) == 2
     assert "need" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--class", "QSAP1", "--n", "3"],
+    ["graver", "--kind", "brick", "--n", "3"],
+], ids=["generate", "graver"])
+def test_missing_k_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    target = ["--out", str(out / "basis.txt")] if argv[0] == "graver" else ["--out-dir", str(out)]
+    assert run(argv + target) == 2
+    assert "needs --k" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -96,6 +96,10 @@ class TestRealizeMatrix:
         with pytest.raises(DimensionError, match="^Explicit matrix rows must have equal length$"):
             Explicit.from_matrix(mat)
 
+    def test_explicit_built_directly_rejects_ragged_rows(self):
+        with pytest.raises(DimensionError, match="^Explicit matrix rows must have equal length$"):
+            Explicit(((1, 2), (3,)))
+
 
 class TestGraverOnes:
     def test_k3_exact(self):

@@ -1,3 +1,7 @@
+import hashlib
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +81,56 @@ class TestKernelBasis:
         rank = np.linalg.matrix_rank(A.astype(float))
         assert len(basis) == n - rank
 
+    @staticmethod
+    def bareiss_det(rows) -> int:
+        """Exact determinant of a square integer matrix by fraction-free elimination."""
+        m = [list(map(int, row)) for row in rows]
+        sign, prev = 1, 1
+        for i in range(len(m)):
+            if m[i][i] == 0:
+                swap = next((r for r in range(i + 1, len(m)) if m[r][i]), None)
+                if swap is None:
+                    return 0
+                m[i], m[swap], sign = m[swap], m[i], -sign
+            for r in range(i + 1, len(m)):
+                for j in range(i + 1, len(m)):
+                    m[r][j] = (m[r][j] * m[i][i] - m[r][i] * m[i][j]) // prev
+            prev = m[i][i]
+        return sign * m[-1][-1] if m else 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 2), st.integers(2, 6)),
+                  elements=st.integers(-4, 4)))
+    def test_spans_the_whole_kernel_lattice(self, A):
+        # n - rank vectors in ker A whose maximal minors have gcd 1: the
+        # lattice they span is saturated, so it is all of ker_Z(A), where a
+        # basis of a sublattice of index d has minors with gcd d
+        basis = integer_kernel_basis(A)
+        n, rank = A.shape[1], np.linalg.matrix_rank(A.astype(float))
+        assert len(basis) == n - rank
+        for v in basis:
+            assert v.dtype == np.int64 and not np.any(A @ v)
+        B = np.array(basis, dtype=np.int64).reshape(len(basis), n)
+        minors = [self.bareiss_det(B[:, list(cols)]) for cols in combinations(range(n), len(basis))]
+        assert math.gcd(*minors) == 1
+
+
+def pottier_sweep_matrices() -> list:
+    """The verify ladder's structured kinds up to flat size 12, 400 random A,
+    [[1..m]] for m = 2..6, one two-row A, and one whose kernel passes int64."""
+    out = [realize_matrix(Cardinality(n)) for n in range(2, 13)]
+    for family, least_n, least_k in ((BrickCardinality, 1, 2), (CoordinateCardinality, 2, 1),
+                                     (Assignment, 2, 2)):
+        for n in range(least_n, 13):
+            out += [realize_matrix(family(n, k)) for k in range(least_k, 12 // n + 1)]
+    rng, total = np.random.default_rng(2029), len(out) + 400
+    while len(out) < total:
+        A = rng.integers(-3, 4, size=(int(rng.integers(1, 3)), int(rng.integers(2, 6))))
+        if A.any():
+            out.append(A)
+    out += [[list(range(1, m + 1))] for m in range(2, 7)]
+    return out + [[[1, 2, 1], [0, 1, 3]], [[1, 2**62]]]
+
 
 class TestPottier:
     def test_all_ones_row(self):
@@ -144,6 +198,19 @@ class TestPottier:
         A = realize_matrix(Assignment(3, 3))
         for g in dense_rows(build_basis(Assignment(3, 3))):
             assert is_graver_minimal(g, A)
+
+    def test_sweep_digest(self):
+        # the bases, or the budget error, of 476 matrices, pinned when the
+        # kernel lattice basis was computed by extended-gcd column pairs
+        h = hashlib.sha256()
+        for A in pottier_sweep_matrices():
+            try:
+                basis = pottier_graver(A)
+                h.update(repr(basis.dim).encode() + basis.idx.tobytes() + basis.val.tobytes())
+            except ResourceBudgetError as err:
+                h.update(str(err).encode())
+            h.update(b";")
+        assert h.hexdigest() == "fd59dec0173455bd720a155f120ead811fe11f9b9c7ab0509ba7bd2e5b267a29"
 
     def test_budget_error(self):
         with pytest.raises(ResourceBudgetError):

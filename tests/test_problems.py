@@ -333,6 +333,18 @@ class TestFileFormat:
         for key in ("name", "class", "n", "k", "c", "Q", "b", "l", "u"):
             assert key in doc
 
+    @pytest.mark.parametrize("field,spoiled", [
+        ("c", {"c": [None, 2]}), ("c", {"c": [[1], 2]}),
+        ("Q", {"Q": [[None, 1], [1, 0]]}), ("Q", {"Q": [[[0], 1], [1, 0]]}),
+    ], ids=["c-null", "c-list", "q-null", "q-list"])
+    def test_null_or_list_entry_names_its_field(self, field, spoiled):
+        import json
+
+        doc = {"name": "t", "class": "CBQP", "n": 2, "c": [1, 2], "Q": [[0, 1], [1, 0]],
+               "b": [1], "l": [0, 0], "u": [1, 1]}
+        with pytest.raises(ValueError, match=f"^{field} has an entry that is not a number"):
+            parse_instance(json.dumps({**doc, **spoiled}))
+
     def test_round_trip_explicit_kind(self):
         from graveropt import Explicit
 

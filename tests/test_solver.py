@@ -13,7 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graveropt import (
+    BrickCardinality,
     Cardinality,
+    CoordinateCardinality,
     Explicit,
     InfeasibleError,
     QuadraticInstance,
@@ -29,6 +31,7 @@ from graveropt import (
     objective,
     parse_instance,
     pottier_graver,
+    realize_matrix,
     serialize_instance,
     solve,
     verify_local_optimality,
@@ -36,7 +39,7 @@ from graveropt import (
 from graveropt import graver, oracle, problems, solver
 from graveropt.problems import _int64_safe, _objective_scalar
 from graveropt.solver import POLICIES, _Lockstep, prepare_moves
-from references import basis_of, dense_rows
+from references import basis_of, dense_rows, improving_moves_per_move
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -174,6 +177,11 @@ class TestAugment:
 
 
 class TestSolve:
+    def test_no_seeds_is_refused(self):
+        inst = generate_instance(np.random.default_rng(0), "CBQP", 6)
+        with pytest.raises(InfeasibleError, match="^no seeds to augment$"):
+            solve(inst, seeds=[])
+
     def test_exhaustive_seeding_is_exact(self):
         rng = np.random.default_rng(12)
         for klass, n, k in [("CBQP", 10, None), ("QSAP1", 3, 3), ("QSAP2", 3, 3), ("QAP", 3, 3)]:
@@ -447,6 +455,61 @@ class TestScannerEquivalence:
         x0[:2] = 1
         res = augment(inst, basis, x0)
         assert repr(res.terminal_f) == repr(objective(inst, res.terminal_x))
+
+
+class TestCertifier:
+    """``verify_local_optimality`` tests blocks of signed moves at once; the
+    per-move loop it replaced is the reference for its list and order."""
+
+    KINDS = {
+        "cardinality": Cardinality(5),
+        "brick": BrickCardinality(2, 3),
+        "coordinate": CoordinateCardinality(3, 2),
+        "explicit": Explicit.from_matrix([[1, 2, 1, 3], [0, 1, 3, 2]]),  # entries up to 7
+    }
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def basis(name):
+        kind = TestCertifier.KINDS[name]
+        return pottier_graver(kind.rows) if isinstance(kind, Explicit) else build_basis(kind)
+
+    @staticmethod
+    def instance(kind, data, top, rng):
+        c, Q = rng.integers(-9, 10, size=kind.dim), rng.integers(-9, 10, size=(kind.dim,) * 2)
+        if data == "huge":  # int64 past the guard
+            c, Q = c * 2**56, Q * 2**56
+        elif data == "bigint":  # Python ints past int64
+            c, Q = (np.array([int(v) * 2**70 for v in a.flat], dtype=object).reshape(a.shape)
+                    for a in (c, Q))
+        elif data == "fraction":
+            c, Q = (np.array([Fraction(int(v), int(d)) for v, d in zip(a.flat, rng.integers(1, 8, a.size))],
+                             dtype=object).reshape(a.shape) for a in (c, Q))
+        elif data == "float":
+            c, Q = c / 7.3, Q / 3.1
+        x = rng.integers(0, top + 1, size=kind.dim)
+        inst = QuadraticInstance(c=c, Q=Q, kind=kind, b=realize_matrix(kind) @ x,
+                                 lower=np.zeros(kind.dim, dtype=np.int64),
+                                 upper=np.full(kind.dim, top))
+        return inst, x
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), st.sampled_from(["int", "huge", "bigint", "fraction", "float"]),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_the_per_move_loop(self, name, data, top, draw):
+        inst, x = self.instance(self.KINDS[name], data, top, np.random.default_rng(draw))
+        basis = self.basis(name)
+        want = improving_moves_per_move(inst, basis, x)
+        assert verify_local_optimality(inst, basis, x) == want
+
+    def test_blocks_keep_the_order(self):
+        # 2 415 elements, so the signed moves span two blocks
+        inst = generate_instance(np.random.default_rng(5), "CBQP", 70)
+        basis = build_basis(inst.kind)
+        x = solve(inst, seed_count=1, rng_seed=5).seeds[0]
+        want = improving_moves_per_move(inst, basis, x)
+        assert len(want) > 100 and max(e for e, _ in want) >= 2048
+        assert verify_local_optimality(inst, basis, x) == want
 
 
 class TestTerminalValues:
@@ -1086,6 +1149,16 @@ class TestLongCycles:
         with mock.patch.object(_Lockstep, "CAP", cap), mock.patch.object(_Lockstep, "_close", spied):
             [(_, _, certificate)] = engine.long_cycle(np.array([0]), "best")
         return levels, certificate
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n,k", [(1, 4), (4, 1), (1, 1)])
+    def test_one_brick_or_one_slot_fits_no_cycle(self, n, k, policy):
+        # a single brick or slot has one feasible point: no cycle, 0 evaluated
+        inst = generate_instance(np.random.default_rng(n * k), "QAP", n, k)
+        report = solve(inst, policy=policy)
+        assert all(r.steps == 0 and r.moves_scanned == 0 for r in report.results)
+        assert {r.certificate for r in report.results} == {"full"}
+        assert report.best.terminal_f == brute_force_solve(inst).best_f
 
     @settings(max_examples=60, deadline=None)
     @given(
