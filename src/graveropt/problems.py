@@ -114,52 +114,77 @@ def _all_finite(data: np.ndarray) -> bool:
     return bool(np.isfinite(data).all())
 
 
-def _objective_scalar(inst: QuadraticInstance, x: np.ndarray):
-    """Python-scalar evaluation: exact for ints and Fractions of any size."""
-    xs = x.tolist()
-    lin = sum(ci * xi for ci, xi in zip(inst.c.tolist(), xs))
-    quad = 0
-    for i, xi in enumerate(xs):
-        if xi:
-            row = inst.Q[i]
-            quad += xi * sum(qij * xj for qij, xj in zip(row.tolist(), xs))
-    return lin + quad
-
-
 def _int64_safe(c: np.ndarray, Q: np.ndarray, norm: int) -> bool:
-    """The int64 guard: max|Q| * norm**2 + max|c| * norm < 2**62.
+    """The int64 guard on integer c and Q: max|Q| * norm**2 + max|c| * norm < 2**62.
 
     Then c.x + x'Qx, its partial sums and (Q+Q')x fit int64 for every
     integer x with |x|_1 <= norm.  The descent engine passes its box's
     largest |x|_1 plus its largest move weight, which bounds every move
-    delta too.  Floats always pass: they saturate rather than wrap.
+    delta too.
     """
-    if c.dtype.kind == "f" or Q.dtype.kind == "f":
-        return True
     maxc, maxq = (max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in (c, Q))
     return maxq * norm * norm + maxc * norm < 2**62
 
 
+def _evaluation_data(inst: QuadraticInstance, norm: int) -> tuple:
+    """The c and Q that f is evaluated with for points of |x|_1 <= ``norm``,
+    the factor they are scaled by (``None`` for floats), and whether each
+    row of Q, then c, holds a Fraction.
+
+    Rational data (every entry an int or a Fraction) is multiplied by the
+    LCM of its denominators.  A positive factor scales f and every move
+    delta alike, so the sign of each delta and the order between any two
+    are kept.  The integers are then kept in int64 when :func:`_int64_safe`
+    passes, else as exact Python ints on object arrays.  Data that holds a
+    float in any form (a numpy float dtype of any width, or floats among
+    ints or Fractions on object arrays) is cast wholly to float64; an entry
+    past the largest double is a ValueError.
+    """
+    c, Q = inst.c, inst.Q
+    scale, has_fraction = 1, np.zeros(inst.size + 1, dtype=bool)
+    floats = c.dtype.kind == "f" or Q.dtype.kind == "f"
+    if c.dtype == object or Q.dtype == object:
+        flat = c.tolist() + Q.ravel().tolist()
+        floats = not all(issubclass(t, numbers.Rational) for t in set(map(type, flat)))
+        if not floats:
+            held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size)
+            has_fraction = np.append(held[1:].any(axis=1), held[0].any())
+            scale = math.lcm(*{int(v.denominator) for v in flat})
+            scaled = np.array([int(v.numerator) * (scale // int(v.denominator)) for v in flat], object)
+            c, Q = scaled[: c.size], scaled[c.size :].reshape(Q.shape)
+    if floats:
+        try:
+            return c.astype(np.float64), Q.astype(np.float64), None, None
+        except OverflowError:  # a Python int or Fraction past the largest double
+            raise ValueError("c and Q are too large for double precision: an entry "
+                             "lies past the largest double") from None
+    dtype = np.int64 if _int64_safe(c, Q, norm) else object
+    return c.astype(dtype), Q.astype(dtype), scale, has_fraction
+
+
 def objective(inst: QuadraticInstance, x) -> object:
     """c.x + x'Qx as a plain scalar (int, Fraction or float per the data)."""
-    x = np.asarray(x)
+    x = _integer_field("x", x)
     if x.shape != (inst.size,):
         raise ValueError(f"x must have shape ({inst.size},), got {x.shape}")
     return batch_objective(inst, x[None])[0]
 
 
 def batch_objective(inst: QuadraticInstance, points: np.ndarray) -> list:
-    """:func:`objective` of every row of ``points``: exact on Python scalars for object
-    arrays or past the int64 guard, floats row by row, int64 in one vectorized pass."""
-    points = np.asarray(points)
-    c, Q = inst.c, inst.Q
-    kinds = {c.dtype.kind, Q.dtype.kind, points.dtype.kind}
-    if "O" in kinds or not _int64_safe(c, Q, int(np.abs(points).sum(axis=1).max(initial=0))):
-        return [_objective_scalar(inst, row) for row in points]
-    if "f" in kinds:
+    """:func:`objective` of every row of ``points``, in the arithmetic of
+    :func:`_evaluation_data`: floats row by row, rational data as scale * f
+    in one vectorized pass.  f is a Fraction exactly when c, or a row i of
+    Q with x_i != 0, holds a Fraction, as Python arithmetic would give."""
+    points = _integer_field("points", points)
+    # at norm 0 the guard would pass any data, and the int64 cast would overflow
+    norm = max(1, int(np.abs(points).sum(axis=1).max(initial=0)))
+    c, Q, scale, has_fraction = _evaluation_data(inst, norm)
+    if scale is None:
         return [(c @ x + x @ Q @ x).item() for x in points]
-    values = points @ c + np.einsum("ij,jk,ik->i", points, Q, points)
-    return [v.item() for v in values]
+    xs = points.astype(c.dtype)
+    scaled = (xs @ c + (xs @ Q * xs).sum(axis=1)).tolist()
+    typed = (points != 0) @ has_fraction[:-1] | has_fraction[-1]
+    return [Fraction(v, scale) if t else v // scale for v, t in zip(scaled, typed)]
 
 
 def check_feasible(inst: QuadraticInstance, x) -> bool:
@@ -286,15 +311,11 @@ def _decode_array(label, data, shape):
     # json.loads makes exact int, float and bool, never a subclass, and a bool
     # stays with the ints; one pass over the types is far faster than isinstance
     kinds = set(map(type, flat))
-    if Fraction in kinds:
+    try:
+        arr = np.array(flat, dtype=object if Fraction in kinds else
+                       np.float64 if float in kinds else np.int64)
+    except OverflowError:  # ints past int64, or past double range beside floats, stay exact
         arr = np.array(flat, dtype=object)
-    elif float in kinds:
-        arr = np.array(flat, dtype=np.float64)
-    else:
-        try:
-            arr = np.array(flat, dtype=np.int64)
-        except OverflowError:  # integers beyond int64 stay exact Python ints
-            arr = np.array(flat, dtype=object)
     return arr.reshape(len(data), len(data[0]) if data else 0) if shape == 2 else arr
 
 

@@ -15,10 +15,10 @@ per run: rational data (ints and Fractions) is scaled to integers, which
 keeps the sign of every move delta, and computed in int64 when every
 intermediate provably fits, else in exact Python ints on object arrays;
 data that holds any float is cast wholly to float64.  So c, Q+Q', w and
-every per-element term share one of three dtypes.  Terminal values of
-rational data are read off the same scaled integers.  Every move, a
-basis element or a room-graph cycle, updates w = (Q+Q')x by the one
-formula w starts from, in every arithmetic.
+every per-element term share one of three dtypes, the arithmetic that
+:func:`~graveropt.problems.batch_objective` reads terminal values in.
+Every move, a basis element or a room-graph cycle, updates w = (Q+Q')x
+by the one formula w starts from, in every arithmetic.
 
 The first-improvement scan tests bounds first, a byte per coordinate.
 The engine keeps, per seed, the room of every coordinate of x: ``up``
@@ -60,11 +60,8 @@ and every seed takes its stored cycle, one update per cycle length.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,7 +76,7 @@ from .graver import (
     GraverBasis,
     build_basis,
 )
-from .problems import (InfeasibleError, QuadraticInstance, _feasible_rows, _int64_safe,
+from .problems import (InfeasibleError, QuadraticInstance, _evaluation_data, _feasible_rows,
                        _integer_field, batch_objective, objective)
 from .seeds import seeds_cbqp, seeds_qap, seeds_qsap1, seeds_qsap2
 
@@ -161,48 +158,26 @@ def prepare_moves(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> _Loc
 
 
 def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
-    """The c and Q that moves are evaluated with, the factor they are
-    scaled by (``None`` for floats), and whether each row of Q, then c,
-    holds a Fraction.
-
-    Rational data (every entry an int or a Fraction) is multiplied by the
-    LCM of its denominators.  A positive factor scales every move delta
-    alike, so the sign of each delta and the order between any two are
-    kept, and both policies and the long-cycle phase accept the same
-    moves.  The integers are then kept in int64 when every intermediate
-    provably fits, else as exact Python ints on object arrays.  Data that
-    holds a float in any form (a numpy float dtype of any width, or floats
-    among ints or Fractions on object arrays) is cast wholly to float64.
+    """The c and Q that moves are evaluated with: :func:`_evaluation_data`
+    at the engine's norm, |x|_1 + |g|_1 = the box's largest |x|_1 plus the
+    largest move weight, which bounds every point a move is read at.
 
     Float data must keep every value finite, or an infeasible move's
-    delta reads inf * 0 = NaN.  With norm = |x|_1 + |g|_1 bounded as for
-    the int64 guard, f, its partial sums, (Q+Q')x and a move's delta
-    c.g + g'Qg + x'(Q+Q')g are each at most max|c| * norm + max|Q| * norm**2
-    in size.  Each term below 2**1022 keeps that below 2**1023, half the
-    largest double, so rounding cannot carry it past; else ValueError.
+    delta reads inf * 0 = NaN.  With that norm, f, its partial sums,
+    (Q+Q')x and a move's delta c.g + g'Qg + x'(Q+Q')g are each at most
+    max|c| * norm + max|Q| * norm**2 in size.  Each term below 2**1022
+    keeps that below 2**1023, half the largest double, so rounding cannot
+    carry it past; else ValueError.
     """
-    c, Q = inst.c, inst.Q
     maxb = max(int(np.abs(inst.lower).max(initial=0)), int(np.abs(inst.upper).max(initial=0)), 1)
     norm = inst.size * maxb + max_weight
-    scale, has_fraction = 1, np.zeros(inst.size + 1, dtype=bool)
-    floats = c.dtype.kind == "f" or Q.dtype.kind == "f"
-    if c.dtype == object or Q.dtype == object:
-        flat = c.tolist() + Q.ravel().tolist()
-        floats = not all(isinstance(v, numbers.Rational) for v in flat)
-        if not floats:
-            held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size)
-            has_fraction = np.append(held[1:].any(axis=1), held[0].any())
-            scale = math.lcm(*{int(v.denominator) for v in flat})
-            scaled = np.array([int(v.numerator) * (scale // int(v.denominator)) for v in flat], object)
-            c, Q = scaled[: c.size], scaled[c.size :].reshape(Q.shape)
-    if floats:
-        maxc, maxq = (max(map(abs, a.ravel().tolist()), default=0) for a in (c, Q))
+    c, Q, _, _ = _evaluation_data(inst, norm)
+    if c.dtype.kind == "f":
+        maxc, maxq = (float(np.abs(a).max(initial=0)) for a in (c, Q))
         if not (maxq * norm * norm < 2**1022 and maxc * norm < 2**1022):
             raise ValueError("c and Q are too large for double precision: a move's change "
                              "in f could overflow to inf")
-        return c.astype(np.float64), Q.astype(np.float64), None, None
-    dtype = np.int64 if _int64_safe(c, Q, norm) else object
-    return c.astype(dtype), Q.astype(dtype), scale, has_fraction
+    return c, Q
 
 
 def _room_pairs(x, lower, upper) -> np.ndarray:
@@ -212,23 +187,6 @@ def _room_pairs(x, lower, upper) -> np.ndarray:
     pair = np.multiply(x < upper, PLUS_BYTE, dtype=np.uint16)
     pair += np.multiply(x > lower, MINUS_BYTE, dtype=np.uint16)
     return pair
-
-
-def _terminal_values(inst: QuadraticInstance, engine: _Lockstep) -> list:
-    """f at each of the engine's points, read off its x and w = (Q+Q')x.
-
-    For rational data, with c and Q scaled by ``engine.scale``, scale * f =
-    c.x + x.w/2, as x'(Q+Q')x = 2x'Qx; the int64 guard covers it, so it is
-    exact in the engine's arithmetic.  f is a Fraction exactly when
-    ``objective`` gives one (c, or a row i of Q with x_i != 0, holds a
-    Fraction).  Float data goes through ``batch_objective``, row by row.
-    """
-    if engine.scale is None:
-        return batch_objective(inst, engine.x)
-    xs = engine.x.astype(engine.c.dtype)
-    scaled = (xs @ engine.c + (xs * engine.w).sum(axis=1) // 2).tolist()
-    typed = (engine.x != 0) @ engine.has_fraction[:-1] | engine.has_fraction[-1]
-    return [Fraction(v, engine.scale) if t else v // engine.scale for v, t in zip(scaled, typed)]
 
 
 class _Lockstep:
@@ -277,7 +235,7 @@ class _Lockstep:
     ``unit`` says every entry is +-1, which makes the room test exact.
     ``selfq``, set for an assignment instance only, holds v'Qv per pair for
     its long-cycle phase (see :func:`_pair_selfq`); such an instance has no
-    stored elements.  ``scale``, ``has_fraction``: see :func:`_scan_data`.
+    stored elements.
 
     :meth:`start` puts the seeds in: ``x``, ``w`` and ``room``, the room
     pairs of x that :meth:`_scan` reads, the engine's only state.  Every
@@ -310,7 +268,7 @@ class _Lockstep:
             max_weight = int(np.abs(valm).sum(axis=1).max(initial=0))
         count, width = idxm.shape
         self.idxm, self.valm, self.n_moves = idxm, valm, 2 * count
-        self.c, Q, self.scale, self.has_fraction = _scan_data(inst, max_weight)
+        self.c, Q = _scan_data(inst, max_weight)
         self.qsym = Q + Q.T
         self.cg = (self.c[idxm] * valm).sum(axis=1)  # padded zeros contribute nothing
         self.qgg = np.empty(count, dtype=Q.dtype)
@@ -643,7 +601,7 @@ class _Lockstep:
         data, where w is accumulated per step.  Exact w, int64 or object,
         is (Q+Q')x itself, so exact data keys on x alone."""
         x = self.x[s].tobytes()
-        return x if self.scale is not None else (x, self.w[s].tobytes())
+        return (x, self.w[s].tobytes()) if self.c.dtype.kind == "f" else x
 
     def cycle_rounds(self, policy):
         """Run every seed of an assignment instance to its terminal point by
@@ -742,6 +700,11 @@ class _Lockstep:
                 live = live[:, ~done]
 
 
+def _check_dimension(inst: QuadraticInstance, basis: GraverBasis) -> None:
+    if basis.dim != inst.size:
+        raise ValueError(f"basis has dimension {basis.dim}, the instance {inst.size}")
+
+
 def _stored_basis(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Optional[GraverBasis]:
     """The basis a descent scans: ``basis`` when given, else the kind's own.
     None for an assignment instance, which takes no basis.  A given basis must
@@ -753,8 +716,7 @@ def _stored_basis(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> Opti
                              "cycle lifting that fits the box on the room graph")
         return None
     if basis is not None:
-        if basis.dim != inst.size:
-            raise ValueError(f"basis has dimension {basis.dim}, the instance {inst.size}")
+        _check_dimension(inst, basis)
         A = inst.matrix.astype(object)  # exact: A.g may pass int64
         block = max(1, 250_000 // max(1, A.shape[0] * basis.idx.shape[1]))
         for start in range(0, len(basis), block):
@@ -798,8 +760,10 @@ def verify_local_optimality(
 
     Evaluates f directly, not by the incremental delta path: one box test
     and one :func:`batch_objective` call per block of signed moves, taken
-    elements ascending, +g before -g.
+    elements ascending, +g before -g.  A basis of another dimension than
+    the instance's is a ValueError.
     """
+    _check_dimension(inst, basis)
     x = _integer_field("x", x)
     fx = objective(inst, x)
     violations = []
@@ -901,7 +865,7 @@ def solve(
         raise InfeasibleError(f"starting point infeasible for {inst.name!r}")
     engine = prepare_moves(inst, basis).start(seeds)
     runs = engine.descend(policy)
-    values = _terminal_values(inst, engine)
+    values = batch_objective(inst, engine.x)
     results = [
         AugmentationResult(
             seed_index=i,

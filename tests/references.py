@@ -64,6 +64,18 @@ def basis_of(dim: int, rows) -> GraverBasis:
     return _pack_rows(dim, [[(i, r[i]) for i in np.flatnonzero(r)] for r in rows])
 
 
+def objective_scalar(inst, x):
+    """c.x + x'Qx on Python scalars, a row of Q at a time: exact for ints and
+    Fractions of any size, and a Fraction exactly when a term read holds one."""
+    xs = x.tolist()
+    lin = sum(ci * xi for ci, xi in zip(inst.c.tolist(), xs))
+    quad = 0
+    for i, xi in enumerate(xs):
+        if xi:
+            quad += xi * sum(qij * xj for qij, xj in zip(inst.Q[i].tolist(), xs))
+    return lin + quad
+
+
 def improving_moves_per_move(inst, basis: GraverBasis, x) -> list:
     """``verify_local_optimality`` one signed move at a time: a copy of x,
     the move added, the box test, then one ``objective`` call."""

@@ -8,8 +8,7 @@ import pytest
 from graveropt import (Assignment, QuadraticInstance, build_basis, generate_instance,
                        graver_assignment, load_basis, load_instance, save_instance)
 from graveropt.cli import _bases_match, _verification_checks, main
-from graveropt.problems import _objective_scalar
-from references import basis_of
+from references import basis_of, objective_scalar
 
 
 def run(argv):
@@ -448,7 +447,7 @@ class TestSolve:
         assert inst.c.dtype == object and inst.Q.dtype == object
         result = json.loads((out / "big.result.json").read_text())
         best = result["best_objective"]
-        assert best == _objective_scalar(inst, np.array(result["best_x"])) and best < -(2**69)
+        assert best == objective_scalar(inst, np.array(result["best_x"])) and best < -(2**69)
         error = json.loads((out / "bound.result.json").read_text())["error"]
         assert "upper" in error and "int64" in error
         assert "best_objective" in json.loads((out / f"{second.stem}.result.json").read_text())

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt import (
     Assignment,
@@ -19,8 +21,9 @@ from graveropt import (
     seeds_qap,
     serialize_instance,
 )
+from graveropt.problems import batch_objective
 from graveropt.solver import prepare_moves
-from references import basis_of
+from references import basis_of, objective_scalar
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -66,9 +69,54 @@ class TestObjective:
         want = n * big + n * n * big
         assert want >= 2**63  # would wrap in int64
         assert objective(inst, x) == want
-        from graveropt.problems import batch_objective
-
         assert batch_objective(inst, x[None, :]) == [want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.sampled_from(["int", "huge", "bigint", "fraction", "float", "mixed"]),
+           draw=st.integers(0, 2**32 - 1))
+    def test_batch_objective_matches_the_reference(self, data, draw):
+        # points in a -3..3 box, some of them 0, so that the norm may be 0
+        # and rows of Q holding a Fraction may be read or not
+        rng = np.random.default_rng(draw)
+        n = int(rng.integers(1, 7))
+        c, Q = rng.integers(-9, 10, size=n), rng.integers(-9, 10, size=(n, n))
+        if data == "huge":  # int64 past the guard
+            c, Q = c * 2**58, Q * 2**58
+        elif data == "bigint":  # Python ints past int64
+            c, Q = (np.array([int(v) * 2**70 for v in a.flat], dtype=object).reshape(a.shape)
+                    for a in (c, Q))
+        elif data == "fraction":  # a Fraction in about half the entries, ints in the rest
+            c, Q = (np.array([Fraction(int(v), int(rng.integers(1, 8))) if rng.random() < 0.5 else int(v)
+                              for v in a.flat], dtype=object).reshape(a.shape) for a in (c, Q))
+        elif data == "float":
+            c, Q = c / 7.3, Q / 3.1
+        elif data == "mixed":  # float c beside int64 Q whose x'Qx passes int64
+            c, Q = c / 7.3, Q * 2**59
+        inst = QuadraticInstance(c=c, Q=Q, kind=Cardinality(n), b=[0], lower=np.full(n, -3),
+                                 upper=np.full(n, 3))
+        m = int(rng.integers(0, 6))
+        points = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.6)
+        got = batch_objective(inst, points)
+        if data in ("float", "mixed"):  # data holding a float is cast wholly to float64
+            c, Q = c.astype(np.float64), Q.astype(np.float64)
+            assert got == [(c @ x + x @ Q @ x).item() for x in points]
+            assert all(type(v) is float for v in got)
+        else:
+            assert list(map(repr, got)) == [repr(objective_scalar(inst, x)) for x in points]
+
+    def test_huge_int_beside_a_float_is_a_value_error(self):
+        # c = [2**1100, 1, 1, 0.5] on an object array cannot be cast to float64
+        c = np.array([2**1100, 1, 1, 0.5], dtype=object)
+        inst = binary_instance(Cardinality(4), [2], c=c)
+        with pytest.raises(ValueError, match="too large for double precision"):
+            objective(inst, [1, 1, 0, 0])
+        doc = serialize_instance(inst)
+        assert parse_instance(doc).c.dtype == object  # a file loads, and fails on use
+
+    def test_non_integer_point_is_a_value_error(self):
+        inst = binary_instance(Cardinality(2), [1], c=[1, 2])
+        with pytest.raises(ValueError, match="x has an entry that is not an integer"):
+            objective(inst, [0.5, 0.5])
 
 
 class TestObjectiveDelta:

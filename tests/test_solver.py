@@ -37,9 +37,9 @@ from graveropt import (
     verify_local_optimality,
 )
 from graveropt import graver, oracle, problems, solver
-from graveropt.problems import _int64_safe, _objective_scalar
+from graveropt.problems import _evaluation_data, _int64_safe
 from graveropt.solver import POLICIES, _Lockstep, prepare_moves
-from references import basis_of, dense_rows, improving_moves_per_move
+from references import basis_of, dense_rows, improving_moves_per_move, objective_scalar
 
 
 def binary_instance(kind, b, c=None, Q=None, name="t"):
@@ -502,6 +502,13 @@ class TestCertifier:
         want = improving_moves_per_move(inst, basis, x)
         assert verify_local_optimality(inst, basis, x) == want
 
+    @pytest.mark.parametrize("dim", [5, 12])
+    def test_refuses_a_basis_of_another_dimension(self, dim):
+        inst = generate_instance(np.random.default_rng(2), "CBQP", 8)
+        x = solve(inst, seed_count=1, rng_seed=2).seeds[0]
+        with pytest.raises(ValueError, match=f"basis has dimension {dim}, the instance 8"):
+            verify_local_optimality(inst, build_basis(Cardinality(dim)), x)
+
     def test_blocks_keep_the_order(self):
         # 2 415 elements, so the signed moves span two blocks
         inst = generate_instance(np.random.default_rng(5), "CBQP", 70)
@@ -513,9 +520,10 @@ class TestCertifier:
 
 
 class TestTerminalValues:
-    """Terminal values are read off the engine's scaled integers, and
-    ``objective`` is the independent reference they must match, type and
-    all: a Fraction exactly where ``objective`` gives one."""
+    """Terminal values are read by ``batch_objective`` at the engine's
+    points, and ``references.objective_scalar``, which sums the entries as
+    Python scalars, is the independent reference they must match, type and
+    all: a Fraction exactly where it gives one."""
 
     @staticmethod
     def variant(inst, data, rng, lower, upper):
@@ -561,7 +569,7 @@ class TestTerminalValues:
         report = solve(inst, seed_count=int(rng.integers(1, 7)), rng_seed=draw % 89,
                        policy=policy)
         for r in report.results:
-            assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+            assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
 
     @pytest.mark.parametrize("policy", POLICIES)
     @settings(max_examples=15, deadline=None)
@@ -583,7 +591,7 @@ class TestTerminalValues:
                  for _ in range(4)]
         for r in solve(inst, seeds=seeds, policy=policy).results:
             assert type(r.terminal_f) is int
-            assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+            assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
 
     @pytest.mark.parametrize("data", ["int", "fraction"])
     def test_long_cycle_steps_keep_values_exact(self, data):
@@ -593,9 +601,9 @@ class TestTerminalValues:
         report = solve(inst, rng_seed=13)
         assert report.sampler_assisted
         for r in report.results:
-            assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+            assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
 
-    def test_solve_never_evaluates_fraction_data_directly(self, monkeypatch):
+    def test_solve_never_evaluates_fraction_data_directly(self):
         # small denominators scale into int64, prime ones past it
         base = generate_instance(np.random.default_rng(45), "QSAP1", 5, 3)
         rng = np.random.default_rng(1)
@@ -603,17 +611,53 @@ class TestTerminalValues:
                  for data in ("fraction", "primes")]
         basis = build_basis(base.kind)
         assert [prepare_moves(inst, basis).qgg.dtype for inst in exact] == [np.int64, object]
-
-        def refuse(*args):
-            raise AssertionError("solve evaluated the objective directly")
-
-        monkeypatch.setattr(problems, "_objective_scalar", refuse)
         reports = [solve(inst, rng_seed=13, policy=policy) for inst in exact for policy in POLICIES]
-        monkeypatch.undo()
         for inst, report in zip([i for i in exact for _ in POLICIES], reports):
             for r in report.results:
                 assert isinstance(r.terminal_f, Fraction)
                 assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
+                assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
+
+    def test_float_c_beside_int64_q_does_not_wrap(self):
+        # x'Qx = 9 * 2**61 passes int64; the float64 cast of Q holds it
+        inst = binary_instance(Cardinality(6), [3], c=np.full(6, 0.5),
+                               Q=np.full((6, 6), 2**61, dtype=np.int64))
+        x = np.array([1, 1, 1, 0, 0, 0])
+        assert objective_scalar(inst, x) == 9 * 2**61 + 1.5
+        assert repr(objective(inst, x)) == repr(objective_scalar(inst, x))
+        for policy in POLICIES:
+            for r in solve(inst, seed_count=6, rng_seed=1, policy=policy).results:
+                assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
+
+    def test_huge_int_beside_a_float_is_a_value_error(self):
+        c = np.array([2**1100, 1, 1, 0.5], dtype=object)
+        inst = binary_instance(Cardinality(4), [2], c=c)
+        for policy in POLICIES:
+            with pytest.raises(ValueError, match="too large for double precision"):
+                solve(inst, seed_count=3, policy=policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("data", ["int", "huge", "fraction", "primes"])
+    @pytest.mark.parametrize("klass", ["CBQP", "QAP"])
+    def test_engine_w_is_q_plus_qt_x(self, monkeypatch, klass, data, policy):
+        # no reported value reads w, so check it against (Q+Q')x recomputed
+        # on Python scalars, times the LCM the engine scales rational data by
+        rng = np.random.default_rng(3)
+        base = generate_instance(rng, klass, 8 if klass == "CBQP" else 4, None if klass == "CBQP" else 4)
+        lower, upper = base.lower, base.upper
+        if klass == "CBQP":  # a 0..2 box, where a coordinate can move twice
+            upper = np.full(base.size, 2)
+        inst = self.variant(base, data, rng, lower, upper)
+        engines = []
+        build = solver.prepare_moves
+        monkeypatch.setattr(solver, "prepare_moves", lambda *args: engines.append(build(*args)) or engines[-1])
+        report = solve(inst, seed_count=8, rng_seed=5, policy=policy)
+        (engine,) = engines
+        assert any(r.steps for r in report.results)
+        Q = inst.Q.astype(object)
+        scale = math.lcm(*(Fraction(v).denominator for v in [*inst.c.flat, *Q.flat]))
+        for x, w in zip(engine.x, engine.w):
+            assert w.tolist() == [v * scale for v in (Q + Q.T).dot(x.astype(object))]
 
 
 class TestInt64Guard:
@@ -632,7 +676,6 @@ class TestInt64Guard:
         assert not _int64_safe(np.array([2**61]), np.zeros((1, 1), dtype=np.int64), 2)
         # |int64 min| wraps in np.abs; the guard reads it as 2**63
         assert not _int64_safe(np.array([-(2**63)]), np.zeros((1, 1), dtype=np.int64), 1)
-        assert _int64_safe(np.array([1e300]), np.zeros((1, 1)), 10**9)  # floats always pass
 
     def test_engine_switches_at_the_bound(self, monkeypatch):
         # the engine's norm: |x|_1 at most N in the 0/1 box, plus the
@@ -645,12 +688,12 @@ class TestInt64Guard:
             assert prepare_moves(inst, basis).qgg.dtype == dtype
             report = solve(inst, seed_count=12, rng_seed=3)
             with monkeypatch.context() as m:  # the same data forced through Python ints
-                m.setattr(solver, "_int64_safe", lambda *args: False)
+                m.setattr(problems, "_int64_safe", lambda *args: False)
                 assert prepare_moves(inst, basis).qgg.dtype == object
                 forced = solve(inst, seed_count=12, rng_seed=3)
             assert report_signature(report) == report_signature(forced)
             for r in report.results:
-                assert repr(r.terminal_f) == repr(_objective_scalar(inst, r.terminal_x))
+                assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
             runs.append(report)
         # Q differs by a positive factor, so both sides take the same moves
         below, above = runs
@@ -660,23 +703,16 @@ class TestInt64Guard:
             assert a.terminal_f * (top + 1) == b.terminal_f * top
         assert any(r.steps for r in below.results)
 
-    def test_objective_switches_at_the_bound(self, monkeypatch):
+    def test_objective_switches_at_the_bound(self):
+        # objective's norm is |x|_1 = B
         top = (2**62 - 1) // self.B**2
         x = np.zeros(self.N, dtype=np.int64)
         x[:self.B] = 1
-        for maxq, exact_path in ((top, False), (top + 1, True)):
+        for maxq, dtype in ((top, np.int64), (top + 1, object)):
             inst = self.instance(maxq)
-            calls = []
-
-            def spy(*args):
-                calls.append(1)
-                return _objective_scalar(*args)
-
-            monkeypatch.setattr(problems, "_objective_scalar", spy)
+            assert _evaluation_data(inst, self.B)[1].dtype == dtype
             value = objective(inst, x)
-            monkeypatch.undo()
-            assert bool(calls) == exact_path
-            assert type(value) is int and value == _objective_scalar(inst, x)
+            assert type(value) is int and value == objective_scalar(inst, x)
 
 
 class TestRoomPrefilter:
