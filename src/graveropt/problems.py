@@ -50,7 +50,13 @@ def class_for_kind(kind: ConstraintKind) -> str:
 
 @dataclass
 class QuadraticInstance:
-    """Immutable problem data; ``matrix``, the realized A, is built once."""
+    """Immutable problem data.  ``c`` and ``Q`` stay as given; what they and
+    the box decide is derived once: ``matrix``, the realized A; ``reach``, the
+    box's largest |x|_1, the sum of max(-l_i, u_i); and ``exact``, for rational
+    c and Q (every entry an int or a Fraction), (c, Q, scale, has_fraction):
+    c and Q times ``scale``, the LCM of their denominators, in int64 when every
+    entry fits, else Python ints on object arrays, and whether each row of Q,
+    then c, holds a Fraction.  ``exact`` is ``None`` for data holding a float."""
 
     c: np.ndarray
     Q: np.ndarray
@@ -60,6 +66,8 @@ class QuadraticInstance:
     upper: np.ndarray
     name: str = ""
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    exact: Optional[tuple] = field(init=False, repr=False, compare=False)
+    reach: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c)
@@ -71,13 +79,15 @@ class QuadraticInstance:
             raise ValueError(f"c must have shape ({size},), got {self.c.shape}")
         if self.Q.shape != (size, size):
             raise ValueError(f"Q must have shape ({size}, {size}), got {self.Q.shape}")
+        self.exact = _exact_form(self.c, self.Q)
         for label, data in (("c", self.c), ("Q", self.Q)):
-            if not _all_finite(data):
+            if self.exact is None and not _all_finite(data):  # rational data is finite
                 raise ValueError(f"{label} has a non-finite entry (inf or NaN)")
         if self.lower.shape != (size,) or self.upper.shape != (size,):
             raise ValueError("bounds must match the instance size")
         if np.any(self.lower > self.upper):
             raise ValueError("need l <= u componentwise")
+        self.reach = sum(max(-lo, hi) for lo, hi in zip(self.lower.tolist(), self.upper.tolist()))
         self.matrix = realize_matrix(self.kind)
         rows = self.matrix.shape[0]
         if self.b.shape != (rows,):
@@ -114,14 +124,30 @@ def _all_finite(data: np.ndarray) -> bool:
     return bool(np.isfinite(data).all())
 
 
-def _int64_safe(c: np.ndarray, Q: np.ndarray, norm: int) -> bool:
-    """The int64 guard on integer c and Q: max|Q| * norm**2 + max|c| * norm < 2**62.
+def _exact_form(c: np.ndarray, Q: np.ndarray) -> Optional[tuple]:
+    """:attr:`QuadraticInstance.exact`: one pass over object data, none over integers."""
+    if c.dtype.kind == "f" or Q.dtype.kind == "f":
+        return None
+    if np.can_cast(c.dtype, np.int64) and np.can_cast(Q.dtype, np.int64):
+        c, Q = c.astype(np.int64, copy=False), Q.astype(np.int64, copy=False)
+        return c, Q, 1, np.zeros(c.size + 1, dtype=bool)
+    flat = c.tolist() + Q.ravel().tolist()
+    if not all(issubclass(t, numbers.Rational) for t in set(map(type, flat))):
+        return None
+    held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size).any(axis=1)
+    scale = math.lcm(*{int(v.denominator) for v in flat})
+    scaled = [int(v.numerator) * (scale // int(v.denominator)) for v in flat]
+    try:
+        ints = np.array(scaled, dtype=np.int64)
+    except OverflowError:  # an entry past int64
+        ints = np.array(scaled, dtype=object)
+    return ints[: c.size], ints[c.size :].reshape(Q.shape), scale, np.roll(held, -1)
 
-    Then c.x + x'Qx, its partial sums and (Q+Q')x fit int64 for every
-    integer x with |x|_1 <= norm.  The descent engine passes its box's
-    largest |x|_1 plus its largest move weight, which bounds every move
-    delta too.
-    """
+
+def _int64_safe(c: np.ndarray, Q: np.ndarray, norm: int) -> bool:
+    """The int64 guard on integer c and Q: max|Q| * norm**2 + max|c| * norm < 2**62,
+    so c.x + x'Qx, its partial sums and (Q+Q')x fit int64 for every integer x
+    with |x|_1 <= norm (the engine's norm bounds every move delta too)."""
     maxc, maxq = (max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in (c, Q))
     return maxq * norm * norm + maxc * norm < 2**62
 
@@ -131,33 +157,19 @@ def _evaluation_data(inst: QuadraticInstance, norm: int) -> tuple:
     the factor they are scaled by (``None`` for floats), and whether each
     row of Q, then c, holds a Fraction.
 
-    Rational data (every entry an int or a Fraction) is multiplied by the
-    LCM of its denominators.  A positive factor scales f and every move
-    delta alike, so the sign of each delta and the order between any two
-    are kept.  The integers are then kept in int64 when :func:`_int64_safe`
-    passes, else as exact Python ints on object arrays.  Data that holds a
-    float in any form (a numpy float dtype of any width, or floats among
-    ints or Fractions on object arrays) is cast wholly to float64; an entry
-    past the largest double is a ValueError.
+    Rational data is ``inst.exact``, whose positive scale keeps the sign of
+    every move delta and the order between any two, taken in int64 when
+    :func:`_int64_safe` passes at ``norm``, else as Python ints on object
+    arrays.  Data holding a float is cast wholly to float64 at use, so data
+    past the largest double loads and only then fails, with a ValueError.
     """
-    c, Q = inst.c, inst.Q
-    scale, has_fraction = 1, np.zeros(inst.size + 1, dtype=bool)
-    floats = c.dtype.kind == "f" or Q.dtype.kind == "f"
-    if c.dtype == object or Q.dtype == object:
-        flat = c.tolist() + Q.ravel().tolist()
-        floats = not all(issubclass(t, numbers.Rational) for t in set(map(type, flat)))
-        if not floats:
-            held = np.array([isinstance(v, Fraction) for v in flat]).reshape(-1, c.size)
-            has_fraction = np.append(held[1:].any(axis=1), held[0].any())
-            scale = math.lcm(*{int(v.denominator) for v in flat})
-            scaled = np.array([int(v.numerator) * (scale // int(v.denominator)) for v in flat], object)
-            c, Q = scaled[: c.size], scaled[c.size :].reshape(Q.shape)
-    if floats:
+    if inst.exact is None:
         try:
-            return c.astype(np.float64), Q.astype(np.float64), None, None
+            return inst.c.astype(np.float64), inst.Q.astype(np.float64), None, None
         except OverflowError:  # a Python int or Fraction past the largest double
             raise ValueError("c and Q are too large for double precision: an entry "
                              "lies past the largest double") from None
+    c, Q, scale, has_fraction = inst.exact
     dtype = np.int64 if _int64_safe(c, Q, norm) else object
     return c.astype(dtype), Q.astype(dtype), scale, has_fraction
 
@@ -204,11 +216,10 @@ def _feasible_rows(inst: QuadraticInstance, points) -> np.ndarray:
 
 def _meets_equations(inst: QuadraticInstance, xs: np.ndarray) -> np.ndarray:
     """Ax = b for every row x of ``xs`` that lies in the box, exact: in int64 while max|A|
-    times the box's largest |x|_1 is below 2**63, which bounds every partial sum, else
+    times ``inst.reach`` is below 2**63, which bounds every partial sum, else
     on Python ints.  A row outside the box may read either way, so callers mask it."""
     A = inst.matrix
-    reach = sum(max(-lo, hi) for lo, hi in zip(inst.lower.tolist(), inst.upper.tolist()))
-    if max(-int(A.min(initial=0)), int(A.max(initial=0))) * reach >= 2**63:
+    if max(-int(A.min(initial=0)), int(A.max(initial=0))) * inst.reach >= 2**63:
         A, xs = A.astype(object), xs.astype(object)
     return np.all(A @ xs.T == inst.b[:, None], axis=0)
 

@@ -159,8 +159,8 @@ def prepare_moves(inst: QuadraticInstance, basis: Optional[GraverBasis]) -> _Loc
 
 def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
     """The c and Q that moves are evaluated with: :func:`_evaluation_data`
-    at the engine's norm, |x|_1 + |g|_1 = the box's largest |x|_1 plus the
-    largest move weight, which bounds every point a move is read at.
+    at the engine's norm, ``inst.reach`` (the box's largest |x|_1) plus the
+    largest move weight, which bounds |x + g|_1 at every point a move is read at.
 
     Float data must keep every value finite, or an infeasible move's
     delta reads inf * 0 = NaN.  With that norm, f, its partial sums,
@@ -169,8 +169,7 @@ def _scan_data(inst: QuadraticInstance, max_weight: int) -> tuple:
     keeps that below 2**1023, half the largest double, so rounding cannot
     carry it past; else ValueError.
     """
-    maxb = max(int(np.abs(inst.lower).max(initial=0)), int(np.abs(inst.upper).max(initial=0)), 1)
-    norm = inst.size * maxb + max_weight
+    norm = max(1, inst.reach + max_weight)
     c, Q, _, _ = _evaluation_data(inst, norm)
     if c.dtype.kind == "f":
         maxc, maxq = (float(np.abs(a).max(initial=0)) for a in (c, Q))

@@ -349,6 +349,18 @@ class TestSolve:
         report = solve(inst, seeds=list(enumerate_feasible(inst)))
         assert report.best.terminal_f == 2  # picks the two cheapest coordinates
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_equal_bests_go_to_the_lowest_seed_index(self, policy):
+        # c = (0, 0, 1, 1) with b = 1: e_0 and e_1 are distinct terminal
+        # points at f = 0, so only the seed index breaks the tie
+        inst = binary_instance(Cardinality(4), [1], c=[0, 0, 1, 1])
+        e = np.eye(4, dtype=np.int64)
+        for first, second in ((0, 1), (1, 0)):
+            report = solve(inst, seeds=[e[first], e[second]], policy=policy)
+            assert [r.terminal_f for r in report.results] == [0, 0]
+            assert report.best.seed_index == 0
+            assert report.best.terminal_x.tolist() == e[first].tolist()
+
 
 class TestScannerEquivalence:
     """Every arithmetic route through the descent engine takes identical moves."""
@@ -618,6 +630,26 @@ class TestTerminalValues:
                 assert repr(r.terminal_f) == repr(objective(inst, r.terminal_x))
                 assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
 
+    def test_fraction_data_is_walked_once_at_construction(self, monkeypatch):
+        # the pass over object entries runs in __post_init__, and solve,
+        # objective and the certifier read its result from the instance
+        base = generate_instance(np.random.default_rng(45), "QSAP1", 5, 3)
+        walks = []
+        for name in ("_exact_form", "_all_finite"):
+            walk = getattr(problems, name)
+            monkeypatch.setattr(problems, name,
+                                lambda *args, walk=walk: walks.append(walk.__name__) or walk(*args))
+        inst = self.variant(base, "fraction", np.random.default_rng(1), base.lower, base.upper)
+        assert inst.Q.dtype == object and walks == ["_exact_form"]
+        basis = build_basis(inst.kind)
+        for policy in POLICIES:
+            report = solve(inst, rng_seed=13, policy=policy, basis=basis)
+            assert any(r.steps for r in report.results)
+            for r in report.results:
+                assert isinstance(objective(inst, r.terminal_x), Fraction)
+                assert verify_local_optimality(inst, basis, r.terminal_x) == []
+        assert walks == ["_exact_form"]
+
     def test_float_c_beside_int64_q_does_not_wrap(self):
         # x'Qx = 9 * 2**61 passes int64; the float64 cast of Q holds it
         inst = binary_instance(Cardinality(6), [3], c=np.full(6, 0.5),
@@ -713,6 +745,37 @@ class TestInt64Guard:
             assert _evaluation_data(inst, self.B)[1].dtype == dtype
             value = objective(inst, x)
             assert type(value) is int and value == objective_scalar(inst, x)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_engine_norm_is_the_box_reach(self, monkeypatch, policy):
+        # one coordinate of 0..9 among 0..1: reach 9 + 7 = 16 and norm
+        # 16 + 2 = 18, where size * max(|l|, |u|) + 2 read 74; the data
+        # lies between the two bounds
+        base = generate_instance(np.random.default_rng(5), "CBQP", self.N)
+        c, Q = base.c * 2**47, base.Q * 2**47
+        c[0] = Q[0, 0] = -(10 * 2**47)  # makes coordinate 0 worth raising past 1
+        upper = np.ones(self.N, dtype=np.int64)
+        upper[0] = 9
+        inst = QuadraticInstance(c=c, Q=Q, kind=base.kind, b=[self.B], lower=base.lower,
+                                 upper=upper)
+        assert inst.reach == 16
+        assert _int64_safe(c, Q, 18) and not _int64_safe(c, Q, 74)
+        basis = build_basis(inst.kind)
+        assert prepare_moves(inst, basis).c.dtype == np.int64
+        report = solve(inst, seed_count=12, rng_seed=3, policy=policy, basis=basis)
+        with monkeypatch.context() as m:
+            m.setattr(problems, "_int64_safe", lambda *args: False)
+            assert prepare_moves(inst, basis).c.dtype == object
+            forced = solve(inst, seed_count=12, rng_seed=3, policy=policy, basis=basis)
+        assert report_signature(report) == report_signature(forced)
+        assert any(r.terminal_x[0] > 1 for r in report.results)
+        for r in report.results:
+            assert repr(r.terminal_f) == repr(objective_scalar(inst, r.terminal_x))
+
+    def test_reach_is_the_largest_l1_norm_in_the_box(self):
+        inst = QuadraticInstance(c=np.zeros(3), Q=np.zeros((3, 3)), kind=Cardinality(3), b=[0],
+                                 lower=[-3, 2, -4], upper=[1, 5, -1])
+        assert inst.reach == 3 + 5 + 4
 
 
 class TestRoomPrefilter:
@@ -1607,6 +1670,22 @@ class TestFloatTermination:
         assert engine.c.dtype == np.float64
 
     @pytest.mark.parametrize("policy", POLICIES)
+    def test_guard_holds_at_its_boundary(self, policy):
+        # CBQP n=4 on a 0/1 box: norm 4 + 2 = 6, so max|Q| * 36 < 2**1022
+        # is the bound; one part in 2**40 either side of it decides
+        sign = np.array([[1, -1, 0, 1], [-1, 1, 1, 0], [0, -1, -1, 1], [1, 0, 1, -1]])
+        c = np.array([1.5, -2.0, 0.5, 3.0])
+        top = 2.0**1022 / 36
+        below = binary_instance(Cardinality(4), [2], c=c, Q=sign * (top * (1 - 2**-40)))
+        with time_limit(30):
+            report = solve(below, seed_count=6, rng_seed=0, policy=policy)
+        assert any(r.steps for r in report.results)
+        assert all(math.isfinite(r.terminal_f) for r in report.results)
+        above = binary_instance(Cardinality(4), [2], c=c, Q=sign * (top * (1 + 2**-40)))
+        with pytest.raises(ValueError, match="could overflow"):
+            solve(above, seed_count=6, rng_seed=0, policy=policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_floats_mixed_with_huge_ints_descend_in_double(self, policy):
         # float c x1e300 on an object array with Q x10**300 as Python ints:
         # on object arrays, the "best" descent of 6 seeds does not end
@@ -1619,6 +1698,32 @@ class TestFloatTermination:
         basis = build_basis(inst.kind)
         for r in report.results:
             assert verify_local_optimality(inst, basis, r.terminal_x) == []
+
+
+class TestZeroObjective:
+    """With c = 0 and Q = 0 every move's delta is 0, a tie, so no seed may
+    take a step; a descent that accepted ties would never end, and the time
+    limit turns that into a failure."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("klass", ["CBQP", "QSAP1", "QSAP2", "QAP", "explicit"])
+    def test_no_step_is_taken(self, klass, policy):
+        seeds = None
+        if klass == "explicit":  # a 0..2 box, seeded at every feasible point
+            kind, b = Explicit.from_matrix([[1, 2, 1, 0], [0, 1, 1, 1]]), [3, 2]
+            inst = QuadraticInstance(c=np.zeros(4, dtype=np.int64), Q=np.zeros((4, 4), dtype=np.int64),
+                                     kind=kind, b=b, lower=np.zeros(4), upper=np.full(4, 2))
+            seeds = list(enumerate_feasible(inst))
+        else:
+            base = generate_instance(np.random.default_rng(0), klass, 8 if klass == "CBQP" else 4,
+                                     None if klass == "CBQP" else 3)
+            inst = binary_instance(base.kind, base.b)
+        assert len(enumerate_feasible(inst)) > 1  # so there is a move to refuse
+        with time_limit(10):
+            report = solve(inst, seed_count=8, rng_seed=1, policy=policy, seeds=seeds)
+        assert len(report.results) > 1
+        assert [r.steps for r in report.results] == [0] * len(report.results)
+        assert report.distinct_terminal_values == 1
 
 
 class TestSeparableConvexExactness:
